@@ -104,6 +104,10 @@ def replay_rows(rows):
     published traces and 0-based engine traces both replay faithfully) and
     each later grow takes the next integer.
     """
+    for row in rows:
+        records = row.get("records", []) if isinstance(row, dict) else None
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ValueError(f"row is not an object with a list of record objects: {row!r}")
     assignments = {}
     decisions = []
     referenced = [int(r["set"]) for row in rows for r in row.get("records", [])]
@@ -166,7 +170,7 @@ def cmd_replay(args) -> int:
         return 2
     try:
         decisions, assignments = replay_rows(rows)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"runtime error: malformed trace: {exc}", file=sys.stderr)
         return 2
     for d in decisions:

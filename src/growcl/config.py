@@ -6,11 +6,10 @@ Three sections, all optional keys falling back to dataclass defaults:
                similarity, samples_per_class, seed, noise/mean scales)
     [encoder]  frozen encoder shape (d_model, n_blocks, n_heads, prompt_len,
                prompted_blocks, input_dim, n_feature_tokens, mlp_ratio,
-               key_loss, key_loss_weight)
+               seed, key_loss_weight)
     [train]    eps_task, eps_pre, phi, n_fft, epochs, batch_size, lr, seed,
-               mode, probe_samples, space_samples, space_from,
-               fft_literal_angle, pretrain_steps, pretrain_classes,
-               pretrain_lr
+               mode, probe_samples, space_samples, pretrain_steps,
+               pretrain_classes, pretrain_lr
 
 Unknown keys or sections are rejected so typos fail loudly.
 """

@@ -1,12 +1,12 @@
 """Grow-or-reuse decision logic and the gradient surgery around it.
 
-Before each task (after the first), every pool set is probed: the task's
-gradient on that set is measured against the orthogonal complement of the
-set's stored feature space (the hindrance the orthogonal update rule would
-impose), and against the complement of the task's pre-trained space on a
-fresh clone (the hindrance floor an unencumbered set would face). The gap
-z = hindrance_old - hindrance_floor drives the decision: grow a new set when
-every gap is positive, otherwise fold the task into the set with the
+Before each task (after the first), every pool set is probed once: the
+task's gradient on that set is measured against the orthogonal complement of
+the set's stored feature space (the hindrance the orthogonal update rule
+would impose), and the same gradient against the complement of the task's
+pre-trained space (the hindrance floor an unencumbered set would face). The
+gap z = hindrance_old - hindrance_floor drives the decision: grow a new set
+when every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
 Also here: the soft constraint that keeps updates consistent with the
@@ -140,12 +140,10 @@ def hindrance_for_old_set(probe: GradientProbe, pset: PromptSet, old_spaces: dic
     return hindrance(g, old_spaces), g
 
 
-def dynamic_threshold(probe: GradientProbe, source: PromptSet, pre_spaces: dict) -> HfcValue:
-    """Hindrance floor: a fresh set cloned from ``source`` measured against
-    the complement of the task's pre-trained feature space."""
-    clone = source.clone()
-    g = probe.gradient(clone)
-    return hindrance(g, pre_spaces)
+def dynamic_threshold(grad: GradientVector, pre_spaces: dict) -> HfcValue:
+    """Hindrance floor: the set's probe gradient measured against the
+    complement of the task's pre-trained feature space."""
+    return hindrance(grad, pre_spaces)
 
 
 # -- soft pre-trained-knowledge constraint ------------------------------------
@@ -180,13 +178,9 @@ def transfer_score(grad: GradientVector, spaces: dict) -> float:
     return project_gradient(grad, spaces).norm / grad.norm
 
 
-def select_transfer_sets(grads: dict, spaces_by_set: dict, n: int, literal_angle: bool = False):
+def select_transfer_sets(grads: dict, spaces_by_set: dict, n: int):
     """Rank candidate sets by how much of the task gradient their stored
-    space captures and return the top ``n`` set ids.
-
-    ``literal_angle=True`` ranks by the angle to the projection instead
-    (descending), which inverts the order; it exists for comparison only.
-    """
+    space captures and return the top ``n`` set ids."""
     if n < 0:
         raise DecisionError("n must be >= 0")
     if n == 0:
@@ -196,12 +190,7 @@ def select_transfer_sets(grads: dict, spaces_by_set: dict, n: int, literal_angle
         spaces = spaces_by_set.get(sid)
         if spaces is None:
             continue
-        if literal_angle:
-            proj = project_gradient(g, spaces)
-            angle = math.pi / 2 if proj.norm == 0 else hfc(g.flat, proj.flat).angle
-            scored.append((-angle, sid))
-        else:
-            scored.append((-transfer_score(g, spaces), sid))
+        scored.append((-transfer_score(g, spaces), sid))
     scored.sort()
     return [sid for _, sid in scored[:n]]
 

@@ -39,7 +39,6 @@ class EncoderConfig:
     n_feature_tokens: int = 4
     mlp_ratio: int = 2
     seed: int = 0
-    key_loss: str = "cosine"  # "cosine" | "mse"
     key_loss_weight: float = 1.0
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class EncoderConfig:
             raise EncoderError("d_model must be divisible by n_heads")
         if any(b < 0 or b >= self.n_blocks for b in self.prompted_blocks):
             raise EncoderError("prompted_blocks outside [0, n_blocks)")
-        if self.key_loss not in ("cosine", "mse"):
-            raise EncoderError(f"unknown key loss {self.key_loss!r}")
         object.__setattr__(self, "prompted_blocks", tuple(self.prompted_blocks))
 
     @property
@@ -126,9 +123,6 @@ class PromptSet:
         p = rng.normal(0, 0.5, (cfg.n_prompted, cfg.prompt_len, cfg.d_model))
         k = rng.normal(0, 0.5, cfg.d_model)
         return cls(p, k, set_id)
-
-    def clone(self, set_id: int = -1) -> "PromptSet":
-        return PromptSet(self.p.copy(), self.k.copy(), set_id)
 
 
 @dataclass
@@ -317,10 +311,8 @@ def prompted_with_layers(
     return feats.data, reps
 
 
-def _key_loss(cfg: EncoderConfig, k: Tensor, q_bar: np.ndarray):
-    if cfg.key_loss == "mse":
-        diff = k - Tensor(q_bar)
-        return (diff * diff).sum()
+def _key_loss(k: Tensor, q_bar: np.ndarray):
+    """Cosine pull of the retrieval key toward the batch's mean query."""
     qn = float(np.linalg.norm(q_bar))
     dot = (k * Tensor(q_bar)).sum()
     kn = (k * k).sum().sqrt()
@@ -363,7 +355,7 @@ def loss_and_grads(
     logits = feats @ hw + hb + Tensor(class_mask_bias(head.n_classes, head_mask))
     loss = cross_entropy(logits, labels)
     if q_bar is not None and cfg.key_loss_weight != 0.0:
-        loss = loss + cfg.key_loss_weight * _key_loss(cfg, k_t, q_bar)
+        loss = loss + cfg.key_loss_weight * _key_loss(k_t, q_bar)
     loss.backward()
 
     layout = GradientLayout(cfg)

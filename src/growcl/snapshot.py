@@ -41,13 +41,24 @@ def _write_array(fh, name: str, arr: np.ndarray):
     fh.write(data.tobytes())
 
 
+def _read(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise SnapshotError(f"truncated snapshot: needed {n} bytes, file ended after {len(data)}")
+    return data
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
+
+
 def _read_array(fh):
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+    (name_len,) = _unpack(fh, "<H")
+    name = _read(fh, name_len).decode("utf-8")
+    (ndim,) = _unpack(fh, "<I")
+    shape = _unpack(fh, f"<{ndim}I")
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
+    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").reshape(shape)
     return name, data.astype(np.float64)
 
 
@@ -104,13 +115,13 @@ def load(path) -> dict:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise SnapshotError("bad magic: not a run snapshot")
-        fixed = struct.unpack("<9I", fh.read(36))
+        fixed = _unpack(fh, "<9I")
         (version, d_model, n_blocks, n_heads, prompt_len,
          input_dim, n_feature_tokens, mlp_ratio, n_prompted) = fixed
         if version != VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
-        prompted = struct.unpack(f"<{n_prompted}I", fh.read(4 * n_prompted))
-        n_classes, n_tasks, tasks_done, n_arrays = struct.unpack("<4I", fh.read(16))
+        prompted = _unpack(fh, f"<{n_prompted}I")
+        n_classes, n_tasks, tasks_done, n_arrays = _unpack(fh, "<4I")
         arrays = {}
         order = []
         for _ in range(n_arrays):

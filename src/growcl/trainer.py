@@ -68,8 +68,6 @@ class TrainConfig:
     mode: str = "lw2g"
     probe_samples: int = 256
     space_samples: int = 512
-    space_from: str = "prompted"  # representation source for stored spaces
-    fft_literal_angle: bool = False
     pretrain_steps: int = 120
     pretrain_classes: int = 8
     pretrain_lr: float = 0.05
@@ -83,8 +81,6 @@ class TrainConfig:
             raise TrainerError(f"phi must be in [0, 1], got {self.phi}")
         if self.mode not in MODES:
             raise TrainerError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.space_from not in ("prompted", "query"):
-            raise TrainerError(f"space_from must be prompted|query, got {self.space_from!r}")
         if self.n_fft < 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainerError("n_fft >= 0, epochs >= 1, batch_size >= 1 required")
 
@@ -198,10 +194,7 @@ class Engine:
         idx = self._subset(len(dataset.x_train), self.cfg.space_samples)
         x = dataset.x_train[idx]
         pset = self.pool.sets[set_id]
-        if self.cfg.space_from == "prompted":
-            _, reps = prompted_with_layers(self.backbone, pset, x, extra=self._extra_for(set_id))
-        else:
-            _, reps = query_with_layers(self.backbone, x)
+        _, reps = prompted_with_layers(self.backbone, pset, x, extra=self._extra_for(set_id))
         old = None if grew else self.memory.old_spaces[set_id]
         label = f"set {set_id} / task {task_id}"
         self.memory.old_spaces[set_id] = self._spaces_from_reps(
@@ -283,7 +276,7 @@ class Engine:
         records = []
         for pset in self.pool.sets:
             old_val, g = hindrance_for_old_set(probe, pset, self.memory.old_spaces[pset.id])
-            pre_val = dynamic_threshold(probe, pset, pre_spaces)
+            pre_val = dynamic_threshold(g, pre_spaces)
             probe_grads[pset.id] = g
             records.append(HindranceRecord(pset.id, old_val, pre_val))
         return decide(records), probe_grads
@@ -303,7 +296,7 @@ class Engine:
                 g = probe.gradient(self.pool.sets[cid])
             grads[cid] = g
         spaces = {cid: self.memory.old_spaces[cid] for cid in candidates}
-        chosen = select_transfer_sets(grads, spaces, cfg.n_fft, literal_angle=cfg.fft_literal_angle)
+        chosen = select_transfer_sets(grads, spaces, cfg.n_fft)
         composed = compose_prompts(self.pool.sets[sid], [self.pool.sets[c] for c in chosen])
         self.attachments[sid] = (composed.frozen, chosen)
         return chosen

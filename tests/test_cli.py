@@ -70,9 +70,15 @@ class TestConfigParsing:
         assert train.mode == "grow_always"
         assert enc.d_model == 32
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("[train]\nbogus = 1\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        # bogus keys, and the removed fft_literal_angle / space_from / key_loss
+        for section, line in (("train", "bogus = 1"), ("train", "fft_literal_angle = 0"),
+                              ("train", "space_from = prompted"), ("encoder", "key_loss = cosine")):
+            with pytest.raises(ConfigError):
+                parse_config(f"[{section}]\n{line}\n")
+            path = tmp_path / "exp.cfg"
+            path.write_text(CONFIG_TEXT.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -172,6 +178,13 @@ class TestReplay:
         row = {"task": 1, "records": [{"set": 4, "hfc_old_deg": 1.0, "hfc_pre_deg": 9.0}]}
         path.write_text(json.dumps(row) + "\n")
         assert main(["replay", "--replay", str(path)]) == 2
+
+    def test_non_object_rows_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        for text in ("[1, 2]", "7", '{"task": 1, "records": ["x"]}', '{"task": 1, "records": 5}'):
+            path.write_text(text + "\n")
+            assert main(["replay", "--replay", str(path)]) == 2, text
+            assert "runtime error: malformed trace" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["replay", "--replay", str(tmp_path / "none.jsonl")]) == 2

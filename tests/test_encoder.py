@@ -120,14 +120,6 @@ class TestGradients:
             ana = grad.segment(f"block{CFG.prompted_blocks[j]}")[r, c]
             assert ana == pytest.approx(num, rel=1e-3, abs=1e-5)
 
-    def test_key_grad_mse_analytic(self, setup):
-        backbone, head, pset, batch, labels = setup
-        cfg = EncoderConfig(**{**CFG.__dict__, "key_loss": "mse"})
-        backbone = FrozenBackbone(cfg, backbone.weights)
-        q_bar = np.random.default_rng(5).standard_normal(CFG.d_model)
-        grad = grad_prompts(backbone, head, pset, batch, labels, range(8), q_bar=q_bar)
-        np.testing.assert_allclose(grad.segment("key"), 2 * (pset.k - q_bar), atol=1e-10)
-
     def test_key_grad_cosine_finite_differences(self, setup):
         backbone, head, pset, batch, labels = setup
         q_bar = np.random.default_rng(6).standard_normal(CFG.d_model)

@@ -39,6 +39,28 @@ def test_bad_magic_rejected(tmp_path):
         snapshot.load(path)
 
 
+def test_truncated_file_rejected(run, tmp_path):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = path.read_bytes()
+    header = 4 + 4 * (9 + ENC.n_prompted + 4)
+    (name_len,) = struct.unpack("<H", raw[header:header + 2])
+    data_start = header + 2 + name_len + 4 + 4 * 2  # first array is 2-D embed_w
+    cuts = (
+        20,                               # inside the fixed header
+        4 + 36 + 2,                       # inside the prompted block list
+        header + 2 + name_len // 2,       # inside the first array name
+        header + 2 + name_len + 6,        # inside the first array shape
+        data_start + 10,                  # inside the first array data
+        len(raw) - 1,                     # one byte short of the end
+    )
+    for cut in cuts:
+        path.write_bytes(raw[:cut])
+        with pytest.raises(snapshot.SnapshotError, match="truncated"):
+            snapshot.load(path)
+
+
 def test_roundtrip_restores_state(run, tmp_path):
     data, res = run
     path = tmp_path / "snap.bin"

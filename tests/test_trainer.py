@@ -124,14 +124,35 @@ class TestTwinTaskReuse:
 
         _, reps = query_with_layers(eng.backbone, ds.x_train[:48])
         pre_spaces = eng._spaces_from_reps(reps, cfg.eps_pre, "pre check")
-        old_val, _ = hindrance_for_old_set(probe, eng.pool.sets[0], eng.memory.old_spaces[0])
-        pre_val = dynamic_threshold(probe, eng.pool.sets[0], pre_spaces)
+        old_val, g = hindrance_for_old_set(probe, eng.pool.sets[0], eng.memory.old_spaces[0])
+        pre_val = dynamic_threshold(g, pre_spaces)
         assert old_val.angle - pre_val.angle < 0  # direct computation
 
         report = eng.train_task(1, ds)
         assert not report.decision.is_grow
         assert report.decision.reuse_id == 0
         assert report.decision.records[0].z < 0
+
+
+class TestProbeCount:
+    def test_each_decided_task_probes_each_set_once(self, monkeypatch):
+        # The old-space hindrance and the pre-space floor share one probe
+        # gradient, so deciding a task costs one probe per pool set.
+        calls = []
+        original = GradientProbe.gradient
+
+        def counted(self, pset):
+            calls.append(pset.id)
+            return original(self, pset)
+
+        monkeypatch.setattr(GradientProbe, "gradient", counted)
+        data = small_stream(3, similarity=(0, 0, 1))
+        eng = Engine(ENC, quick_cfg(mode="lw2g"), 6)
+        for t, ds in enumerate(data):
+            pool_before = [p.id for p in eng.pool.sets]
+            calls.clear()
+            eng.train_task(t, ds)
+            assert sorted(calls) == pool_before, t
 
 
 class TestOrthogonalStep:
