@@ -2,10 +2,12 @@
 
 Raw feature vectors are linearly embedded into a handful of tokens, a class
 token is prepended, and each block runs pre-norm multi-head attention plus a
-GELU MLP. Prompted blocks receive extra prompt tokens appended to the
-sequence for that block only; their outputs are dropped afterwards so prompts
-act purely through attention. The promptless pass ("query" mode) yields the
-vanilla feature used for key matching and for pre-trained subspaces.
+GELU MLP. A prompted block takes its prompt rows as an attention prefix, as in
+Prefix-Tuning and DualPrompt: the rows' keys and values, computed once per
+batch, join those of the data tokens, and nothing else is computed for them,
+so prompts act purely through attention. The promptless pass ("query" mode)
+yields the vanilla feature used for key matching and for pre-trained
+subspaces.
 
 Backbone weights are initialized once (optionally briefly fitted on a
 held-out pre-task) and then frozen; only prompt tokens, retrieval keys and
@@ -26,6 +28,10 @@ MASK_BIAS = -1e30
 
 class EncoderError(ValueError):
     """Shape or contract violation in the encoder."""
+
+
+class NonFiniteError(EncoderError):
+    """A loss or gradient came out NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ class GradientVector:
         if self.flat.shape != (self.layout.size,):
             raise EncoderError(f"gradient length {self.flat.shape} != layout {self.layout.size}")
         if not np.all(np.isfinite(self.flat)):
-            raise EncoderError("non-finite gradient")
+            raise NonFiniteError("non-finite gradient")
 
     def segment(self, name: str) -> np.ndarray:
         return self.layout.view(self.flat, name)
@@ -202,26 +208,37 @@ def _params(backbone: FrozenBackbone, trainable: bool = False) -> dict:
     return {k: Tensor(v, requires_grad=trainable) for k, v in backbone.weights.items()}
 
 
-def _attention_block(x: Tensor, p: dict, i: int, n_heads: int) -> Tensor:
+def _attention_block(x: Tensor, p: dict, i: int, n_heads: int, prompt: Tensor | None = None) -> Tensor:
+    """One pre-norm block over the data tokens ``x`` [n, t, d].
+
+    A ``prompt`` [P, d] is a prefix: its LN1 keys and values, computed once
+    for the whole batch, join the data tokens' keys and values, so every
+    query also attends to the prompt rows. Nothing is computed at prompt
+    positions beyond that.
+    """
     n, t, d = x.shape
     dh = d // n_heads
     h = layer_norm(x, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
     q = (h @ p[f"b{i}.wq"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
-    k = (h @ p[f"b{i}.wk"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
+    k = (h @ p[f"b{i}.wk"]).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))
     v = (h @ p[f"b{i}.wv"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    out = softmax(scores) @ v
+    scores = q @ k
+    if prompt is not None:
+        n_p = prompt.shape[0]
+        hp = layer_norm(prompt, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
+        kp = (hp @ p[f"b{i}.wk"]).reshape(n_p, n_heads, dh).transpose((1, 2, 0))  # [H, dh, P]
+        vp = (hp @ p[f"b{i}.wv"]).reshape(n_p, n_heads, dh).transpose((1, 0, 2))  # [H, P, dh]
+        scores = concat([scores, q @ kp], axis=-1)
+    attn = softmax(scores * (1.0 / np.sqrt(dh)))
+    if prompt is None:
+        out = attn @ v
+    else:
+        out = attn[..., :t] @ v + attn[..., t:] @ vp
     out = out.transpose((0, 2, 1, 3)).reshape(n, t, d) @ p[f"b{i}.wo"]
     x = x + out
     h2 = layer_norm(x, p[f"b{i}.ln2_g"], p[f"b{i}.ln2_b"])
     m = (gelu(h2 @ p[f"b{i}.mlp_w1"] + p[f"b{i}.mlp_b1"]) @ p[f"b{i}.mlp_w2"]) + p[f"b{i}.mlp_b2"]
     return x + m
-
-
-def _broadcast_tokens(tok: Tensor, n: int) -> Tensor:
-    # [P, d] parameter -> [n, P, d]; the zero carrier keeps gradients exact.
-    p, d = tok.shape
-    return Tensor(np.zeros((n, p, d))) + tok.reshape(1, p, d)
 
 
 def encode(
@@ -233,8 +250,9 @@ def encode(
 ):
     """Run the encoder; returns (features Tensor [n, d], layer_reps dict).
 
-    ``prompts`` maps prompted block index -> Tensor [P, d] of tokens appended
-    to that block's input (already composed with any frozen extras).
+    ``prompts`` maps prompted block index -> Tensor [P, d] of prefix rows that
+    every sample's tokens attend to in that block (already composed with any
+    frozen extras).
     ``layer_reps`` holds the class-token output of each prompted block plus
     the final feature under key "final" (plain arrays, detached).
     """
@@ -247,16 +265,13 @@ def encode(
         raise EncoderError("empty batch")
     p = params if params is not None else _params(backbone)
     x = (Tensor(batch) @ p["embed_w"] + p["embed_b"]).reshape(n, cfg.n_feature_tokens, cfg.d_model)
-    tok = concat([_broadcast_tokens(p["cls"].reshape(1, cfg.d_model), n), x], axis=1)
-    keep = 1 + cfg.n_feature_tokens
+    # [d] parameter -> [n, 1, d]; the zero carrier keeps its gradient exact.
+    cls = Tensor(np.zeros((n, 1, cfg.d_model))) + p["cls"].reshape(1, 1, cfg.d_model)
+    tok = concat([cls, x], axis=1)
+    prompts = prompts or {}
     reps = {}
     for i in range(cfg.n_blocks):
-        if prompts is not None and i in prompts:
-            seq = concat([tok, _broadcast_tokens(prompts[i], n)], axis=1)
-            seq = _attention_block(seq, p, i, cfg.n_heads)
-            tok = seq[:, :keep]
-        else:
-            tok = _attention_block(tok, p, i, cfg.n_heads)
+        tok = _attention_block(tok, p, i, cfg.n_heads, prompts.get(i))
         if collect_layers and i in cfg.prompted_blocks:
             reps[i] = tok.data[:, 0].copy()
     feats = layer_norm(tok, p["ln_f_g"], p["ln_f_b"])[:, 0]
@@ -356,6 +371,8 @@ def loss_and_grads(
     loss = cross_entropy(logits, labels)
     if q_bar is not None and cfg.key_loss_weight != 0.0:
         loss = loss + cfg.key_loss_weight * _key_loss(k_t, q_bar)
+    if not np.isfinite(loss.data):
+        raise NonFiniteError("non-finite loss")
     loss.backward()
 
     layout = GradientLayout(cfg)

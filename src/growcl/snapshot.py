@@ -196,6 +196,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     engine.seen_classes = [int(c) for c in arrays["seen_classes"]]
     engine.tasks_done = snap["tasks_done"]
     engine.reports = []
+    engine.test_queries = {}
 
     matrix = AccuracyMatrix(snap["n_tasks"])
     matrix.a = np.where(arrays["matrix.a"] < 0, np.nan, arrays["matrix.a"])

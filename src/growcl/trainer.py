@@ -6,8 +6,9 @@ pool set and decides grow-or-reuse (first task always grows; the
 ``grow_always`` and ``single_set`` modes bypass the decision), (2) trains the
 chosen set with the soft pre-trained-knowledge constraint and, on reuse, the
 orthogonal-to-old-space condition, optionally with frozen transfer prompts
-appended, and (3) builds or extends the set's stored feature space and caches
-the task's pre-trained space.
+joined behind the active ones in each block's attention prefix, and (3) builds
+or extends the set's stored feature space and caches the task's pre-trained
+space.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from growcl.encoder import (
     FrozenBackbone,
     GradientVector,
     Head,
+    NonFiniteError,
     PromptSet,
     forward_prompted,
     forward_query,
@@ -121,6 +123,7 @@ class Engine:
         self.seen_classes = []
         self.tasks_done = 0
         self.reports = []
+        self.test_queries = {}  # task index -> (x_test, its promptless features)
 
     # -- setup -----------------------------------------------------------------
 
@@ -241,15 +244,18 @@ class Engine:
         p_before = pset.p.copy()
         k_before = pset.k.copy()
         final_loss = np.nan
-        for _ in range(cfg.epochs):
+        for epoch in range(cfg.epochs):
             order = self.rng.permutation(len(x))
             for lo in range(0, len(order), cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
                 q_bar = q_all[batch].mean(axis=0)
-                loss, grad, gw, gb = loss_and_grads(
-                    self.backbone, self.head, pset, x[batch], y[batch], tuple(classes),
-                    extra=extra, q_bar=q_bar, train_head_classes=classes,
-                )
+                try:
+                    loss, grad, gw, gb = loss_and_grads(
+                        self.backbone, self.head, pset, x[batch], y[batch], tuple(classes),
+                        extra=extra, q_bar=q_bar, train_head_classes=classes,
+                    )
+                except NonFiniteError as exc:
+                    raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
                 grad = apply_soft_constraint(grad, soft)
                 self.orthogonal_step(pset, grad, reuse_spaces, cfg.lr)
                 self.head.w -= cfg.lr * gw
@@ -336,7 +342,11 @@ class Engine:
         seen = [c for t in range(after_task + 1) for c in datasets[t].class_ids]
         for i in range(after_task + 1):
             ds = datasets[i]
-            q = forward_query(self.backbone, ds.x_test)
+            cached = self.test_queries.get(i)
+            if cached is None or cached[0] is not ds.x_test:
+                # the backbone is frozen, so a test set's queries never change
+                cached = self.test_queries[i] = (ds.x_test, forward_query(self.backbone, ds.x_test))
+            q = cached[1]
             retrieved = self.pool.retrieve_batch(q)
             true_sid = self.pool.set_for_task(i)
             hits = int(np.sum(retrieved == true_sid))

@@ -140,6 +140,33 @@ def test_grad_accumulates_over_reuse():
     assert p.grad[0] == pytest.approx(4.0)
 
 
+def test_first_gradient_is_copied_not_aliased():
+    t = Tensor(np.zeros(3), requires_grad=True)
+    first = np.ones(3)
+    t._accumulate(first)
+    t._accumulate(np.full(3, 2.0))
+    np.testing.assert_array_equal(first, np.ones(3))
+    np.testing.assert_array_equal(t.grad, np.full(3, 3.0))
+
+
+def test_shared_upstream_gradient_not_corrupted():
+    # ``s + p`` hands one array to both s and p; p later accumulates s's
+    # gradient on top, which must not leak into s (and from there into q).
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones(3), requires_grad=True)
+    s = p + q
+    (s + p).sum().backward()
+    np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(q.grad, np.ones(3))
+
+
+def test_slice_and_fancy_index_grads():
+    def build(p):
+        return p[1:, ::2].sum() + p[..., 1].sum() + p[[0, 0, 2]].sum()
+
+    check_grad(build, rng.standard_normal((3, 4)))
+
+
 def test_detached_constant_gets_no_grad():
     p = Tensor(np.ones(3), requires_grad=True)
     c = p.detach()

@@ -128,6 +128,16 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_non_finite_step_exits_2_naming_task_epoch_set(self, tmp_path, capsys):
+        # A learning rate this large overflows the head within the first steps.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("lr = 0.3", "lr = 1e308"))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "runtime error: task 0, epoch 0, set 0: non-finite" in err
+
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CONFIG_TEXT)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from growcl.autodiff import Tensor, concat, cross_entropy, layer_norm
 from growcl.encoder import (
     EncoderConfig,
     EncoderError,
@@ -8,7 +9,11 @@ from growcl.encoder import (
     GradientLayout,
     Head,
     PromptSet,
+    _attention_block,
+    _key_loss,
+    _prompt_tensors,
     class_mask_bias,
+    encode,
     forward_prompted,
     forward_query,
     grad_prompts,
@@ -213,3 +218,60 @@ class TestGradientLayout:
         assert layout.view(flat, "block0").shape == (CFG.prompt_len, CFG.d_model)
         with pytest.raises(KeyError):
             layout.view(flat, "block9")
+
+
+def appended_encode(backbone, batch, prompts):
+    """Reference: each block's prompt rows are appended to every sample's
+    sequence, the whole block runs over them, and their outputs are dropped."""
+    cfg, n = backbone.config, len(batch)
+    p = {k: Tensor(v) for k, v in backbone.weights.items()}
+    x = (Tensor(batch) @ p["embed_w"] + p["embed_b"]).reshape(n, cfg.n_feature_tokens, cfg.d_model)
+    cls = Tensor(np.zeros((n, 1, cfg.d_model))) + p["cls"].reshape(1, 1, cfg.d_model)
+    tok = concat([cls, x], axis=1)
+    keep = tok.shape[1]
+    for i in range(cfg.n_blocks):
+        if i in prompts:
+            carrier = Tensor(np.zeros((n,) + prompts[i].shape)) + prompts[i].reshape(1, *prompts[i].shape)
+            tok = _attention_block(concat([tok, carrier], axis=1), p, i, cfg.n_heads)[:, :keep]
+        else:
+            tok = _attention_block(tok, p, i, cfg.n_heads)
+    return layer_norm(tok, p["ln_f_g"], p["ln_f_b"])[:, 0]
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestPrefixEquivalence:
+    """The prefix encoder equals the appended-token form to round-off."""
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1,)])
+    @pytest.mark.parametrize("with_extra", [False, True])
+    def test_features_loss_and_grads_match_appended_form(self, blocks, with_extra):
+        cfg = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=blocks,
+                            input_dim=10, n_feature_tokens=3)
+        rng = np.random.default_rng(5)
+        backbone = FrozenBackbone.init(cfg, rng)
+        head = Head.init(cfg.d_model, 8, rng)
+        pset = PromptSet.init(cfg, rng)
+        batch = rng.standard_normal((6, cfg.input_dim))
+        labels = rng.integers(0, 4, size=6)
+        q_bar = rng.standard_normal(cfg.d_model)
+        extra = rng.standard_normal((cfg.n_prompted, 2 * cfg.prompt_len, cfg.d_model)) if with_extra else None
+
+        feats, _ = encode(backbone, batch, _prompt_tensors(cfg, Tensor(pset.p), extra))
+        ref = appended_encode(backbone, batch, _prompt_tensors(cfg, Tensor(pset.p), extra))
+        assert _rel_err(feats.data, ref.data) <= 1e-12
+
+        loss, grad, _, _ = loss_and_grads(backbone, head, pset, batch, labels, range(8),
+                                          extra=extra, q_bar=q_bar)
+        p_t = Tensor(pset.p, requires_grad=True)
+        k_t = Tensor(pset.k, requires_grad=True)
+        logits = appended_encode(backbone, batch, _prompt_tensors(cfg, p_t, extra)) @ Tensor(head.w)
+        ref_loss = cross_entropy(logits + Tensor(head.b + class_mask_bias(8, range(8))), labels)
+        ref_loss = ref_loss + cfg.key_loss_weight * _key_loss(k_t, q_bar)
+        ref_loss.backward()
+        assert loss == pytest.approx(float(ref_loss.data), rel=1e-12, abs=0)
+        for j, b in enumerate(blocks):
+            assert _rel_err(grad.segment(f"block{b}"), p_t.grad[j]) <= 1e-12
+        assert _rel_err(grad.segment("key"), k_t.grad) <= 1e-12

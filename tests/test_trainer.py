@@ -330,3 +330,21 @@ class TestEvaluation:
                 i in eng.pool.assignments[eng.pool.retrieve(row)] for row in q
             )
             assert m.retrieval_hits[i, 2] == want
+
+    def test_each_test_set_is_query_encoded_once(self, monkeypatch):
+        # The backbone is frozen, so evaluate_after encodes each test set's
+        # queries once per run instead of once per later task.
+        import growcl.trainer
+
+        encoded = []
+        original = growcl.trainer.forward_query
+
+        def counted(backbone, batch):
+            encoded.append(batch)
+            return original(backbone, batch)
+
+        monkeypatch.setattr(growcl.trainer, "forward_query", counted)
+        data = small_stream(3)
+        run_stream(ENC, quick_cfg(mode="grow_always"), data)
+        for ds in data:
+            assert sum(b is ds.x_test for b in encoded) == 1
