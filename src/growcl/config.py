@@ -6,7 +6,7 @@ Three sections, all optional keys falling back to dataclass defaults:
                similarity, samples_per_class, seed, noise/mean scales)
     [encoder]  frozen encoder shape (d_model, n_blocks, n_heads, prompt_len,
                prompted_blocks, input_dim, n_feature_tokens, mlp_ratio,
-               seed, key_loss_weight)
+               key_loss_weight); its weights draw from the [train] seed
     [train]    eps_task, eps_pre, phi, n_fft, epochs, batch_size, lr, seed,
                mode, probe_samples, space_samples, pretrain_steps,
                pretrain_classes, pretrain_lr

@@ -9,6 +9,11 @@ gap z = hindrance_old - hindrance_floor drives the decision: grow a new set
 when every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
+Stored spaces are per segment, keyed by the encoder's segment names
+(``block{b}`` per prompted block, then ``key``), and every projection here
+walks a gradient's ``segments()``: each segment's rows are projected onto
+(or off) the basis stored under the same name.
+
 Also here: the soft constraint that keeps updates consistent with the
 pre-trained feature space, selection of frozen transfer prompts, and the
 composition of active + frozen prompt tokens.
@@ -75,24 +80,22 @@ def decide(records) -> GrowDecision:
 
 
 def project_gradient(grad: GradientVector, spaces: dict, complement: bool = False) -> GradientVector:
-    """Apply per-segment span (or complement) projections to a flat gradient.
+    """Apply per-segment span (or complement) projections to a gradient.
 
-    ``spaces`` maps segment names ("block0", ..., "key") to Basis objects in
-    the feature dimension; prompt segments are projected row-wise (each token
-    row lives in feature space). Segments without a stored basis behave as an
-    empty span: projection zero, complement identity.
+    ``spaces`` maps segment names to Basis objects in the feature dimension;
+    each segment is projected row-wise (every row lives in feature space).
+    Segments without a stored basis behave as an empty span: projection
+    zero, complement identity.
     """
-    out = np.zeros_like(grad.flat) if not complement else grad.flat.copy()
-    for name, off, shape in grad.layout.segments:
+    parts = []
+    for name, rows in grad.segments().items():
         basis = spaces.get(name)
         if basis is None:
+            parts.append(rows if complement else np.zeros_like(rows))
             continue
-        seg = grad.layout.view(grad.flat, name)
-        rows = seg.reshape(-1, grad.layout.feature_dim)
         proj = project_rows(rows, basis)
-        target = grad.layout.view(out, name)
-        target[:] = (rows - proj).reshape(shape) if complement else proj.reshape(shape)
-    return GradientVector(out, grad.layout)
+        parts.append(rows - proj if complement else proj)
+    return GradientVector(np.concatenate(parts).ravel(), grad.cfg)
 
 
 def hindrance(grad: GradientVector, spaces: dict) -> HfcValue:
@@ -124,8 +127,7 @@ class GradientProbe:
         for x, y in self.batches:
             g = grad_prompts(self.backbone, self.head, pset, x, y, self.head_mask)
             acc = g.flat if acc is None else acc + g.flat
-            layout = g.layout
-        return GradientVector(acc / len(self.batches), layout)
+        return GradientVector(acc / len(self.batches), g.cfg)
 
 
 def hindrance_for_old_set(probe: GradientProbe, pset: PromptSet, old_spaces: dict):
@@ -165,7 +167,7 @@ def apply_soft_constraint(grad: GradientVector, cfg: SoftConstraintConfig) -> Gr
     if cfg.phi == 1.0:
         return grad.copy()
     proj = project_gradient(grad, cfg.pre_spaces)
-    return GradientVector(grad.flat - (1.0 - cfg.phi) * proj.flat, grad.layout)
+    return GradientVector(grad.flat - (1.0 - cfg.phi) * proj.flat, grad.cfg)
 
 
 # -- frozen-prompt transfer selection ------------------------------------------
@@ -198,33 +200,20 @@ def select_transfer_sets(grads: dict, spaces_by_set: dict, n: int):
 # -- prompt composition ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComposedPrompts:
-    """Active (trainable) prompt set plus frozen transfer tokens."""
-
-    active: PromptSet
-    frozen: np.ndarray | None  # [n_prompted, extra_tokens, d] or None
-
-    @property
-    def tokens_per_block(self) -> int:
-        extra = 0 if self.frozen is None else self.frozen.shape[1]
-        return self.active.p.shape[1] + extra
-
-
-def compose_prompts(active: PromptSet, reused) -> ComposedPrompts:
-    """Concatenate frozen copies of ``reused`` sets' tokens after the active
-    tokens, per prompted block. The copies never receive gradient."""
+def compose_prompts(active: PromptSet, reused) -> np.ndarray | None:
+    """Frozen copies of ``reused`` sets' tokens, joined per prompted block
+    into [n_prompted, extra, d] (None when nothing is reused). They sit
+    behind ``active``'s tokens in each prefix and never receive gradient."""
     reused = list(reused)
     if not reused:
-        return ComposedPrompts(active, None)
+        return None
     blocks, _, d = active.p.shape
     for r in reused:
         if r.p.shape[0] != blocks or r.p.shape[2] != d:
             raise DecisionError(
                 f"incompatible prompt shape {r.p.shape} vs active {active.p.shape}"
             )
-    frozen = np.concatenate([r.p.copy() for r in reused], axis=1)
-    return ComposedPrompts(active, frozen)
+    return np.concatenate([r.p for r in reused], axis=1)
 
 
 # -- trace records -----------------------------------------------------------------

@@ -9,6 +9,12 @@ so prompts act purely through attention. The promptless pass ("query" mode)
 yields the vanilla feature used for key matching and for pre-trained
 subspaces.
 
+A prompt set has one segment per prompted block, named ``block{b}`` in
+``prompted_blocks`` order, then the ``key``; every segment is a stack of
+``d_model``-wide rows. ``segment_map`` is the only place these names are
+made: ``encode``'s per-layer reps, the rows of a ``GradientVector`` and the
+stored spaces built from reps all carry them, in that order.
+
 Backbone weights are initialized once (optionally briefly fitted on a
 held-out pre-task) and then frozen; only prompt tokens, retrieval keys and
 the current task's classifier rows ever train.
@@ -44,7 +50,6 @@ class EncoderConfig:
     input_dim: int = 64
     n_feature_tokens: int = 4
     mlp_ratio: int = 2
-    seed: int = 0
     key_loss_weight: float = 1.0
 
     def __post_init__(self):
@@ -52,6 +57,8 @@ class EncoderConfig:
             raise EncoderError("d_model must be divisible by n_heads")
         if any(b < 0 or b >= self.n_blocks for b in self.prompted_blocks):
             raise EncoderError("prompted_blocks outside [0, n_blocks)")
+        if len(set(self.prompted_blocks)) != len(self.prompted_blocks):
+            raise EncoderError("prompted_blocks must be distinct")
         object.__setattr__(self, "prompted_blocks", tuple(self.prompted_blocks))
 
     @property
@@ -149,52 +156,48 @@ class Head:
         return self.b.shape[0]
 
 
-class GradientLayout:
-    """Flat layout of prompt + key gradients: one segment per prompted block
-    (token rows live in the feature space of that block), then the key."""
-
-    def __init__(self, cfg: EncoderConfig):
-        self.segments = []  # (name, offset, shape)
-        off = 0
-        per_block = cfg.prompt_len * cfg.d_model
-        for b in cfg.prompted_blocks:
-            self.segments.append((f"block{b}", off, (cfg.prompt_len, cfg.d_model)))
-            off += per_block
-        self.segments.append(("key", off, (cfg.d_model,)))
-        self.size = off + cfg.d_model
-        self.feature_dim = cfg.d_model
-
-    def names(self):
-        return [name for name, _, _ in self.segments]
-
-    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
-        for seg, off, shape in self.segments:
-            if seg == name:
-                n = int(np.prod(shape))
-                return flat[off : off + n].reshape(shape)
-        raise KeyError(name)
+def segment_map(cfg: EncoderConfig, per_block, key) -> dict:
+    """Name a prompt set's segments: ``block{b}`` -> the j-th entry of
+    ``per_block`` for ``b = prompted_blocks[j]``, then ``key`` -> ``key``."""
+    names = [f"block{b}" for b in cfg.prompted_blocks]
+    return {**dict(zip(names, per_block, strict=True)), "key": key}
 
 
 @dataclass
 class GradientVector:
+    """A gradient over a prompt set's p and k, flat as ``concat(p.ravel(), k)``."""
+
     flat: np.ndarray
-    layout: GradientLayout
+    cfg: EncoderConfig
 
     def __post_init__(self):
-        if self.flat.shape != (self.layout.size,):
-            raise EncoderError(f"gradient length {self.flat.shape} != layout {self.layout.size}")
+        size = (self.cfg.n_prompted * self.cfg.prompt_len + 1) * self.cfg.d_model
+        if self.flat.shape != (size,):
+            raise EncoderError(f"gradient length {self.flat.shape} != layout {size}")
         if not np.all(np.isfinite(self.flat)):
             raise NonFiniteError("non-finite gradient")
 
-    def segment(self, name: str) -> np.ndarray:
-        return self.layout.view(self.flat, name)
+    @property
+    def p(self) -> np.ndarray:
+        """View [n_prompted, prompt_len, d] of the prompt part."""
+        cfg = self.cfg
+        return self.flat[: -cfg.d_model].reshape(cfg.n_prompted, cfg.prompt_len, cfg.d_model)
+
+    @property
+    def k(self) -> np.ndarray:
+        """View [d] of the key part."""
+        return self.flat[-self.cfg.d_model :]
+
+    def segments(self) -> dict:
+        """Segment name -> [rows, d] view into ``flat``."""
+        return segment_map(self.cfg, self.p, self.k[None])
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
 
     def copy(self) -> "GradientVector":
-        return GradientVector(self.flat.copy(), self.layout)
+        return GradientVector(self.flat.copy(), self.cfg)
 
 
 def class_mask_bias(n_classes: int, allowed) -> np.ndarray:
@@ -253,8 +256,9 @@ def encode(
     ``prompts`` maps prompted block index -> Tensor [P, d] of prefix rows that
     every sample's tokens attend to in that block (already composed with any
     frozen extras).
-    ``layer_reps`` holds the class-token output of each prompted block plus
-    the final feature under key "final" (plain arrays, detached).
+    ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
+    class-token output of each prompted block, then the final feature under
+    ``key`` (plain arrays, detached).
     """
     batch = np.asarray(batch, dtype=np.float64)
     cfg = backbone.config
@@ -269,15 +273,15 @@ def encode(
     cls = Tensor(np.zeros((n, 1, cfg.d_model))) + p["cls"].reshape(1, 1, cfg.d_model)
     tok = concat([cls, x], axis=1)
     prompts = prompts or {}
-    reps = {}
+    cls_out = {}
     for i in range(cfg.n_blocks):
         tok = _attention_block(tok, p, i, cfg.n_heads, prompts.get(i))
         if collect_layers and i in cfg.prompted_blocks:
-            reps[i] = tok.data[:, 0].copy()
+            cls_out[i] = tok.data[:, 0].copy()
     feats = layer_norm(tok, p["ln_f_g"], p["ln_f_b"])[:, 0]
-    if collect_layers:
-        reps["final"] = feats.data.copy()
-    return feats, reps
+    if not collect_layers:
+        return feats, {}
+    return feats, segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.data.copy())
 
 
 def _prompt_tensors(cfg: EncoderConfig, p_active: Tensor, extra: np.ndarray | None) -> dict:
@@ -375,12 +379,9 @@ def loss_and_grads(
         raise NonFiniteError("non-finite loss")
     loss.backward()
 
-    layout = GradientLayout(cfg)
-    flat = np.zeros(layout.size)
     p_grad = p_t.grad if p_t.grad is not None else np.zeros_like(pset.p)
-    for j, b in enumerate(cfg.prompted_blocks):
-        layout.view(flat, f"block{b}")[:] = p_grad[j]
-    layout.view(flat, "key")[:] = k_t.grad if k_t.grad is not None else 0.0
+    k_grad = k_t.grad if k_t.grad is not None else np.zeros_like(pset.k)
+    flat = np.concatenate([p_grad.ravel(), k_grad])
 
     gw = gb = None
     if train_head:
@@ -388,7 +389,7 @@ def loss_and_grads(
         rows[np.asarray(list(train_head_classes), dtype=int)] = True
         gw = np.where(rows[None, :], hw.grad, 0.0)
         gb = np.where(rows, hb.grad, 0.0)
-    return float(loss.data), GradientVector(flat, layout), gw, gb
+    return float(loss.data), GradientVector(flat, cfg), gw, gb
 
 
 def grad_prompts(

@@ -53,18 +53,19 @@ class PromptPool:
         self.assignments[set_id].append(task)
 
     def retrieve(self, q: np.ndarray) -> int:
-        """Best-matching set id by cosine(query, key); ties go to the lowest id."""
-        if not self.sets:
-            raise PoolError("retrieve on empty pool")
-        q = np.asarray(q, dtype=np.float64)
-        qn = np.linalg.norm(q)
-        best_id, best_score = 0, -np.inf
-        for pset in self.sets:
-            kn = np.linalg.norm(pset.k)
-            score = float(np.dot(q, pset.k) / (qn * kn)) if qn > 0 and kn > 0 else 0.0
-            if score > best_score:
-                best_id, best_score = pset.id, score
-        return best_id
+        """``retrieve_batch`` for a single query."""
+        return int(self.retrieve_batch(np.asarray(q)[None])[0])
 
     def retrieve_batch(self, queries: np.ndarray) -> np.ndarray:
-        return np.array([self.retrieve(q) for q in queries], dtype=int)
+        """Best-matching set id per query row by cosine(query, key); ties go
+        to the lowest id, and a zero-norm query or key scores 0 everywhere."""
+        if not self.sets:
+            raise PoolError("retrieve on empty pool")
+        q = _unit_rows(np.asarray(queries, dtype=np.float64))
+        keys = _unit_rows(np.stack([pset.k for pset in self.sets]))
+        return np.argmax(q @ keys.T, axis=1)
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    return np.divide(a, norms, out=np.zeros_like(a), where=norms > 0)

@@ -9,15 +9,21 @@ orthogonal-to-old-space condition, optionally with frozen transfer prompts
 joined behind the active ones in each block's attention prefix, and (3) builds
 or extends the set's stored feature space and caches the task's pre-trained
 space.
+
+Every per-segment quantity follows the encoder's segment map (``block{b}``
+per prompted block, then ``key``): layer reps become stored spaces under
+the same names, gradients are projected against them segment by segment,
+and drift ratios are reported under them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from growcl.decisions import (
+    DecisionError,
     GradientProbe,
     GrowDecision,
     HindranceRecord,
@@ -44,6 +50,7 @@ from growcl.encoder import (
     pretrain_backbone,
     prompted_with_layers,
     query_with_layers,
+    segment_map,
 )
 from growcl.metrics import AccuracyMatrix
 from growcl.pool import PromptPool
@@ -148,24 +155,16 @@ class Engine:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _segment_names(self):
-        return [f"block{b}" for b in self.enc_cfg.prompted_blocks] + ["key"]
-
-    def _spaces_from_reps(self, reps: dict, eps: float, label: str, old: dict | None = None):
-        """Per-segment basis build (or extension, when ``old`` is given)."""
+    @staticmethod
+    def _spaces_from_reps(reps: dict, eps: float, label: str, old: dict | None = None):
+        """Per-segment basis build (or extension of ``old``'s, when given)."""
         spaces = {}
-        for b in self.enc_cfg.prompted_blocks:
-            name = f"block{b}"
-            rep = RepresentationMatrix(reps[b], provenance=label)
+        for name, rows in reps.items():
+            rep = RepresentationMatrix(rows, provenance=label)
             if old is None:
                 spaces[name] = k_rank_basis(rep, eps, f"{label}/{name}")
             else:
                 spaces[name] = extend_basis(old[name], rep, eps)
-        rep = RepresentationMatrix(reps["final"], provenance=label)
-        if old is None:
-            spaces["key"] = k_rank_basis(rep, eps, f"{label}/key")
-        else:
-            spaces["key"] = extend_basis(old["key"], rep, eps)
         return spaces
 
     def _subset(self, n: int, cap: int) -> np.ndarray:
@@ -187,9 +186,8 @@ class Engine:
         old space (plain step when no space is stored yet)."""
         if old_spaces:
             grad = project_gradient(grad, old_spaces, complement=True)
-        for j, b in enumerate(self.enc_cfg.prompted_blocks):
-            pset.p[j] -= lr * grad.segment(f"block{b}")
-        pset.k -= lr * grad.segment("key")
+        pset.p -= lr * grad.p
+        pset.k -= lr * grad.k
 
     def finalize_task_space(self, set_id: int, task_id: int, dataset, grew: bool):
         """Collect a representation sample from the trained configuration and
@@ -281,8 +279,11 @@ class Engine:
             return GrowDecision("reuse", 0, ()), probe_grads
         records = []
         for pset in self.pool.sets:
-            old_val, g = hindrance_for_old_set(probe, pset, self.memory.old_spaces[pset.id])
-            pre_val = dynamic_threshold(g, pre_spaces)
+            try:
+                old_val, g = hindrance_for_old_set(probe, pset, self.memory.old_spaces[pset.id])
+                pre_val = dynamic_threshold(g, pre_spaces)
+            except DecisionError as exc:
+                raise TrainerError(f"task {task_id}, set {pset.id}: {exc}") from exc
             probe_grads[pset.id] = g
             records.append(HindranceRecord(pset.id, old_val, pre_val))
         return decide(records), probe_grads
@@ -303,8 +304,8 @@ class Engine:
             grads[cid] = g
         spaces = {cid: self.memory.old_spaces[cid] for cid in candidates}
         chosen = select_transfer_sets(grads, spaces, cfg.n_fft)
-        composed = compose_prompts(self.pool.sets[sid], [self.pool.sets[c] for c in chosen])
-        self.attachments[sid] = (composed.frozen, chosen)
+        frozen = compose_prompts(self.pool.sets[sid], [self.pool.sets[c] for c in chosen])
+        self.attachments[sid] = (frozen, chosen)
         return chosen
 
     def _drift_ratios(self, pset, p_before, k_before, reuse_spaces):
@@ -312,14 +313,10 @@ class Engine:
         space; near zero certifies the orthogonal condition held."""
         if not reuse_spaces:
             return {}
-        blocks = self.enc_cfg.prompted_blocks
+        deltas = segment_map(self.enc_cfg, pset.p - p_before, (pset.k - k_before)[None])
         ratios = {}
         for name, basis in reuse_spaces.items():
-            if name == "key":
-                delta = (pset.k - k_before).reshape(1, -1)
-            else:
-                j = blocks.index(int(name.removeprefix("block")))
-                delta = pset.p[j] - p_before[j]
+            delta = deltas[name]
             total = float(np.linalg.norm(delta))
             if total < 1e-9:
                 # below accumulated float roundoff: the segment did not move

@@ -178,8 +178,8 @@ def _fd_check(backbone, head, pset, batch, labels, mask, extra, rng, per_block=2
 
     grad = grad_prompts(backbone, head, pset, batch, labels, mask, extra=extra)
     h = 1e-4
-    for j, b in enumerate(GRAD_ENC.prompted_blocks):
-        seg = grad.segment(f"block{b}")
+    for j in range(GRAD_ENC.n_prompted):
+        seg = grad.p[j]
         for _ in range(per_block):
             r = int(rng.integers(0, GRAD_ENC.prompt_len))
             c = int(rng.integers(0, GRAD_ENC.d_model))

@@ -71,9 +71,10 @@ class TestConfigParsing:
         assert enc.d_model == 32
 
     def test_unknown_key_rejected(self, tmp_path):
-        # bogus keys, and the removed fft_literal_angle / space_from / key_loss
+        # bogus keys, and the removed fft_literal_angle / space_from / key_loss / encoder seed
         for section, line in (("train", "bogus = 1"), ("train", "fft_literal_angle = 0"),
-                              ("train", "space_from = prompted"), ("encoder", "key_loss = cosine")):
+                              ("train", "space_from = prompted"), ("encoder", "key_loss = cosine"),
+                              ("encoder", "seed = 99")):
             with pytest.raises(ConfigError):
                 parse_config(f"[{section}]\n{line}\n")
             path = tmp_path / "exp.cfg"
@@ -137,6 +138,17 @@ class TestRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert "runtime error: task 0, epoch 0, set 0: non-finite" in err
+
+    def test_zero_probe_gradient_exits_2_naming_task_and_set(self, tmp_path, capsys):
+        # Too large to overflow, this rate saturates the head during task 0,
+        # so task 1's probe of set 0 has no gradient left.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("lr = 0.3", "lr = 1e305"))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "runtime error: task 1, set 0: degenerate subset batch: zero probe gradient" in err
 
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growcl.decisions import (
-    ComposedPrompts,
     DecisionError,
     GradientProbe,
     GrowDecision,
@@ -26,7 +25,6 @@ from growcl.decisions import (
 from growcl.encoder import (
     EncoderConfig,
     FrozenBackbone,
-    GradientLayout,
     GradientVector,
     Head,
     PromptSet,
@@ -44,7 +42,8 @@ from trace_fixtures import (
 
 CFG = EncoderConfig(d_model=8, n_blocks=2, n_heads=2, prompt_len=2, prompted_blocks=(0, 1),
                     input_dim=6, n_feature_tokens=2)
-LAYOUT = GradientLayout(CFG)
+SEGMENTS = ("block0", "block1", "key")
+SIZE = (CFG.n_prompted * CFG.prompt_len + 1) * CFG.d_model  # concat(p.ravel(), k)
 
 
 def record(set_id, old_deg, pre_deg):
@@ -52,7 +51,7 @@ def record(set_id, old_deg, pre_deg):
 
 
 def gradient_from_flat(flat):
-    return GradientVector(np.asarray(flat, dtype=float), LAYOUT)
+    return GradientVector(np.asarray(flat, dtype=float), CFG)
 
 
 def replay_decisions(trace):
@@ -133,39 +132,38 @@ class TestDecide:
 class TestProjectGradient:
     def test_segment_wise_projection(self):
         rng = np.random.default_rng(0)
-        flat = rng.standard_normal(LAYOUT.size)
+        flat = rng.standard_normal(SIZE)
         g = gradient_from_flat(flat)
         basis = Basis(np.eye(CFG.d_model, 2))
         spaces = {"block0": basis}
         proj = project_gradient(g, spaces)
         # block0 rows keep only their first two feature coordinates
-        seg = proj.segment("block0")
-        orig = g.segment("block0")
+        seg = proj.segments()["block0"]
+        orig = g.segments()["block0"]
         np.testing.assert_allclose(seg[:, :2], orig[:, :2])
         np.testing.assert_allclose(seg[:, 2:], 0.0)
         # untouched segments are zero in the projection
-        np.testing.assert_allclose(proj.segment("block1"), 0.0)
-        np.testing.assert_allclose(proj.segment("key"), 0.0)
+        np.testing.assert_allclose(proj.segments()["block1"], 0.0)
+        np.testing.assert_allclose(proj.k, 0.0)
 
     def test_complement_leaves_unspanned_segments(self):
         rng = np.random.default_rng(1)
-        g = gradient_from_flat(rng.standard_normal(LAYOUT.size))
+        g = gradient_from_flat(rng.standard_normal(SIZE))
         spaces = {"key": Basis(np.eye(CFG.d_model, 1))}
         comp = project_gradient(g, spaces, complement=True)
-        np.testing.assert_allclose(comp.segment("block0"), g.segment("block0"))
-        assert comp.segment("key")[0] == pytest.approx(0.0)
+        np.testing.assert_allclose(comp.p, g.p)
+        assert comp.k[0] == pytest.approx(0.0)
 
     def test_matches_single_space_composition(self):
         # With one basis per segment the flat-vector hindrance equals the
         # composition of project_complement + hfc on the concatenation.
         rng = np.random.default_rng(2)
-        g = gradient_from_flat(rng.standard_normal(LAYOUT.size))
+        g = gradient_from_flat(rng.standard_normal(SIZE))
         q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 3)))
-        spaces = {name: Basis(q) for name in LAYOUT.names()}
+        spaces = {name: Basis(q) for name in SEGMENTS}
         got = hindrance(g, spaces)
         pieces = []
-        for name, _, shape in LAYOUT.segments:
-            rows = g.segment(name).reshape(-1, CFG.d_model)
+        for name, rows in g.segments().items():
             pieces.append(np.stack([project_complement(r, spaces[name]) for r in rows]).ravel())
         want = hfc(g.flat, np.concatenate(pieces))
         assert got.angle == pytest.approx(want.angle, abs=1e-12)
@@ -173,23 +171,23 @@ class TestProjectGradient:
 
 class TestHindrance:
     def test_gradient_orthogonal_to_space_angle_zero(self):
-        g = np.zeros(LAYOUT.size)
-        key = LAYOUT.view(g, "key")
+        g = np.zeros(SIZE)
+        key = g[-CFG.d_model:]
         key[1] = 1.0  # e2 direction
         spaces = {"key": Basis(np.eye(CFG.d_model, 1))}  # span{e1}
         val = hindrance(gradient_from_flat(g), spaces)
         assert val.angle == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_inside_space_angle_right(self):
-        g = np.zeros(LAYOUT.size)
-        LAYOUT.view(g, "key")[0] = 2.0
-        spaces = {name: Basis(np.eye(CFG.d_model, 1)) for name in LAYOUT.names()}
+        g = np.zeros(SIZE)
+        g[-CFG.d_model:][0] = 2.0
+        spaces = {name: Basis(np.eye(CFG.d_model, 1)) for name in SEGMENTS}
         val = hindrance(gradient_from_flat(g), spaces)
         assert val.angle == pytest.approx(math.pi / 2)
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(DecisionError):
-            hindrance(gradient_from_flat(np.zeros(LAYOUT.size)), {})
+            hindrance(gradient_from_flat(np.zeros(SIZE)), {})
 
 
 @pytest.fixture
@@ -216,7 +214,7 @@ class TestProbe:
     def test_probe_key_segment_zero(self, probe_setup):
         # probing ignores the key-pull loss entirely
         probe, pset, _ = probe_setup
-        np.testing.assert_allclose(probe.gradient(pset).segment("key"), 0.0)
+        np.testing.assert_allclose(probe.gradient(pset).k, 0.0)
 
     def test_hindrance_for_old_set_requires_space(self, probe_setup):
         probe, pset, _ = probe_setup
@@ -251,14 +249,13 @@ class TestProbe:
         probe, pset, rng = probe_setup
         from growcl.subspace import RepresentationMatrix, k_rank_basis
 
-        reps = {name: rng.standard_normal((12, CFG.d_model)) for name in LAYOUT.names()}
+        reps = {name: rng.standard_normal((12, CFG.d_model)) for name in SEGMENTS}
         pre = {name: k_rank_basis(RepresentationMatrix(r), eps=1e-9) for name, r in reps.items()}
         assert all(b.rank == 1 for b in pre.values())
         g = probe.gradient(pset)
         thr = dynamic_threshold(g, pre)
         pieces = []
-        for name, _, shape in LAYOUT.segments:
-            rows = g.segment(name).reshape(-1, CFG.d_model)
+        for name, rows in g.segments().items():
             u = pre[name].matrix[:, 0]
             pieces.append((rows - np.outer(rows @ u, u)).ravel())
         want = hfc(g.flat, np.concatenate(pieces)).angle
@@ -268,12 +265,12 @@ class TestProbe:
 class TestSoftConstraint:
     def make_gradient(self):
         rng = np.random.default_rng(3)
-        return gradient_from_flat(rng.standard_normal(LAYOUT.size))
+        return gradient_from_flat(rng.standard_normal(SIZE))
 
     def full_spaces(self, k=2, seed=4):
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, k)))
-        return {name: Basis(q) for name in LAYOUT.names()}
+        return {name: Basis(q) for name in SEGMENTS}
 
     def test_phi_one_is_identity(self):
         g = self.make_gradient()
@@ -288,13 +285,13 @@ class TestSoftConstraint:
 
     def test_interpolation_arithmetic(self):
         # key segment (1,1,...)-like toy: span{e1}, phi=0.5 halves the e1 part
-        flat = np.zeros(LAYOUT.size)
-        LAYOUT.view(flat, "key")[:2] = [1.0, 1.0]
+        flat = np.zeros(SIZE)
+        flat[-CFG.d_model:][:2] = [1.0, 1.0]
         g = gradient_from_flat(flat)
         spaces = {"key": Basis(np.eye(CFG.d_model, 1))}
         out = apply_soft_constraint(g, SoftConstraintConfig(0.5, spaces))
-        assert out.segment("key")[0] == pytest.approx(0.5)
-        assert out.segment("key")[1] == pytest.approx(1.0)
+        assert out.k[0] == pytest.approx(0.5)
+        assert out.k[1] == pytest.approx(1.0)
 
     def test_norm_never_increases(self):
         g = self.make_gradient()
@@ -313,9 +310,9 @@ class TestTransferSelection:
         rng = np.random.default_rng(seed)
         grads, spaces = {}, {}
         for sid in range(4):
-            grads[sid] = gradient_from_flat(rng.standard_normal(LAYOUT.size))
+            grads[sid] = gradient_from_flat(rng.standard_normal(SIZE))
             q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 2)))
-            spaces[sid] = {name: Basis(q) for name in LAYOUT.names()}
+            spaces[sid] = {name: Basis(q) for name in SEGMENTS}
         return grads, spaces
 
     def test_n_zero_empty(self):
@@ -323,8 +320,8 @@ class TestTransferSelection:
         assert select_transfer_sets(grads, spaces, 0) == []
 
     def test_parallel_beats_orthogonal(self):
-        flat = np.zeros(LAYOUT.size)
-        LAYOUT.view(flat, "key")[0] = 1.0
+        flat = np.zeros(SIZE)
+        flat[-CFG.d_model:][0] = 1.0
         g = gradient_from_flat(flat)
         spaces = {
             0: {"key": Basis(np.eye(CFG.d_model, 1))},      # contains g
@@ -348,25 +345,23 @@ class TestComposePrompts:
     def test_no_reuse_passthrough(self):
         rng = np.random.default_rng(10)
         active = PromptSet.init(CFG, rng, 0)
-        c = compose_prompts(active, [])
-        assert c.frozen is None
-        assert c.tokens_per_block == CFG.prompt_len
+        assert compose_prompts(active, []) is None
 
     def test_one_reused_doubles_tokens(self):
         rng = np.random.default_rng(11)
         active = PromptSet.init(CFG, rng, 0)
         other = PromptSet.init(CFG, rng, 1)
-        c = compose_prompts(active, [other])
-        assert c.tokens_per_block == 2 * CFG.prompt_len
-        np.testing.assert_array_equal(c.frozen, other.p)
+        frozen = compose_prompts(active, [other])
+        assert active.p.shape[1] + frozen.shape[1] == 2 * CFG.prompt_len
+        np.testing.assert_array_equal(frozen, other.p)
 
     def test_frozen_is_a_copy(self):
         rng = np.random.default_rng(12)
         active = PromptSet.init(CFG, rng, 0)
         other = PromptSet.init(CFG, rng, 1)
-        c = compose_prompts(active, [other])
+        frozen = compose_prompts(active, [other])
         other.p += 1.0
-        assert not np.array_equal(c.frozen, other.p)
+        assert not np.array_equal(frozen, other.p)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(13)

@@ -6,7 +6,7 @@ from growcl.encoder import (
     EncoderConfig,
     EncoderError,
     FrozenBackbone,
-    GradientLayout,
+    GradientVector,
     Head,
     PromptSet,
     _attention_block,
@@ -46,6 +46,10 @@ class TestConfig:
     def test_prompted_blocks_range(self):
         with pytest.raises(EncoderError):
             EncoderConfig(n_blocks=2, prompted_blocks=(0, 2))
+
+    def test_prompted_blocks_distinct(self):
+        with pytest.raises(EncoderError):
+            EncoderConfig(n_blocks=2, prompted_blocks=(1, 1))
 
 
 class TestForwardPrompted:
@@ -90,11 +94,11 @@ class TestForwardQuery:
     def test_layer_reps_shapes(self, setup):
         backbone, _, pset, batch, _ = setup
         q, reps = query_with_layers(backbone, batch)
-        assert set(reps) == {0, 1, "final"}
-        assert reps[0].shape == (6, CFG.d_model)
-        assert np.array_equal(reps["final"], q)
+        assert list(reps) == ["block0", "block1", "key"]
+        assert reps["block0"].shape == (6, CFG.d_model)
+        assert np.array_equal(reps["key"], q)
         _, preps = prompted_with_layers(backbone, pset, batch)
-        assert set(preps) == {0, 1, "final"}
+        assert list(preps) == ["block0", "block1", "key"]
 
 
 def finite_difference_entry(build_loss, arr, idx, h=1e-4):
@@ -122,7 +126,7 @@ class TestGradients:
             r = rng.integers(0, CFG.prompt_len)
             c = rng.integers(0, CFG.d_model)
             num = finite_difference_entry(loss_value, pset.p, (j, r, c))
-            ana = grad.segment(f"block{CFG.prompted_blocks[j]}")[r, c]
+            ana = grad.p[j, r, c]
             assert ana == pytest.approx(num, rel=1e-3, abs=1e-5)
 
     def test_key_grad_cosine_finite_differences(self, setup):
@@ -135,7 +139,7 @@ class TestGradients:
         grad = grad_prompts(backbone, head, pset, batch, labels, range(8), q_bar=q_bar)
         for c in (0, 3, 11):
             num = finite_difference_entry(loss_value, pset.k, (c,))
-            assert grad.segment("key")[c] == pytest.approx(num, rel=1e-3, abs=1e-6)
+            assert grad.k[c] == pytest.approx(num, rel=1e-3, abs=1e-6)
 
     def test_saturated_loss_gives_small_grad(self, setup):
         backbone, head, pset, batch, _ = setup
@@ -186,7 +190,7 @@ class TestFrozenExtras:
 
         grad = grad_prompts(backbone, head, pset, batch, labels, range(8), extra=extra)
         num = finite_difference_entry(loss_value, pset.p, (0, 1, 2))
-        assert grad.segment("block0")[1, 2] == pytest.approx(num, rel=1e-3, abs=1e-5)
+        assert grad.p[0, 1, 2] == pytest.approx(num, rel=1e-3, abs=1e-5)
 
 
 class TestBackbone:
@@ -195,7 +199,7 @@ class TestBackbone:
         before = backbone.weights_hash()
         for _ in range(3):
             grad = grad_prompts(backbone, head, pset, batch, labels, range(8))
-            pset.p -= 0.1 * grad.segment("block0")  # prompt step only
+            pset.p -= 0.1 * grad.p  # prompt step only
         assert backbone.weights_hash() == before
 
     def test_pretrain_changes_then_freezes(self):
@@ -210,14 +214,18 @@ class TestBackbone:
 
 class TestGradientLayout:
     def test_segment_roundtrip(self):
-        layout = GradientLayout(CFG)
-        flat = np.arange(layout.size, dtype=float)
-        total = sum(int(np.prod(s)) for _, _, s in layout.segments)
-        assert total == layout.size
-        assert layout.view(flat, "key").shape == (CFG.d_model,)
-        assert layout.view(flat, "block0").shape == (CFG.prompt_len, CFG.d_model)
-        with pytest.raises(KeyError):
-            layout.view(flat, "block9")
+        size = (CFG.n_prompted * CFG.prompt_len + 1) * CFG.d_model
+        g = GradientVector(np.arange(size, dtype=float), CFG)
+        assert np.array_equal(np.concatenate([g.p.ravel(), g.k]), g.flat)
+        segs = g.segments()
+        assert list(segs) == ["block0", "block1", "key"]
+        assert sum(rows.size for rows in segs.values()) == size
+        assert segs["key"].shape == (1, CFG.d_model)
+        assert np.array_equal(segs["block1"], g.p[1])
+        segs["key"][0, 0] = -1.0  # segments are views into flat
+        assert g.flat[-CFG.d_model] == -1.0
+        with pytest.raises(EncoderError):
+            GradientVector(np.zeros(size + 1), CFG)
 
 
 def appended_encode(backbone, batch, prompts):
@@ -272,6 +280,5 @@ class TestPrefixEquivalence:
         ref_loss = ref_loss + cfg.key_loss_weight * _key_loss(k_t, q_bar)
         ref_loss.backward()
         assert loss == pytest.approx(float(ref_loss.data), rel=1e-12, abs=0)
-        for j, b in enumerate(blocks):
-            assert _rel_err(grad.segment(f"block{b}"), p_t.grad[j]) <= 1e-12
-        assert _rel_err(grad.segment("key"), k_t.grad) <= 1e-12
+        assert _rel_err(grad.p, p_t.grad) <= 1e-12
+        assert _rel_err(grad.k, k_t.grad) <= 1e-12

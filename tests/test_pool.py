@@ -100,12 +100,23 @@ class TestRetrieve:
         rng = np.random.default_rng(1)
         pool = PromptPool()
         keys = rng.standard_normal((6, 4))
+        keys[:, 0] = np.abs(keys[:, 0])
+        keys[4] = 0.0  # a zero-norm key scores 0 against every query
         for t in range(6):
             pool.add_set(make_set(keys[t]), task=t + 1)
-        for _ in range(50):
-            q = rng.standard_normal(4)
-            scores = [q @ k / (np.linalg.norm(q) * np.linalg.norm(k)) for k in keys]
-            assert pool.retrieve(q) == int(np.argmax(scores))
+
+        def brute_force(q):
+            norms = [np.linalg.norm(q) * np.linalg.norm(k) for k in keys]
+            scores = [q @ k / n if n > 0 else 0.0 for k, n in zip(keys, norms)]
+            return int(np.argmax(scores))
+
+        queries = rng.standard_normal((50, 4))
+        queries[7] = 0.0  # a zero-norm query scores 0 everywhere: lowest id
+        queries[8] = [-1.0, 0.0, 0.0, 0.0]  # obtuse to every other key: the zero key wins
+        want = [brute_force(q) for q in queries]
+        assert want[7] == 0 and want[8] == 4
+        assert [pool.retrieve(q) for q in queries] == want
+        assert pool.retrieve_batch(queries).tolist() == want
 
     def test_tie_breaks_to_lowest_id(self):
         pool = PromptPool()

@@ -1,10 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from growcl.decisions import GradientProbe, dynamic_threshold, hindrance, hindrance_for_old_set
-from growcl.encoder import EncoderConfig, GradientLayout, GradientVector, PromptSet
+from growcl.encoder import (
+    EncoderConfig,
+    GradientVector,
+    PromptSet,
+    grad_prompts,
+    prompted_with_layers,
+    query_with_layers,
+)
 from growcl.metrics import AccuracyMatrix, faa, pra, ssp
 from growcl.stream import StreamSpec, generate
 from growcl.subspace import Basis
@@ -12,6 +20,7 @@ from growcl.trainer import Engine, TrainConfig, TrainerError, run_stream
 
 ENC = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=(0, 1),
                     input_dim=24, n_feature_tokens=3)
+GRAD_SIZE = (ENC.n_prompted * ENC.prompt_len + 1) * ENC.d_model  # concat(p.ravel(), k)
 
 
 def small_stream(n_tasks=3, similarity=None, seed=5, spc=30):
@@ -155,10 +164,34 @@ class TestProbeCount:
             assert sorted(calls) == pool_before, t
 
 
+class TestSegmentMap:
+    """Encoder reps, gradient segments and stored spaces share one name list."""
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1,), (1, 0)])
+    def test_reps_gradient_and_spaces_list_the_same_names(self, blocks):
+        enc = dataclasses.replace(ENC, prompted_blocks=blocks)
+        ds = small_stream(1)[0]
+        eng = Engine(enc, quick_cfg(), 2)
+        sid = eng.train_task(0, ds).set_id
+        pset = eng.pool.sets[sid]
+        x, y = ds.x_train[:8], ds.y_train[:8]
+        _, query_reps = query_with_layers(eng.backbone, x)
+        _, prompted_reps = prompted_with_layers(eng.backbone, pset, x)
+        grad = grad_prompts(eng.backbone, eng.head, pset, x, y, ds.class_ids)
+        names = [f"block{b}" for b in blocks] + ["key"]
+        assert list(query_reps) == names
+        assert list(prompted_reps) == names
+        assert list(grad.segments()) == names
+        assert list(eng.memory.old_spaces[sid]) == names
+        assert list(eng.memory.pre_spaces[0]) == names
+        for j, b in enumerate(blocks):  # block{b} is prompt row block j
+            assert np.shares_memory(grad.segments()[f"block{b}"], grad.p[j])
+            np.testing.assert_array_equal(grad.segments()[f"block{b}"], grad.p[j])
+
+
 class TestOrthogonalStep:
     def layout_gradient(self, fill):
-        layout = GradientLayout(ENC)
-        return GradientVector(np.full(layout.size, float(fill)), layout)
+        return GradientVector(np.full(GRAD_SIZE, float(fill)), ENC)
 
     def test_gradient_inside_span_no_update(self):
         eng = Engine(ENC, quick_cfg(pretrain_steps=0), 2)
@@ -183,9 +216,8 @@ class TestOrthogonalStep:
         q, _ = np.linalg.qr(rng.standard_normal((ENC.d_model, 5)))
         spaces = {name: Basis(q) for name in ("block0", "block1", "key")}
         start = pset.p.copy()
-        layout = GradientLayout(ENC)
         for _ in range(50):
-            g = GradientVector(rng.standard_normal(layout.size), layout)
+            g = GradientVector(rng.standard_normal(GRAD_SIZE), ENC)
             eng.orthogonal_step(pset, g, spaces, lr=0.1)
         delta = (pset.p - start)[0]  # block0 rows
         proj = (delta @ q) @ q.T
@@ -243,8 +275,7 @@ class TestNoForgetting:
         # gradient's survival under the orthogonal condition can only shrink.
         data = small_stream(3)
         eng = Engine(ENC, quick_cfg(mode="single_set"), 6)
-        layout = GradientLayout(ENC)
-        g_ref = GradientVector(np.random.default_rng(8).standard_normal(layout.size), layout)
+        g_ref = GradientVector(np.random.default_rng(8).standard_normal(GRAD_SIZE), ENC)
         angles = []
         for t in range(3):
             eng.train_task(t, data[t])
