@@ -2,7 +2,9 @@
 
 Just enough machinery for a small prompt-conditioned attention encoder:
 broadcasted arithmetic, (batched) matmul, reshapes/slices/concat, fused
-layer-norm / softmax / GELU / masked cross-entropy. Gradients accumulate in
+layer-norm / softmax / GELU / masked cross-entropy. The plain-array kernels
+behind the layer-norm, softmax and GELU ops are module functions, shared
+with the encoder's one-node attention block. Gradients accumulate in
 float64; graphs are built per forward call and discarded after backward().
 """
 
@@ -232,52 +234,96 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._result(data, tensors, backward)
 
 
+# -- shared kernels ------------------------------------------------------------
+# Forward/backward math of the fused ops on plain arrays, plus the LN
+# parameter accumulation. The tape ops below and the encoder's one-node
+# attention block both call these, so each derivative is written once.
+
+
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Input gradient, given the output gradient ``g`` and the output ``p``."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """Normalize over the last axis; returns (output, xhat, inv) where
+    ``xhat`` is the normalized input and ``inv`` the inverse std."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return gamma * xhat + beta, xhat, inv
+
+
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Input gradient of ``layer_norm_forward``."""
+    gh = g * gamma
+    term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    return inv * term
+
+
+def accumulate_layer_norm_params(gamma: Tensor, beta: Tensor, g: np.ndarray, xhat: np.ndarray):
+    """Add the row-summed gradients of ``layer_norm_forward`` to ``gamma`` and
+    ``beta``, each only if it requires one."""
+    d = xhat.shape[-1]
+    if gamma.requires_grad:
+        gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+    if beta.requires_grad:
+        beta._accumulate(g.reshape(-1, d).sum(axis=0))
+
+
+def gelu_forward(x: np.ndarray):
+    """tanh-approximated GELU; returns (output, x*x, tanh) for the backward.
+
+    The cube is x2 * x: numpy's generic ``x**3`` is an order of magnitude
+    slower.
+    """
+    x2 = x * x
+    t = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x2 * x)))
+    return 0.5 * x * (1.0 + t), x2, t
+
+
+def gelu_backward(g: np.ndarray, x: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Input gradient of ``gelu_forward``; exact for the tanh form."""
+    du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x2)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+# -- fused tape ops -------------------------------------------------------------
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = softmax_forward(x.data, axis)
 
     def backward(g):
         if x.requires_grad:
-            inner = (g * p).sum(axis=axis, keepdims=True)
-            x._accumulate(p * (g - inner))
+            x._accumulate(softmax_backward(g, p, axis))
 
     return Tensor._result(p, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = gamma.data * xhat + beta.data
+    data, xhat, inv = layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, x.shape[-1]).sum(axis=0))
+        accumulate_layer_norm_params(gamma, beta, g, xhat)
         if x.requires_grad:
-            gh = g * gamma.data
-            term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * term)
+            x._accumulate(layer_norm_backward(g, xhat, inv, gamma.data))
 
     return Tensor._result(data, (x, gamma, beta), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
-    # tanh approximation; the derivative below matches it exactly. The cube
-    # is x2 * x: numpy's generic ``x**3`` is an order of magnitude slower.
-    x2 = x.data * x.data
-    u = _SQRT_2_OVER_PI * (x.data + 0.044715 * (x2 * x.data))
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    data, x2, t = gelu_forward(x.data)
 
     def backward(g):
         if x.requires_grad:
-            du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x2)
-            local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-            x._accumulate(g * local)
+            x._accumulate(gelu_backward(g, x.data, x2, t))
 
     return Tensor._result(data, (x,), backward)
 

@@ -9,6 +9,15 @@ so prompts act purely through attention. The promptless pass ("query" mode)
 yields the vanilla feature used for key matching and for pre-trained
 subspaces.
 
+Each block is a single autodiff node: LN1, the joined data+prefix attention,
+``wo``, the residual, LN2 and the GELU MLP run on plain arrays, and a
+hand-written backward fills gradients only for the parents that require them
+(the prompt; the block weights only while the backbone is pretrained). The
+LN, GELU and softmax derivatives are the ones the tape ops use. Only the
+class token is read after the last block, so that block builds keys and
+values from every token and the prompt but computes the query, attention
+row, residual and MLP for the class token alone.
+
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
 ``d_model``-wide rows. ``segment_map`` is the only place these names are
@@ -27,7 +36,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from growcl.autodiff import Tensor, concat, cross_entropy, gelu, layer_norm, softmax
+from growcl.autodiff import (
+    Tensor,
+    accumulate_layer_norm_params,
+    concat,
+    cross_entropy,
+    gelu_backward,
+    gelu_forward,
+    layer_norm,
+    layer_norm_backward,
+    layer_norm_forward,
+    softmax_backward,
+    softmax_forward,
+)
 
 MASK_BIAS = -1e30
 
@@ -59,6 +80,9 @@ class EncoderConfig:
             raise EncoderError("prompted_blocks outside [0, n_blocks)")
         if len(set(self.prompted_blocks)) != len(self.prompted_blocks):
             raise EncoderError("prompted_blocks must be distinct")
+        if not self.prompted_blocks:
+            # without a prompted block no task gradient reaches a prompt set
+            raise EncoderError("prompted_blocks must name at least one block")
         object.__setattr__(self, "prompted_blocks", tuple(self.prompted_blocks))
 
     @property
@@ -66,15 +90,17 @@ class EncoderConfig:
         return len(self.prompted_blocks)
 
 
+# Per-block weights, in declaration order; block i names them ``b{i}.<name>``.
+_BLOCK_WEIGHTS = (
+    "ln1_g", "ln1_b", "wq", "wk", "wv", "wo",
+    "ln2_g", "ln2_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
+)
+
+
 def _backbone_names(cfg: EncoderConfig):
     names = ["embed_w", "embed_b", "cls"]
     for i in range(cfg.n_blocks):
-        names += [
-            f"b{i}.ln1_g", f"b{i}.ln1_b",
-            f"b{i}.wq", f"b{i}.wk", f"b{i}.wv", f"b{i}.wo",
-            f"b{i}.ln2_g", f"b{i}.ln2_b",
-            f"b{i}.mlp_w1", f"b{i}.mlp_b1", f"b{i}.mlp_w2", f"b{i}.mlp_b2",
-        ]
+        names += [f"b{i}.{name}" for name in _BLOCK_WEIGHTS]
     names += ["ln_f_g", "ln_f_b"]
     return names
 
@@ -211,37 +237,127 @@ def _params(backbone: FrozenBackbone, trainable: bool = False) -> dict:
     return {k: Tensor(v, requires_grad=trainable) for k, v in backbone.weights.items()}
 
 
-def _attention_block(x: Tensor, p: dict, i: int, n_heads: int, prompt: Tensor | None = None) -> Tensor:
-    """One pre-norm block over the data tokens ``x`` [n, t, d].
+def _attention_block(
+    x: Tensor, p: dict, i: int, n_heads: int, prompt: Tensor | None = None, n_out: int | None = None
+) -> Tensor:
+    """One pre-norm block over the data tokens ``x`` [n, t, d], as one tape node.
 
     A ``prompt`` [P, d] is a prefix: its LN1 keys and values, computed once
     for the whole batch, join the data tokens' keys and values, so every
     query also attends to the prompt rows. Nothing is computed at prompt
-    positions beyond that.
+    positions beyond that. With ``n_out`` set, keys and values still come
+    from every token, but the queries, attention, residual and MLP run for
+    the first ``n_out`` tokens only, and the output is [n, n_out, d].
+
+    The forward runs on plain arrays; the backward fills gradients only for
+    the parents (``x``, ``prompt``, the block's weights) that require them.
     """
+    w = {name: p[f"b{i}.{name}"] for name in _BLOCK_WEIGHTS}
+    g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = (tensor.data for tensor in w.values())
     n, t, d = x.shape
+    to = t if n_out is None else n_out
     dh = d // n_heads
-    h = layer_norm(x, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
-    q = (h @ p[f"b{i}.wq"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
-    k = (h @ p[f"b{i}.wk"]).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))
-    v = (h @ p[f"b{i}.wv"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
+    scale = 1.0 / np.sqrt(dh)
+
+    h, xhat1, inv1 = layer_norm_forward(x.data, g1, c_ln1)
+    hq = h[:, :to]
+    q = (hq @ wq).reshape(n, to, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, to, dh]
+    k = (h @ wk).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))  # [n, H, dh, t]
+    v = (h @ wv).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, t, dh]
     scores = q @ k
     if prompt is not None:
         n_p = prompt.shape[0]
-        hp = layer_norm(prompt, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
-        kp = (hp @ p[f"b{i}.wk"]).reshape(n_p, n_heads, dh).transpose((1, 2, 0))  # [H, dh, P]
-        vp = (hp @ p[f"b{i}.wv"]).reshape(n_p, n_heads, dh).transpose((1, 0, 2))  # [H, P, dh]
-        scores = concat([scores, q @ kp], axis=-1)
-    attn = softmax(scores * (1.0 / np.sqrt(dh)))
+        hp, xhatp, invp = layer_norm_forward(prompt.data, g1, c_ln1)
+        kp = (hp @ wk).reshape(n_p, n_heads, dh).transpose((1, 2, 0))  # [H, dh, P]
+        vp = (hp @ wv).reshape(n_p, n_heads, dh).transpose((1, 0, 2))  # [H, P, dh]
+        scores = np.concatenate([scores, q @ kp], axis=-1)
+    attn = softmax_forward(scores * scale)
     if prompt is None:
-        out = attn @ v
+        o = attn @ v
     else:
-        out = attn[..., :t] @ v + attn[..., t:] @ vp
-    out = out.transpose((0, 2, 1, 3)).reshape(n, t, d) @ p[f"b{i}.wo"]
-    x = x + out
-    h2 = layer_norm(x, p[f"b{i}.ln2_g"], p[f"b{i}.ln2_b"])
-    m = (gelu(h2 @ p[f"b{i}.mlp_w1"] + p[f"b{i}.mlp_b1"]) @ p[f"b{i}.mlp_w2"]) + p[f"b{i}.mlp_b2"]
-    return x + m
+        o = attn[..., :t] @ v + attn[..., t:] @ vp
+    o = o.transpose((0, 2, 1, 3)).reshape(n, to, d)
+    x1 = x.data[:, :to] + o @ wo
+    h2, xhat2, inv2 = layer_norm_forward(x1, g2, c_ln2)
+    z = h2 @ w1 + c1
+    a, z2, tz = gelu_forward(z)
+    out = x1 + (a @ w2 + c2)
+
+    def backward(g):
+        def need(*names):
+            return any(w[name].requires_grad for name in names)
+
+        def rows(arr):
+            return arr.reshape(-1, arr.shape[-1])
+
+        def weight_grad(name, inputs, grad):
+            # one [rows, a]^T @ [rows, b] product over every token row
+            if w[name].requires_grad:
+                w[name]._accumulate(rows(inputs).T @ rows(grad))
+
+        def bias_grad(name, grad):
+            if w[name].requires_grad:
+                w[name]._accumulate(rows(grad).sum(axis=0))
+
+        # MLP and its residual: out = x1 + gelu(LN2(x1) @ w1 + c1) @ w2 + c2
+        weight_grad("mlp_w2", a, g)
+        bias_grad("mlp_b2", g)
+        gz = gelu_backward(g @ w2.T, z, z2, tz)
+        weight_grad("mlp_w1", h2, gz)
+        bias_grad("mlp_b1", gz)
+        gh2 = gz @ w1.T
+        accumulate_layer_norm_params(w["ln2_g"], w["ln2_b"], gh2, xhat2)
+        gx1 = g + layer_norm_backward(gh2, xhat2, inv2, g2)
+        weight_grad("wo", o, gx1)
+
+        need_data = x.requires_grad or need("ln1_g", "ln1_b", "wq", "wk", "wv")
+        need_prompt = prompt is not None and (prompt.requires_grad or need("ln1_g", "ln1_b", "wk", "wv"))
+        if not (need_data or need_prompt):
+            return
+        go = (gx1 @ wo.T).reshape(n, to, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, to, dh]
+        ga = go @ v.transpose((0, 1, 3, 2))
+        if prompt is not None:
+            ga = np.concatenate([ga, go @ vp.transpose((0, 2, 1))], axis=-1)
+        gs = softmax_backward(ga, attn) * scale  # [n, H, to, t + P]
+
+        if need_data:
+            gq = gs[..., :t] @ k.transpose((0, 1, 3, 2))
+            if prompt is not None:
+                gq += gs[..., t:] @ kp.transpose((0, 2, 1))
+            gq = gq.transpose((0, 2, 1, 3)).reshape(n, to, d)
+            gk = (q.transpose((0, 1, 3, 2)) @ gs[..., :t]).transpose((0, 3, 1, 2)).reshape(n, t, d)
+            gv = (attn[..., :t].transpose((0, 1, 3, 2)) @ go).transpose((0, 2, 1, 3)).reshape(n, t, d)
+            weight_grad("wq", hq, gq)
+            weight_grad("wk", h, gk)
+            weight_grad("wv", h, gv)
+            if x.requires_grad or need("ln1_g", "ln1_b"):
+                gh = gk @ wk.T + gv @ wv.T
+                gh[:, :to] += gq @ wq.T
+                accumulate_layer_norm_params(w["ln1_g"], w["ln1_b"], gh, xhat1)
+                if x.requires_grad:
+                    gx = layer_norm_backward(gh, xhat1, inv1, g1)
+                    gx[:, :to] += gx1
+                    x._accumulate(gx)
+
+        if need_prompt:
+            # Prompt keys and values are shared by the batch: sum over every
+            # (sample, query) row in one product per head.
+            m = n * to
+            q_rows = q.transpose((1, 3, 0, 2)).reshape(n_heads, dh, m)
+            gs_p = gs[..., t:].transpose((1, 0, 2, 3)).reshape(n_heads, m, n_p)
+            a_p = attn[..., t:].transpose((1, 3, 0, 2)).reshape(n_heads, n_p, m)
+            go_rows = go.transpose((1, 0, 2, 3)).reshape(n_heads, m, dh)
+            gkp = (q_rows @ gs_p).transpose((2, 0, 1)).reshape(n_p, d)
+            gvp = (a_p @ go_rows).transpose((1, 0, 2)).reshape(n_p, d)
+            weight_grad("wk", hp, gkp)
+            weight_grad("wv", hp, gvp)
+            ghp = gkp @ wk.T + gvp @ wv.T
+            accumulate_layer_norm_params(w["ln1_g"], w["ln1_b"], ghp, xhatp)
+            if prompt.requires_grad:
+                prompt._accumulate(layer_norm_backward(ghp, xhatp, invp, g1))
+
+    parents = [x] + ([prompt] if prompt is not None else []) + list(w.values())
+    return Tensor._result(out, parents, backward)
 
 
 def encode(
@@ -275,7 +391,9 @@ def encode(
     prompts = prompts or {}
     cls_out = {}
     for i in range(cfg.n_blocks):
-        tok = _attention_block(tok, p, i, cfg.n_heads, prompts.get(i))
+        # Only the class token is read after the last block.
+        n_out = 1 if i == cfg.n_blocks - 1 else None
+        tok = _attention_block(tok, p, i, cfg.n_heads, prompts.get(i), n_out)
         if collect_layers and i in cfg.prompted_blocks:
             cls_out[i] = tok.data[:, 0].copy()
     feats = layer_norm(tok, p["ln_f_g"], p["ln_f_b"])[:, 0]
@@ -294,6 +412,14 @@ def _prompt_tensors(cfg: EncoderConfig, p_active: Tensor, extra: np.ndarray | No
     return prompts
 
 
+def prompted_features(
+    backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray, extra: np.ndarray | None = None
+) -> np.ndarray:
+    """Features [n, d] of ``batch`` under ``pset`` (and frozen ``extra`` rows)."""
+    feats, _ = encode(backbone, batch, _prompt_tensors(backbone.config, Tensor(pset.p), extra))
+    return feats.data
+
+
 def forward_prompted(
     backbone: FrozenBackbone,
     head: Head,
@@ -303,11 +429,8 @@ def forward_prompted(
     extra: np.ndarray | None = None,
 ) -> np.ndarray:
     """Logits [n, n_classes] with classes outside ``head_mask`` pushed to -inf."""
-    cfg = backbone.config
-    prompts = _prompt_tensors(cfg, Tensor(pset.p), extra)
-    feats, _ = encode(backbone, batch, prompts)
-    bias = class_mask_bias(head.n_classes, head_mask)
-    return feats.data @ head.w + head.b + bias
+    feats = prompted_features(backbone, pset, batch, extra)
+    return feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
 
 
 def forward_query(backbone: FrozenBackbone, batch: np.ndarray) -> np.ndarray:

@@ -197,6 +197,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     engine.tasks_done = snap["tasks_done"]
     engine.reports = []
     engine.test_queries = {}
+    engine.test_features = {}
 
     matrix = AccuracyMatrix(snap["n_tasks"])
     matrix.a = np.where(arrays["matrix.a"] < 0, np.nan, arrays["matrix.a"])

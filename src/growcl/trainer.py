@@ -44,10 +44,11 @@ from growcl.encoder import (
     Head,
     NonFiniteError,
     PromptSet,
-    forward_prompted,
+    class_mask_bias,
     forward_query,
     loss_and_grads,
     pretrain_backbone,
+    prompted_features,
     prompted_with_layers,
     query_with_layers,
     segment_map,
@@ -131,6 +132,7 @@ class Engine:
         self.tasks_done = 0
         self.reports = []
         self.test_queries = {}  # task index -> (x_test, its promptless features)
+        self.test_features = {}  # (set id, task index) -> (x_test, its features under the set)
 
     # -- setup -----------------------------------------------------------------
 
@@ -232,6 +234,8 @@ class Engine:
             sid = decision.reuse_id
             self.pool.assign_task(sid, task_id)
             pset = self.pool.sets[sid]
+        # the set's prompts and attachments change below
+        self.test_features = {key: v for key, v in self.test_features.items() if key[0] != sid}
 
         attached = self._attach_transfer_prompts(sid, probe, probe_grads)
         extra = self._extra_for(sid)
@@ -347,18 +351,26 @@ class Engine:
             retrieved = self.pool.retrieve_batch(q)
             true_sid = self.pool.set_for_task(i)
             hits = int(np.sum(retrieved == true_sid))
-            acc = self._accuracy(ds, retrieved, seen)
-            oracle = self._accuracy(ds, np.full(len(ds.y_test), true_sid), ds.class_ids)
+            acc = self._accuracy(i, ds, retrieved, seen)
+            oracle = self._accuracy(i, ds, np.full(len(ds.y_test), true_sid), ds.class_ids)
             matrix.record(i, after_task, acc, oracle, hits, len(ds.y_test))
 
-    def _accuracy(self, ds, set_ids: np.ndarray, seen_classes) -> float:
+    def _test_features(self, sid: int, task: int, x_test: np.ndarray) -> np.ndarray:
+        """Features of task ``task``'s test set under set ``sid``, encoded once
+        until ``train_task`` trains that set again."""
+        cached = self.test_features.get((sid, task))
+        if cached is None or cached[0] is not x_test:
+            feats = prompted_features(self.backbone, self.pool.sets[sid], x_test, self._extra_for(sid))
+            cached = self.test_features[(sid, task)] = (x_test, feats)
+        return cached[1]
+
+    def _accuracy(self, task: int, ds, set_ids: np.ndarray, seen_classes) -> float:
+        bias = class_mask_bias(self.head.n_classes, seen_classes)
         correct = 0
         for sid in np.unique(set_ids):
             rows = np.flatnonzero(set_ids == sid)
-            logits = forward_prompted(
-                self.backbone, self.head, self.pool.sets[int(sid)], ds.x_test[rows],
-                seen_classes, extra=self._extra_for(int(sid)),
-            )
+            feats = self._test_features(int(sid), task, ds.x_test)[rows]
+            logits = feats @ self.head.w + self.head.b + bias
             correct += int(np.sum(logits.argmax(axis=1) == ds.y_test[rows]))
         return correct / len(ds.y_test)
 

@@ -129,6 +129,13 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_empty_prompted_blocks_exits_1(self, tmp_path, capsys):
+        # no prompted block: no task gradient could reach a prompt set
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("prompted_blocks = 0,1", "prompted_blocks ="))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "prompted_blocks" in capsys.readouterr().err
+
     def test_non_finite_step_exits_2_naming_task_epoch_set(self, tmp_path, capsys):
         # A learning rate this large overflows the head within the first steps.
         cfg = tmp_path / "exp.cfg"
@@ -210,6 +217,13 @@ class TestReplay:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["replay", "--replay", str(tmp_path / "none.jsonl")]) == 2
+
+    def test_angle_outside_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        for angle in (120.0, -30.0, float("nan")):
+            trace_jsonl([(2, [(1, angle, 9.0)])], path)
+            assert main(["replay", "--replay", str(path)]) == 2, angle
+            assert "outside [0, pi/2]" in capsys.readouterr().err
 
     def test_replay_rows_z_values(self):
         rows = [{"task": 1, "records": []},

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from growcl.autodiff import Tensor, concat, cross_entropy, layer_norm
+from growcl.autodiff import Tensor, concat, cross_entropy, gelu, layer_norm, softmax
 from growcl.encoder import (
+    _BLOCK_WEIGHTS,
     EncoderConfig,
     EncoderError,
     FrozenBackbone,
@@ -50,6 +51,10 @@ class TestConfig:
     def test_prompted_blocks_distinct(self):
         with pytest.raises(EncoderError):
             EncoderConfig(n_blocks=2, prompted_blocks=(1, 1))
+
+    def test_prompted_blocks_nonempty(self):
+        with pytest.raises(EncoderError, match="prompted_blocks"):
+            EncoderConfig(n_blocks=2, prompted_blocks=())
 
 
 class TestForwardPrompted:
@@ -228,6 +233,76 @@ class TestGradientLayout:
             GradientVector(np.zeros(size + 1), CFG)
 
 
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def tape_attention_block(x, p, i, n_heads, prompt=None):
+    """Reference: the attention block composed from tape ops, over all tokens."""
+    n, t, d = x.shape
+    dh = d // n_heads
+    h = layer_norm(x, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
+    q = (h @ p[f"b{i}.wq"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
+    k = (h @ p[f"b{i}.wk"]).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))
+    v = (h @ p[f"b{i}.wv"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
+    scores = q @ k
+    if prompt is not None:
+        n_p = prompt.shape[0]
+        hp = layer_norm(prompt, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
+        kp = (hp @ p[f"b{i}.wk"]).reshape(n_p, n_heads, dh).transpose((1, 2, 0))
+        vp = (hp @ p[f"b{i}.wv"]).reshape(n_p, n_heads, dh).transpose((1, 0, 2))
+        scores = concat([scores, q @ kp], axis=-1)
+    attn = softmax(scores * (1.0 / np.sqrt(dh)))
+    if prompt is None:
+        out = attn @ v
+    else:
+        out = attn[..., :t] @ v + attn[..., t:] @ vp
+    out = out.transpose((0, 2, 1, 3)).reshape(n, t, d) @ p[f"b{i}.wo"]
+    x = x + out
+    h2 = layer_norm(x, p[f"b{i}.ln2_g"], p[f"b{i}.ln2_b"])
+    m = (gelu(h2 @ p[f"b{i}.mlp_w1"] + p[f"b{i}.mlp_b1"]) @ p[f"b{i}.mlp_w2"]) + p[f"b{i}.mlp_b2"]
+    return x + m
+
+
+class TestFusedBlock:
+    """The one-node block equals the tape-composed reference to round-off."""
+
+    @pytest.mark.parametrize("with_prompt", [False, True])
+    @pytest.mark.parametrize("n_out", [None, 1])
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_output_and_grads_match_tape_reference(self, with_prompt, n_out, trainable):
+        rng = np.random.default_rng(9)
+        backbone = FrozenBackbone.init(CFG, rng)
+        for name, w in backbone.weights.items():  # move LN and biases off 1 and 0
+            backbone.weights[name] = w + rng.normal(0, 0.1, w.shape)
+        x0 = rng.standard_normal((5, CFG.n_feature_tokens + 1, CFG.d_model))
+        p0 = rng.standard_normal((2 * CFG.prompt_len, CFG.d_model)) if with_prompt else None
+        keep = x0.shape[1] if n_out is None else n_out
+        upstream = rng.standard_normal((5, keep, CFG.d_model))
+
+        def run(block):
+            params = {k: Tensor(v, requires_grad=trainable) for k, v in backbone.weights.items()}
+            x = Tensor(x0, requires_grad=True)
+            prompt = Tensor(p0, requires_grad=True) if with_prompt else None
+            out = block(x, params, 1, prompt)
+            (out * Tensor(upstream)).sum().backward()
+            grads = {"x": x.grad, **{name: params[f"b1.{name}"].grad for name in _BLOCK_WEIGHTS}}
+            if with_prompt:
+                grads["prompt"] = prompt.grad
+            return out.data, grads
+
+        out, grads = run(lambda x, p, i, prompt: _attention_block(x, p, i, CFG.n_heads, prompt, n_out))
+        ref, ref_grads = run(lambda x, p, i, prompt: tape_attention_block(x, p, i, CFG.n_heads, prompt)[:, :keep])
+        assert out.shape == ref.shape == (5, keep, CFG.d_model)
+        assert _rel_err(out, ref) <= 1e-12
+        for name, ref_grad in ref_grads.items():
+            if ref_grad is None:
+                assert grads[name] is None, name
+            else:
+                assert _rel_err(grads[name], ref_grad) <= 1e-12, name
+        assert (grads["mlp_w1"] is not None) == trainable
+
+
 def appended_encode(backbone, batch, prompts):
     """Reference: each block's prompt rows are appended to every sample's
     sequence, the whole block runs over them, and their outputs are dropped."""
@@ -240,14 +315,10 @@ def appended_encode(backbone, batch, prompts):
     for i in range(cfg.n_blocks):
         if i in prompts:
             carrier = Tensor(np.zeros((n,) + prompts[i].shape)) + prompts[i].reshape(1, *prompts[i].shape)
-            tok = _attention_block(concat([tok, carrier], axis=1), p, i, cfg.n_heads)[:, :keep]
+            tok = tape_attention_block(concat([tok, carrier], axis=1), p, i, cfg.n_heads)[:, :keep]
         else:
-            tok = _attention_block(tok, p, i, cfg.n_heads)
+            tok = tape_attention_block(tok, p, i, cfg.n_heads)
     return layer_norm(tok, p["ln_f_g"], p["ln_f_b"])[:, 0]
-
-
-def _rel_err(a, b):
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestPrefixEquivalence:

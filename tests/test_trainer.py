@@ -379,3 +379,26 @@ class TestEvaluation:
         run_stream(ENC, quick_cfg(mode="grow_always"), data)
         for ds in data:
             assert sum(b is ds.x_test for b in encoded) == 1
+
+    @pytest.mark.parametrize("mode", ["grow_always", "single_set"])
+    def test_test_set_encoded_once_per_set_until_it_retrains(self, mode, monkeypatch):
+        # evaluate_after keeps a test set's features under a set until
+        # train_task trains that set again
+        import growcl.trainer
+
+        encoded = []
+        original = growcl.trainer.prompted_features
+
+        def counted(backbone, pset, batch, extra=None):
+            encoded.append((pset.id, batch))
+            return original(backbone, pset, batch, extra)
+
+        monkeypatch.setattr(growcl.trainer, "prompted_features", counted)
+        data = small_stream(3)
+        run_stream(ENC, quick_cfg(mode=mode), data)
+        pairs = [(sid, next(i for i, ds in enumerate(data) if b is ds.x_test)) for sid, b in encoded]
+        if mode == "grow_always":  # no set trains twice
+            assert len(pairs) == len(set(pairs))
+            assert {(i, i) for i in range(3)} <= set(pairs)
+        else:  # set 0 trains on every task, so every seen test set is re-encoded
+            assert pairs == [(0, i) for t in range(3) for i in range(t + 1)]
