@@ -1,10 +1,11 @@
-"""Minimal array-valued reverse-mode autodiff on top of numpy.
+"""Plain-array kernels for the encoder, and a minimal reverse-mode tape.
 
-Just enough machinery for a small prompt-conditioned attention encoder:
-broadcasted arithmetic, (batched) matmul, reshapes/slices/concat, fused
-layer-norm / softmax / GELU / masked cross-entropy. The plain-array kernels
-behind the layer-norm, softmax and GELU ops are module functions, shared
-with the encoder's one-node attention block. Gradients accumulate in
+The kernels (layer norm, softmax, tanh GELU and masked cross-entropy, each a
+forward and a backward on plain arrays) are what the encoder's explicit
+forward/backward calls. The ``Tensor`` tape (broadcasted arithmetic, (batched)
+matmul, reshapes/slices/concat and fused ops over the same kernels) is no
+longer on any engine path: the tests build the encoder from it as an
+independent reference for the explicit gradients. Gradients accumulate in
 float64; graphs are built per forward call and discarded after backward().
 """
 
@@ -235,46 +236,65 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 # -- shared kernels ------------------------------------------------------------
-# Forward/backward math of the fused ops on plain arrays, plus the LN
-# parameter accumulation. The tape ops below and the encoder's one-node
-# attention block both call these, so each derivative is written once.
+# Forward/backward math of the fused ops on plain arrays. The encoder's
+# explicit pass and the tape ops below both call these, so each derivative is
+# written once. Temporaries are updated in place, in the operation order of
+# the plain expressions in the comments, so results do not change bitwise.
 
 
 def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    # e = exp(x - max(x)); e / sum(e)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
     """Input gradient, given the output gradient ``g`` and the output ``p``."""
-    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+    # p * (g - sum(g * p))
+    gp = g * p
+    s = gp.sum(axis=axis, keepdims=True)
+    np.subtract(g, s, out=gp)
+    gp *= p
+    return gp
 
 
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
     """Normalize over the last axis; returns (output, xhat, inv) where
-    ``xhat`` is the normalized input and ``inv`` the inverse std."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    ``xhat`` is the normalized input and ``inv`` the inverse std.
+
+    The mean and variance are the ones ``x.mean`` and ``x.var`` give, with
+    the centred input computed once.
+    """
+    d = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return gamma * xhat + beta, xhat, inv
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out, xhat, inv
 
 
 def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Input gradient of ``layer_norm_forward``."""
-    gh = g * gamma
-    term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-    return inv * term
-
-
-def accumulate_layer_norm_params(gamma: Tensor, beta: Tensor, g: np.ndarray, xhat: np.ndarray):
-    """Add the row-summed gradients of ``layer_norm_forward`` to ``gamma`` and
-    ``beta``, each only if it requires one."""
+    # gh = g * gamma; inv * (gh - mean(gh) - xhat * mean(gh * xhat))
     d = xhat.shape[-1]
-    if gamma.requires_grad:
-        gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-    if beta.requires_grad:
-        beta._accumulate(g.reshape(-1, d).sum(axis=0))
+    gh = g * gamma
+    t = gh * xhat
+    m = np.add.reduce(t, axis=-1, keepdims=True) / d
+    np.multiply(xhat, m, out=t)
+    gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+    gh -= t
+    gh *= inv
+    return gh
+
+
+def layer_norm_param_grads(g: np.ndarray, xhat: np.ndarray):
+    """Row-summed (gamma, beta) gradients of ``layer_norm_forward``."""
+    d = xhat.shape[-1]
+    return (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
 def gelu_forward(x: np.ndarray):
@@ -283,15 +303,56 @@ def gelu_forward(x: np.ndarray):
     The cube is x2 * x: numpy's generic ``x**3`` is an order of magnitude
     slower.
     """
+    # t = tanh(c * (x + 0.044715 * x^3)); 0.5 * x * (1 + t)
     x2 = x * x
-    t = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x2 * x)))
-    return 0.5 * x * (1.0 + t), x2, t
+    t = x2 * x
+    t *= 0.044715
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, x2, t
 
 
 def gelu_backward(g: np.ndarray, x: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Input gradient of ``gelu_forward``; exact for the tanh form."""
-    du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x2)
-    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    # g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2))
+    du = x2 * (3 * 0.044715)
+    du += 1.0
+    du *= _SQRT_2_OVER_PI
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    r = 0.5 * x
+    r *= s
+    r *= du
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    s += r
+    s *= g
+    return s
+
+
+def cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
+    """Mean negative log-likelihood of integer ``labels``; returns (loss,
+    log-probabilities).
+
+    Class masking is expected to be applied to the logits beforehand (large
+    negative additive bias), which this loss handles stably.
+    """
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - logz
+    return -logp[np.arange(len(logp)), labels].mean(), logp
+
+
+def cross_entropy_backward(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Logit gradient of ``cross_entropy_forward``."""
+    n = len(logp)
+    p = np.exp(logp)
+    p[np.arange(n), labels] -= 1.0
+    p /= n
+    return p
 
 
 # -- fused tape ops -------------------------------------------------------------
@@ -311,7 +372,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     data, xhat, inv = layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
-        accumulate_layer_norm_params(gamma, beta, g, xhat)
+        g_gamma, g_beta = layer_norm_param_grads(g, xhat)
+        if gamma.requires_grad:
+            gamma._accumulate(g_gamma)
+        if beta.requires_grad:
+            beta._accumulate(g_beta)
         if x.requires_grad:
             x._accumulate(layer_norm_backward(g, xhat, inv, gamma.data))
 
@@ -329,22 +394,12 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer ``labels`` under ``logits``.
-
-    Class masking is expected to be applied to the logits beforehand (large
-    negative additive bias), which this loss handles stably.
-    """
+    """Mean negative log-likelihood of integer ``labels`` under ``logits``."""
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    data = -logp[np.arange(n), labels].mean()
+    data, logp = cross_entropy_forward(logits.data, labels)
 
     def backward(g):
         if logits.requires_grad:
-            p = np.exp(logp)
-            p[np.arange(n), labels] -= 1.0
-            logits._accumulate(g * p / n)
+            logits._accumulate(g * cross_entropy_backward(logp, labels))
 
     return Tensor._result(data, (logits,), backward)

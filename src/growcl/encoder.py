@@ -9,14 +9,19 @@ so prompts act purely through attention. The promptless pass ("query" mode)
 yields the vanilla feature used for key matching and for pre-trained
 subspaces.
 
-Each block is a single autodiff node: LN1, the joined data+prefix attention,
-``wo``, the residual, LN2 and the GELU MLP run on plain arrays, and a
-hand-written backward fills gradients only for the parents that require them
-(the prompt; the block weights only while the backbone is pretrained). The
-LN, GELU and softmax derivatives are the ones the tape ops use. Only the
-class token is read after the last block, so that block builds keys and
-values from every token and the prompt but computes the query, attention
-row, residual and MLP for the class token alone.
+The encoder runs forward and backward on plain arrays. A block's forward
+returns its output and, when a gradient is wanted, a backward over its cached
+intermediates that returns the input, prompt and (while the backbone is
+pretrained) weight gradients. ``encode`` chains the blocks, and its backward
+walks ``ln_f``, the blocks in reverse and, for pretraining, the embedding and
+class token. ``loss_and_grads`` puts the masked head and cross-entropy in
+front and adds the key's cosine pull in closed form. The LN, GELU, softmax
+and cross-entropy derivatives are the ``autodiff`` kernels; the ``autodiff``
+tape is not used here, and the tests compose the same model from it as an
+independent reference. Only the class token is read after the last block, so
+that block builds keys and values from every token and the prompt but
+computes the query, attention row, residual and MLP for the class token
+alone.
 
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
@@ -37,15 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from growcl.autodiff import (
-    Tensor,
-    accumulate_layer_norm_params,
-    concat,
-    cross_entropy,
+    cross_entropy_backward,
+    cross_entropy_forward,
     gelu_backward,
     gelu_forward,
-    layer_norm,
     layer_norm_backward,
     layer_norm_forward,
+    layer_norm_param_grads,
     softmax_backward,
     softmax_forward,
 )
@@ -233,33 +236,47 @@ def class_mask_bias(n_classes: int, allowed) -> np.ndarray:
     return bias
 
 
-def _params(backbone: FrozenBackbone, trainable: bool = False) -> dict:
-    return {k: Tensor(v, requires_grad=trainable) for k, v in backbone.weights.items()}
+def _block_weights(weights: dict, i: int) -> tuple:
+    """Block ``i``'s weights, in ``_BLOCK_WEIGHTS`` order."""
+    return tuple(weights[f"b{i}.{name}"] for name in _BLOCK_WEIGHTS)
+
+
+def _rows(arr: np.ndarray) -> np.ndarray:
+    return arr.reshape(-1, arr.shape[-1])
 
 
 def _attention_block(
-    x: Tensor, p: dict, i: int, n_heads: int, prompt: Tensor | None = None, n_out: int | None = None
-) -> Tensor:
-    """One pre-norm block over the data tokens ``x`` [n, t, d], as one tape node.
+    x: np.ndarray,
+    w: tuple,
+    n_heads: int,
+    prompt: np.ndarray | None = None,
+    n_out: int | None = None,
+    keep: bool = False,
+):
+    """Forward of one pre-norm block over the data tokens ``x`` [n, t, d].
 
-    A ``prompt`` [P, d] is a prefix: its LN1 keys and values, computed once
-    for the whole batch, join the data tokens' keys and values, so every
-    query also attends to the prompt rows. Nothing is computed at prompt
-    positions beyond that. With ``n_out`` set, keys and values still come
-    from every token, but the queries, attention, residual and MLP run for
-    the first ``n_out`` tokens only, and the output is [n, n_out, d].
+    ``w`` holds the block's weights in ``_BLOCK_WEIGHTS`` order. A ``prompt``
+    [P, d] is a prefix: its LN1 keys and values, computed once for the whole
+    batch, join the data tokens' keys and values, so every query also
+    attends to the prompt rows. Nothing is computed at prompt positions
+    beyond that. With ``n_out`` set, keys and values still come from every
+    token, but the queries, attention, residual and MLP run for the first
+    ``n_out`` tokens only, and the output is [n, n_out, d].
 
-    The forward runs on plain arrays; the backward fills gradients only for
-    the parents (``x``, ``prompt``, the block's weights) that require them.
+    Returns (out, backward); ``backward`` is None unless ``keep``.
+    ``backward(g, need_x, need_weights)`` takes the output gradient and
+    returns (input gradient, prompt gradient, {weight name: gradient}): the
+    input gradient is None unless ``need_x`` or ``need_weights``, the prompt
+    gradient None without a prompt, and the dict empty unless
+    ``need_weights``.
     """
-    w = {name: p[f"b{i}.{name}"] for name in _BLOCK_WEIGHTS}
-    g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = (tensor.data for tensor in w.values())
+    g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = w
     n, t, d = x.shape
     to = t if n_out is None else n_out
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
 
-    h, xhat1, inv1 = layer_norm_forward(x.data, g1, c_ln1)
+    h, xhat1, inv1 = layer_norm_forward(x, g1, c_ln1)
     hq = h[:, :to]
     q = (hq @ wq).reshape(n, to, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, to, dh]
     k = (h @ wk).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))  # [n, H, dh, t]
@@ -267,79 +284,67 @@ def _attention_block(
     scores = q @ k
     if prompt is not None:
         n_p = prompt.shape[0]
-        hp, xhatp, invp = layer_norm_forward(prompt.data, g1, c_ln1)
+        hp, xhatp, invp = layer_norm_forward(prompt, g1, c_ln1)
         kp = (hp @ wk).reshape(n_p, n_heads, dh).transpose((1, 2, 0))  # [H, dh, P]
         vp = (hp @ wv).reshape(n_p, n_heads, dh).transpose((1, 0, 2))  # [H, P, dh]
         scores = np.concatenate([scores, q @ kp], axis=-1)
-    attn = softmax_forward(scores * scale)
+    scores *= scale
+    attn = softmax_forward(scores)
     if prompt is None:
         o = attn @ v
     else:
         o = attn[..., :t] @ v + attn[..., t:] @ vp
     o = o.transpose((0, 2, 1, 3)).reshape(n, to, d)
-    x1 = x.data[:, :to] + o @ wo
+    x1 = x[:, :to] + o @ wo
     h2, xhat2, inv2 = layer_norm_forward(x1, g2, c_ln2)
     z = h2 @ w1 + c1
     a, z2, tz = gelu_forward(z)
     out = x1 + (a @ w2 + c2)
+    if not keep:
+        return out, None
 
-    def backward(g):
-        def need(*names):
-            return any(w[name].requires_grad for name in names)
-
-        def rows(arr):
-            return arr.reshape(-1, arr.shape[-1])
-
-        def weight_grad(name, inputs, grad):
-            # one [rows, a]^T @ [rows, b] product over every token row
-            if w[name].requires_grad:
-                w[name]._accumulate(rows(inputs).T @ rows(grad))
-
-        def bias_grad(name, grad):
-            if w[name].requires_grad:
-                w[name]._accumulate(rows(grad).sum(axis=0))
-
+    def backward(g, need_x, need_weights):
+        grads = {}
         # MLP and its residual: out = x1 + gelu(LN2(x1) @ w1 + c1) @ w2 + c2
-        weight_grad("mlp_w2", a, g)
-        bias_grad("mlp_b2", g)
         gz = gelu_backward(g @ w2.T, z, z2, tz)
-        weight_grad("mlp_w1", h2, gz)
-        bias_grad("mlp_b1", gz)
         gh2 = gz @ w1.T
-        accumulate_layer_norm_params(w["ln2_g"], w["ln2_b"], gh2, xhat2)
         gx1 = g + layer_norm_backward(gh2, xhat2, inv2, g2)
-        weight_grad("wo", o, gx1)
+        if need_weights:
+            # one [rows, a]^T @ [rows, b] product over every token row
+            grads["mlp_w2"] = _rows(a).T @ _rows(g)
+            grads["mlp_b2"] = _rows(g).sum(axis=0)
+            grads["mlp_w1"] = _rows(h2).T @ _rows(gz)
+            grads["mlp_b1"] = _rows(gz).sum(axis=0)
+            grads["ln2_g"], grads["ln2_b"] = layer_norm_param_grads(gh2, xhat2)
+            grads["wo"] = _rows(o).T @ _rows(gx1)
 
-        need_data = x.requires_grad or need("ln1_g", "ln1_b", "wq", "wk", "wv")
-        need_prompt = prompt is not None and (prompt.requires_grad or need("ln1_g", "ln1_b", "wk", "wv"))
-        if not (need_data or need_prompt):
-            return
         go = (gx1 @ wo.T).reshape(n, to, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, to, dh]
         ga = go @ v.transpose((0, 1, 3, 2))
         if prompt is not None:
             ga = np.concatenate([ga, go @ vp.transpose((0, 2, 1))], axis=-1)
-        gs = softmax_backward(ga, attn) * scale  # [n, H, to, t + P]
+        gs = softmax_backward(ga, attn)  # [n, H, to, t + P]
+        gs *= scale
 
-        if need_data:
+        gx = None
+        if need_x or need_weights:
             gq = gs[..., :t] @ k.transpose((0, 1, 3, 2))
             if prompt is not None:
                 gq += gs[..., t:] @ kp.transpose((0, 2, 1))
             gq = gq.transpose((0, 2, 1, 3)).reshape(n, to, d)
             gk = (q.transpose((0, 1, 3, 2)) @ gs[..., :t]).transpose((0, 3, 1, 2)).reshape(n, t, d)
             gv = (attn[..., :t].transpose((0, 1, 3, 2)) @ go).transpose((0, 2, 1, 3)).reshape(n, t, d)
-            weight_grad("wq", hq, gq)
-            weight_grad("wk", h, gk)
-            weight_grad("wv", h, gv)
-            if x.requires_grad or need("ln1_g", "ln1_b"):
-                gh = gk @ wk.T + gv @ wv.T
-                gh[:, :to] += gq @ wq.T
-                accumulate_layer_norm_params(w["ln1_g"], w["ln1_b"], gh, xhat1)
-                if x.requires_grad:
-                    gx = layer_norm_backward(gh, xhat1, inv1, g1)
-                    gx[:, :to] += gx1
-                    x._accumulate(gx)
+            gh = gk @ wk.T + gv @ wv.T
+            gh[:, :to] += gq @ wq.T
+            gx = layer_norm_backward(gh, xhat1, inv1, g1)
+            gx[:, :to] += gx1
+            if need_weights:
+                grads["wq"] = _rows(hq).T @ _rows(gq)
+                grads["wk"] = _rows(h).T @ _rows(gk)
+                grads["wv"] = _rows(h).T @ _rows(gv)
+                grads["ln1_g"], grads["ln1_b"] = layer_norm_param_grads(gh, xhat1)
 
-        if need_prompt:
+        gp = None
+        if prompt is not None:
             # Prompt keys and values are shared by the batch: sum over every
             # (sample, query) row in one product per head.
             m = n * to
@@ -349,66 +354,100 @@ def _attention_block(
             go_rows = go.transpose((1, 0, 2, 3)).reshape(n_heads, m, dh)
             gkp = (q_rows @ gs_p).transpose((2, 0, 1)).reshape(n_p, d)
             gvp = (a_p @ go_rows).transpose((1, 0, 2)).reshape(n_p, d)
-            weight_grad("wk", hp, gkp)
-            weight_grad("wv", hp, gvp)
             ghp = gkp @ wk.T + gvp @ wv.T
-            accumulate_layer_norm_params(w["ln1_g"], w["ln1_b"], ghp, xhatp)
-            if prompt.requires_grad:
-                prompt._accumulate(layer_norm_backward(ghp, xhatp, invp, g1))
+            gp = layer_norm_backward(ghp, xhatp, invp, g1)
+            if need_weights:
+                prompt_terms = (hp.T @ gkp, hp.T @ gvp, *layer_norm_param_grads(ghp, xhatp))
+                for name, term in zip(("wk", "wv", "ln1_g", "ln1_b"), prompt_terms):
+                    grads[name] = grads[name] + term if name in grads else term
+        return gx, gp, grads
 
-    parents = [x] + ([prompt] if prompt is not None else []) + list(w.values())
-    return Tensor._result(out, parents, backward)
+    return out, backward
 
 
 def encode(
     backbone: FrozenBackbone,
     batch: np.ndarray,
     prompts: dict | None = None,
-    params: dict | None = None,
     collect_layers: bool = False,
+    return_backward: bool = False,
 ):
-    """Run the encoder; returns (features Tensor [n, d], layer_reps dict).
+    """Run the encoder; returns (features [n, d], layer_reps), and a third
+    item, ``backward``, when ``return_backward``.
 
-    ``prompts`` maps prompted block index -> Tensor [P, d] of prefix rows that
-    every sample's tokens attend to in that block (already composed with any
-    frozen extras).
+    ``prompts`` maps prompted block index -> [P, d] prefix rows that every
+    sample's tokens attend to in that block (already joined with any frozen
+    extras).
     ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
     class-token output of each prompted block, then the final feature under
-    ``key`` (plain arrays, detached).
+    ``key`` (copies).
+    ``backward(g_feats, weight_grads=False)`` takes the features' gradient
+    and returns ({block: prompt gradient [P, d]}, {weight name: gradient});
+    the weight gradients (pretraining) are filled only when ``weight_grads``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     cfg = backbone.config
     if batch.ndim != 2 or batch.shape[1] != cfg.input_dim:
         raise EncoderError(f"batch shape {batch.shape} incompatible with input_dim {cfg.input_dim}")
-    n = batch.shape[0]
+    n, d = batch.shape[0], cfg.d_model
     if n == 0:
         raise EncoderError("empty batch")
-    p = params if params is not None else _params(backbone)
-    x = (Tensor(batch) @ p["embed_w"] + p["embed_b"]).reshape(n, cfg.n_feature_tokens, cfg.d_model)
-    # [d] parameter -> [n, 1, d]; the zero carrier keeps its gradient exact.
-    cls = Tensor(np.zeros((n, 1, cfg.d_model))) + p["cls"].reshape(1, 1, cfg.d_model)
-    tok = concat([cls, x], axis=1)
+    w = backbone.weights
+    tok = np.empty((n, cfg.n_feature_tokens + 1, d))
+    tok[:, 0] = w["cls"]
+    tok[:, 1:] = (batch @ w["embed_w"] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
     prompts = prompts or {}
-    cls_out = {}
+    blocks, cls_out = [], {}
     for i in range(cfg.n_blocks):
         # Only the class token is read after the last block.
         n_out = 1 if i == cfg.n_blocks - 1 else None
-        tok = _attention_block(tok, p, i, cfg.n_heads, prompts.get(i), n_out)
+        tok, block_backward = _attention_block(
+            tok, _block_weights(w, i), cfg.n_heads, prompts.get(i), n_out, keep=return_backward
+        )
+        blocks.append(block_backward)
         if collect_layers and i in cfg.prompted_blocks:
-            cls_out[i] = tok.data[:, 0].copy()
-    feats = layer_norm(tok, p["ln_f_g"], p["ln_f_b"])[:, 0]
-    if not collect_layers:
-        return feats, {}
-    return feats, segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.data.copy())
+            cls_out[i] = tok[:, 0].copy()
+    out, xhat, inv = layer_norm_forward(tok, w["ln_f_g"], w["ln_f_b"])
+    feats = out[:, 0]
+    reps = {}
+    if collect_layers:
+        reps = segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.copy())
+    if not return_backward:
+        return feats, reps
+
+    def backward(g_feats, weight_grads=False):
+        grads = {}
+        g = g_feats.reshape(n, 1, d)
+        if weight_grads:
+            grads["ln_f_g"], grads["ln_f_b"] = layer_norm_param_grads(g, xhat)
+        g = layer_norm_backward(g, xhat, inv, w["ln_f_g"])
+        # No prompt gradient flows below the lowest prompted block, so the
+        # walk stops there unless the weights train.
+        lowest = 0 if weight_grads else min(prompts, default=cfg.n_blocks)
+        prompt_grads = {}
+        for i in range(cfg.n_blocks - 1, lowest - 1, -1):
+            g, gp, block_grads = blocks[i](g, i > lowest, weight_grads)
+            if gp is not None:
+                prompt_grads[i] = gp
+            grads.update((f"b{i}.{name}", grad) for name, grad in block_grads.items())
+        if weight_grads:
+            grads["cls"] = g[:, 0].sum(axis=0)
+            g_embed = g[:, 1:].reshape(n, -1)
+            grads["embed_w"] = batch.T @ g_embed
+            grads["embed_b"] = g_embed.sum(axis=0)
+        return prompt_grads, grads
+
+    return feats, reps, backward
 
 
-def _prompt_tensors(cfg: EncoderConfig, p_active: Tensor, extra: np.ndarray | None) -> dict:
+def _prompt_rows(cfg: EncoderConfig, p: np.ndarray, extra: np.ndarray | None) -> dict:
+    """Prefix rows per prompted block: the set's prompt, then any frozen extras."""
     prompts = {}
     for j, b in enumerate(cfg.prompted_blocks):
-        tok = p_active[j]
+        rows = p[j]
         if extra is not None and extra.shape[1]:
-            tok = concat([tok, Tensor(extra[j])], axis=0)
-        prompts[b] = tok
+            rows = np.concatenate([rows, extra[j]], axis=0)
+        prompts[b] = rows
     return prompts
 
 
@@ -416,8 +455,8 @@ def prompted_features(
     backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray, extra: np.ndarray | None = None
 ) -> np.ndarray:
     """Features [n, d] of ``batch`` under ``pset`` (and frozen ``extra`` rows)."""
-    feats, _ = encode(backbone, batch, _prompt_tensors(backbone.config, Tensor(pset.p), extra))
-    return feats.data
+    feats, _ = encode(backbone, batch, _prompt_rows(backbone.config, pset.p, extra))
+    return feats
 
 
 def forward_prompted(
@@ -436,29 +475,41 @@ def forward_prompted(
 def forward_query(backbone: FrozenBackbone, batch: np.ndarray) -> np.ndarray:
     """Promptless features, one row per sample (the retrieval query)."""
     feats, _ = encode(backbone, batch)
-    return feats.data
+    return feats
 
 
 def query_with_layers(backbone: FrozenBackbone, batch: np.ndarray):
     """Promptless pass, returning (features, per-block class-token reps)."""
-    feats, reps = encode(backbone, batch, collect_layers=True)
-    return feats.data, reps
+    return encode(backbone, batch, collect_layers=True)
 
 
 def prompted_with_layers(
     backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray, extra: np.ndarray | None = None
 ):
-    prompts = _prompt_tensors(backbone.config, Tensor(pset.p), extra)
-    feats, reps = encode(backbone, batch, prompts, collect_layers=True)
-    return feats.data, reps
+    prompts = _prompt_rows(backbone.config, pset.p, extra)
+    return encode(backbone, batch, prompts, collect_layers=True)
 
 
-def _key_loss(k: Tensor, q_bar: np.ndarray):
-    """Cosine pull of the retrieval key toward the batch's mean query."""
+def _key_loss(k: np.ndarray, q_bar: np.ndarray, weight: float):
+    """The cosine pull of the retrieval key toward the batch's mean query,
+    ``weight * (1 - cos(k, q_bar))``, and its gradient in ``k``:
+    ``-weight * (q_bar / (|k| |q|) - (k . q_bar) k / (|k|^3 |q|))``.
+
+    The terms are formed in the order of the composed form
+    ``1 - (k . q) / (sqrt(k . k) |q|)`` differentiated node by node, with
+    ufunc powers, so both agree bit for bit.
+    """
     qn = float(np.linalg.norm(q_bar))
-    dot = (k * Tensor(q_bar)).sum()
-    kn = (k * k).sum().sqrt()
-    return 1.0 - dot / (kn * qn)
+    dot = (k * q_bar).sum()
+    sq = (k * k).sum()
+    kq = np.sqrt(sq) * qn
+    r = 1.0 / kq
+    loss = (1.0 - dot * r) * weight
+    g_sq = weight * dot * np.power(kq, -2.0) * qn * 0.5 * np.power(sq, -0.5)
+    grad = (-weight * r) * q_bar
+    grad += g_sq * k
+    grad += g_sq * k
+    return loss, grad
 
 
 def loss_and_grads(
@@ -487,32 +538,30 @@ def loss_and_grads(
     if not set(labels.tolist()) <= allowed:
         raise EncoderError("labels outside head mask")
 
-    p_t = Tensor(pset.p, requires_grad=True)
-    k_t = Tensor(pset.k, requires_grad=True)
-    train_head = train_head_classes is not None
-    hw = Tensor(head.w, requires_grad=train_head)
-    hb = Tensor(head.b, requires_grad=train_head)
-
-    feats, _ = encode(backbone, batch, _prompt_tensors(cfg, p_t, extra))
-    logits = feats @ hw + hb + Tensor(class_mask_bias(head.n_classes, head_mask))
-    loss = cross_entropy(logits, labels)
+    feats, _, backward = encode(backbone, batch, _prompt_rows(cfg, pset.p, extra), return_backward=True)
+    logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
+    loss, logp = cross_entropy_forward(logits, labels)
+    k_grad = np.zeros_like(pset.k)
     if q_bar is not None and cfg.key_loss_weight != 0.0:
-        loss = loss + cfg.key_loss_weight * _key_loss(k_t, q_bar)
-    if not np.isfinite(loss.data):
+        key_loss, k_grad = _key_loss(pset.k, q_bar, cfg.key_loss_weight)
+        loss = loss + key_loss
+    if not np.isfinite(loss):
         raise NonFiniteError("non-finite loss")
-    loss.backward()
 
-    p_grad = p_t.grad if p_t.grad is not None else np.zeros_like(pset.p)
-    k_grad = k_t.grad if k_t.grad is not None else np.zeros_like(pset.k)
+    g_logits = cross_entropy_backward(logp, labels)
+    prompt_grads, _ = backward(g_logits @ head.w.T)
+    p_grad = np.zeros_like(pset.p)
+    for j, b in enumerate(cfg.prompted_blocks):
+        p_grad[j] += prompt_grads[b][: cfg.prompt_len]
     flat = np.concatenate([p_grad.ravel(), k_grad])
 
     gw = gb = None
-    if train_head:
+    if train_head_classes is not None:
         rows = np.zeros(head.n_classes, dtype=bool)
         rows[np.asarray(list(train_head_classes), dtype=int)] = True
-        gw = np.where(rows[None, :], hw.grad, 0.0)
-        gb = np.where(rows, hb.grad, 0.0)
-    return float(loss.data), GradientVector(flat, cfg), gw, gb
+        gw = np.where(rows[None, :], feats.T @ g_logits, 0.0)
+        gb = np.where(rows, g_logits.sum(axis=0), 0.0)
+    return float(loss), GradientVector(flat, cfg), gw, gb
 
 
 def grad_prompts(
@@ -544,25 +593,25 @@ def pretrain_backbone(
     """Briefly fit the backbone (plus a throwaway head) before freezing it.
 
     Gives the promptless feature space genuine structure so pre-trained
-    subspaces are more than random directions. Mutates ``backbone.weights``
-    in place; the throwaway head is discarded.
+    subspaces are more than random directions. Updates ``backbone.weights``
+    in place by plain gradient steps; the throwaway head is discarded.
+    Raises ``NonFiniteError`` naming the step whose loss is not finite.
     """
     labels = np.asarray(labels, dtype=int)
     n_classes = int(labels.max()) + 1
-    params = _params(backbone, trainable=True)
-    hw = Tensor(rng.normal(0, 0.1, (backbone.config.d_model, n_classes)), requires_grad=True)
-    hb = Tensor(np.zeros(n_classes), requires_grad=True)
-    trainables = list(params.values()) + [hw, hb]
+    weights = backbone.weights
+    hw = rng.normal(0, 0.1, (backbone.config.d_model, n_classes))
+    hb = np.zeros(n_classes)
     n = len(data)
-    for _ in range(steps):
+    for step in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
-        feats, _ = encode(backbone, data[idx], params=params)
-        loss = cross_entropy(feats @ hw + hb, labels[idx])
-        for t in trainables:
-            t.zero_grad()
-        loss.backward()
-        for t in trainables:
-            if t.grad is not None:
-                t.data -= lr * t.grad
-    for name, t in params.items():
-        backbone.weights[name] = t.data
+        feats, _, backward = encode(backbone, data[idx], return_backward=True)
+        loss, logp = cross_entropy_forward(feats @ hw + hb, labels[idx])
+        if not np.isfinite(loss):
+            raise NonFiniteError(f"step {step}: non-finite loss")
+        g_logits = cross_entropy_backward(logp, labels[idx])
+        _, grads = backward(g_logits @ hw.T, weight_grads=True)
+        for name, grad in grads.items():
+            weights[name] -= lr * grad
+        hw -= lr * (feats.T @ g_logits)
+        hb -= lr * g_logits.sum(axis=0)

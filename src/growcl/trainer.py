@@ -18,6 +18,7 @@ and drift ratios are reported under them too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,15 @@ class TrainConfig:
             raise TrainerError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_fft < 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainerError("n_fft >= 0, epochs >= 1, batch_size >= 1 required")
+        for name in ("probe_samples", "space_samples", "pretrain_classes"):
+            if getattr(self, name) < 1:
+                raise TrainerError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.pretrain_steps < 0:
+            raise TrainerError(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
+        for name in ("lr", "pretrain_lr"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise TrainerError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass
@@ -145,15 +155,18 @@ class Engine:
             seed=int(self.rng.integers(0, 2**31)),
         )
         pre = generate(spec)[0]
-        pretrain_backbone(
-            self.backbone,
-            pre.x_train,
-            pre.y_train,
-            steps=self.cfg.pretrain_steps,
-            lr=self.cfg.pretrain_lr,
-            batch_size=self.cfg.batch_size,
-            rng=self.rng,
-        )
+        try:
+            pretrain_backbone(
+                self.backbone,
+                pre.x_train,
+                pre.y_train,
+                steps=self.cfg.pretrain_steps,
+                lr=self.cfg.pretrain_lr,
+                batch_size=self.cfg.batch_size,
+                rng=self.rng,
+            )
+        except NonFiniteError as exc:
+            raise TrainerError(f"pretraining, {exc}") from exc
 
     # -- helpers ---------------------------------------------------------------
 
@@ -219,9 +232,12 @@ class Engine:
         probe_batches, probe_idx = self._probe_batches(x, y)
         probe = GradientProbe(self.backbone, self.head, tuple(classes), probe_batches)
 
-        # Pre-trained space for this task, from the promptless encoder over
-        # the probe subset; reused by the decision floor and the soft constraint.
-        _, pre_reps = query_with_layers(self.backbone, x[probe_idx])
+        # One promptless pass over the training rows gives the key-loss
+        # queries and, at the probe subset, the reps of this task's
+        # pre-trained space (reused by the decision floor and the soft
+        # constraint).
+        q_all, reps = query_with_layers(self.backbone, x)
+        pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
         pre_spaces = self._spaces_from_reps(pre_reps, cfg.eps_pre, f"pre / task {task_id}")
         self.memory.pre_spaces[task_id] = pre_spaces
 
@@ -241,7 +257,6 @@ class Engine:
         extra = self._extra_for(sid)
         reuse_spaces = self.memory.old_spaces.get(sid) if not decision.is_grow else None
 
-        q_all = forward_query(self.backbone, x)
         soft = SoftConstraintConfig(cfg.phi, pre_spaces)
         p_before = pset.p.copy()
         k_before = pset.k.copy()

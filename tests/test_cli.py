@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,33 @@ class TestRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert "runtime error: task 0, epoch 0, set 0: non-finite" in err
+
+    def test_non_finite_pretraining_exits_2_naming_the_step(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("[train]\n", "[train]\npretrain_lr = 1e6\n"))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(r"runtime error: pretraining, step \d+: non-finite loss", err), err
+
+    @pytest.mark.parametrize("key, value", [
+        ("probe_samples", "0"), ("probe_samples", "-2"), ("space_samples", "0"),
+        ("space_samples", "-2"), ("pretrain_classes", "0"), ("pretrain_steps", "-1"),
+        ("lr", "-0.3"), ("lr", "0"), ("lr", "nan"), ("pretrain_lr", "inf"), ("pretrain_lr", "-0.05"),
+    ])
+    def test_invalid_train_option_exits_1(self, tmp_path, capsys, key, value):
+        text = CONFIG_TEXT
+        line = f"{key} = {value}"
+        if re.search(rf"^{key} = ", text, flags=re.M):
+            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+        else:
+            text = text.replace("[train]\n", f"[train]\n{line}\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: invalid [train] config: " in err and key in err, err
 
     def test_zero_probe_gradient_exits_2_naming_task_and_set(self, tmp_path, capsys):
         # Too large to overflow, this rate saturates the head during task 0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from growcl.autodiff import Tensor, concat, cross_entropy, gelu, layer_norm, softmax
+from growcl.autodiff import Tensor, concat, cross_entropy, layer_norm
 from growcl.encoder import (
     _BLOCK_WEIGHTS,
     EncoderConfig,
@@ -11,8 +11,8 @@ from growcl.encoder import (
     Head,
     PromptSet,
     _attention_block,
-    _key_loss,
-    _prompt_tensors,
+    _block_weights,
+    _prompt_rows,
     class_mask_bias,
     encode,
     forward_prompted,
@@ -22,6 +22,16 @@ from growcl.encoder import (
     pretrain_backbone,
     prompted_with_layers,
     query_with_layers,
+)
+from tape_reference import (
+    tape_attention_block,
+    tape_embed,
+    tape_encode,
+    tape_key_loss,
+    tape_loss_and_grads,
+    tape_params,
+    tape_pretrain,
+    tape_prompt_tensors,
 )
 
 CFG = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=(0, 1),
@@ -237,35 +247,8 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def tape_attention_block(x, p, i, n_heads, prompt=None):
-    """Reference: the attention block composed from tape ops, over all tokens."""
-    n, t, d = x.shape
-    dh = d // n_heads
-    h = layer_norm(x, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
-    q = (h @ p[f"b{i}.wq"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
-    k = (h @ p[f"b{i}.wk"]).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))
-    v = (h @ p[f"b{i}.wv"]).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))
-    scores = q @ k
-    if prompt is not None:
-        n_p = prompt.shape[0]
-        hp = layer_norm(prompt, p[f"b{i}.ln1_g"], p[f"b{i}.ln1_b"])
-        kp = (hp @ p[f"b{i}.wk"]).reshape(n_p, n_heads, dh).transpose((1, 2, 0))
-        vp = (hp @ p[f"b{i}.wv"]).reshape(n_p, n_heads, dh).transpose((1, 0, 2))
-        scores = concat([scores, q @ kp], axis=-1)
-    attn = softmax(scores * (1.0 / np.sqrt(dh)))
-    if prompt is None:
-        out = attn @ v
-    else:
-        out = attn[..., :t] @ v + attn[..., t:] @ vp
-    out = out.transpose((0, 2, 1, 3)).reshape(n, t, d) @ p[f"b{i}.wo"]
-    x = x + out
-    h2 = layer_norm(x, p[f"b{i}.ln2_g"], p[f"b{i}.ln2_b"])
-    m = (gelu(h2 @ p[f"b{i}.mlp_w1"] + p[f"b{i}.mlp_b1"]) @ p[f"b{i}.mlp_w2"]) + p[f"b{i}.mlp_b2"]
-    return x + m
-
-
 class TestFusedBlock:
-    """The one-node block equals the tape-composed reference to round-off."""
+    """The explicit block equals the tape-composed reference to round-off."""
 
     @pytest.mark.parametrize("with_prompt", [False, True])
     @pytest.mark.parametrize("n_out", [None, 1])
@@ -280,21 +263,26 @@ class TestFusedBlock:
         keep = x0.shape[1] if n_out is None else n_out
         upstream = rng.standard_normal((5, keep, CFG.d_model))
 
-        def run(block):
-            params = {k: Tensor(v, requires_grad=trainable) for k, v in backbone.weights.items()}
-            x = Tensor(x0, requires_grad=True)
-            prompt = Tensor(p0, requires_grad=True) if with_prompt else None
-            out = block(x, params, 1, prompt)
-            (out * Tensor(upstream)).sum().backward()
-            grads = {"x": x.grad, **{name: params[f"b1.{name}"].grad for name in _BLOCK_WEIGHTS}}
-            if with_prompt:
-                grads["prompt"] = prompt.grad
-            return out.data, grads
+        out, backward = _attention_block(x0, _block_weights(backbone.weights, 1), CFG.n_heads, p0,
+                                         n_out, keep=True)
+        gx, gp, weight_grads = backward(upstream, True, trainable)
+        grads = {"x": gx, **{name: weight_grads.get(name) for name in _BLOCK_WEIGHTS}}
+        if with_prompt:
+            grads["prompt"] = gp
+        else:
+            assert gp is None
 
-        out, grads = run(lambda x, p, i, prompt: _attention_block(x, p, i, CFG.n_heads, prompt, n_out))
-        ref, ref_grads = run(lambda x, p, i, prompt: tape_attention_block(x, p, i, CFG.n_heads, prompt)[:, :keep])
+        params = tape_params(backbone, trainable)
+        x = Tensor(x0, requires_grad=True)
+        prompt = Tensor(p0, requires_grad=True) if with_prompt else None
+        ref = tape_attention_block(x, params, 1, CFG.n_heads, prompt)[:, :keep]
+        (ref * Tensor(upstream)).sum().backward()
+        ref_grads = {"x": x.grad, **{name: params[f"b1.{name}"].grad for name in _BLOCK_WEIGHTS}}
+        if with_prompt:
+            ref_grads["prompt"] = prompt.grad
+
         assert out.shape == ref.shape == (5, keep, CFG.d_model)
-        assert _rel_err(out, ref) <= 1e-12
+        assert _rel_err(out, ref.data) <= 1e-12
         for name, ref_grad in ref_grads.items():
             if ref_grad is None:
                 assert grads[name] is None, name
@@ -302,15 +290,22 @@ class TestFusedBlock:
                 assert _rel_err(grads[name], ref_grad) <= 1e-12, name
         assert (grads["mlp_w1"] is not None) == trainable
 
+    def test_forward_only_keeps_no_backward(self):
+        rng = np.random.default_rng(4)
+        backbone = FrozenBackbone.init(CFG, rng)
+        x0 = rng.standard_normal((3, CFG.n_feature_tokens + 1, CFG.d_model))
+        out, backward = _attention_block(x0, _block_weights(backbone.weights, 0), CFG.n_heads)
+        assert backward is None
+        kept, _ = _attention_block(x0, _block_weights(backbone.weights, 0), CFG.n_heads, keep=True)
+        assert np.array_equal(out, kept)
+
 
 def appended_encode(backbone, batch, prompts):
     """Reference: each block's prompt rows are appended to every sample's
     sequence, the whole block runs over them, and their outputs are dropped."""
     cfg, n = backbone.config, len(batch)
-    p = {k: Tensor(v) for k, v in backbone.weights.items()}
-    x = (Tensor(batch) @ p["embed_w"] + p["embed_b"]).reshape(n, cfg.n_feature_tokens, cfg.d_model)
-    cls = Tensor(np.zeros((n, 1, cfg.d_model))) + p["cls"].reshape(1, 1, cfg.d_model)
-    tok = concat([cls, x], axis=1)
+    p = tape_params(backbone)
+    tok = tape_embed(backbone, batch, p)
     keep = tok.shape[1]
     for i in range(cfg.n_blocks):
         if i in prompts:
@@ -338,18 +333,92 @@ class TestPrefixEquivalence:
         q_bar = rng.standard_normal(cfg.d_model)
         extra = rng.standard_normal((cfg.n_prompted, 2 * cfg.prompt_len, cfg.d_model)) if with_extra else None
 
-        feats, _ = encode(backbone, batch, _prompt_tensors(cfg, Tensor(pset.p), extra))
-        ref = appended_encode(backbone, batch, _prompt_tensors(cfg, Tensor(pset.p), extra))
-        assert _rel_err(feats.data, ref.data) <= 1e-12
+        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset.p, extra))
+        ref = appended_encode(backbone, batch, tape_prompt_tensors(cfg, Tensor(pset.p), extra))
+        assert _rel_err(feats, ref.data) <= 1e-12
 
         loss, grad, _, _ = loss_and_grads(backbone, head, pset, batch, labels, range(8),
                                           extra=extra, q_bar=q_bar)
         p_t = Tensor(pset.p, requires_grad=True)
         k_t = Tensor(pset.k, requires_grad=True)
-        logits = appended_encode(backbone, batch, _prompt_tensors(cfg, p_t, extra)) @ Tensor(head.w)
+        logits = appended_encode(backbone, batch, tape_prompt_tensors(cfg, p_t, extra)) @ Tensor(head.w)
         ref_loss = cross_entropy(logits + Tensor(head.b + class_mask_bias(8, range(8))), labels)
-        ref_loss = ref_loss + cfg.key_loss_weight * _key_loss(k_t, q_bar)
+        ref_loss = ref_loss + cfg.key_loss_weight * tape_key_loss(k_t, q_bar)
         ref_loss.backward()
         assert loss == pytest.approx(float(ref_loss.data), rel=1e-12, abs=0)
         assert _rel_err(grad.p, p_t.grad) <= 1e-12
         assert _rel_err(grad.k, k_t.grad) <= 1e-12
+
+
+def _perturbed_backbone(cfg, rng):
+    backbone = FrozenBackbone.init(cfg, rng)
+    for name, w in backbone.weights.items():  # move LN and biases off 1 and 0
+        backbone.weights[name] = w + rng.normal(0, 0.1, w.shape)
+    return backbone
+
+
+class TestTapeReference:
+    """The explicit forward/backward equals the tape-composed encoder."""
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1,), (0,)])
+    @pytest.mark.parametrize("with_extra", [False, True])
+    def test_features_match(self, blocks, with_extra):
+        cfg = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=blocks,
+                            input_dim=10, n_feature_tokens=3)
+        rng = np.random.default_rng(21)
+        backbone = _perturbed_backbone(cfg, rng)
+        pset = PromptSet.init(cfg, rng)
+        batch = rng.standard_normal((7, cfg.input_dim))
+        extra = rng.standard_normal((cfg.n_prompted, 2, cfg.d_model)) if with_extra else None
+
+        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset.p, extra))
+        ref = tape_encode(backbone, batch, tape_prompt_tensors(cfg, Tensor(pset.p), extra))
+        assert _rel_err(feats, ref.data) <= 1e-12
+        assert _rel_err(forward_query(backbone, batch), tape_encode(backbone, batch).data) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1,)])
+    @pytest.mark.parametrize("with_extra", [False, True])
+    @pytest.mark.parametrize("with_q_bar", [False, True])
+    def test_loss_and_grads_match(self, blocks, with_extra, with_q_bar):
+        cfg = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=blocks,
+                            input_dim=10, n_feature_tokens=3)
+        rng = np.random.default_rng(22)
+        backbone = _perturbed_backbone(cfg, rng)
+        head = Head(rng.standard_normal((cfg.d_model, 8)), rng.standard_normal(8))
+        pset = PromptSet.init(cfg, rng)
+        batch = rng.standard_normal((9, cfg.input_dim))
+        labels = rng.integers(0, 5, size=9)
+        mask = range(6)
+        extra = rng.standard_normal((cfg.n_prompted, 2, cfg.d_model)) if with_extra else None
+        q_bar = rng.standard_normal(cfg.d_model) if with_q_bar else None
+
+        loss, grad, gw, gb = loss_and_grads(backbone, head, pset, batch, labels, mask, extra=extra,
+                                            q_bar=q_bar, train_head_classes=range(6))
+        ref_loss, ref_p, ref_k, ref_w, ref_b = tape_loss_and_grads(
+            backbone, head, pset, batch, labels, mask, extra=extra, q_bar=q_bar, train_head=True
+        )
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        assert _rel_err(grad.p, ref_p) <= 1e-12
+        if with_q_bar:
+            assert _rel_err(grad.k, ref_k) <= 1e-12
+        else:
+            assert np.all(grad.k == 0) and np.all(ref_k == 0)
+        assert _rel_err(gw[:, :6], ref_w[:, :6]) <= 1e-12
+        assert _rel_err(gb[:6], ref_b[:6]) <= 1e-12
+        assert np.all(gw[:, 6:] == 0) and np.all(gb[6:] == 0)
+
+    def test_pretraining_steps_match(self):
+        rng = np.random.default_rng(23)
+        backbone = _perturbed_backbone(CFG, rng)
+        ref = FrozenBackbone(CFG, {name: w.copy() for name, w in backbone.weights.items()})
+        before = {name: w.copy() for name, w in backbone.weights.items()}
+        data = rng.standard_normal((50, CFG.input_dim))
+        labels = rng.integers(0, 4, size=50)
+        pretrain_backbone(backbone, data, labels, steps=4, lr=0.05, batch_size=16,
+                          rng=np.random.default_rng(5))
+        tape_pretrain(ref, data, labels, steps=4, lr=0.05, batch_size=16, rng=np.random.default_rng(5))
+        assert list(backbone.weights) == list(ref.weights)
+        for name, w in backbone.weights.items():
+            assert not np.array_equal(w, before[name]), name  # every weight trains
+            assert _rel_err(w - before[name], ref.weights[name] - before[name]) <= 1e-12, name
+            assert _rel_err(w, ref.weights[name]) <= 1e-12, name

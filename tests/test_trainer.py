@@ -380,6 +380,27 @@ class TestEvaluation:
         for ds in data:
             assert sum(b is ds.x_test for b in encoded) == 1
 
+    def test_one_promptless_pass_over_training_rows_per_task(self, monkeypatch):
+        # The key-loss queries and the pre-trained space's reps come from the
+        # same promptless pass; the probe subset's reps are rows of it.
+        import growcl.encoder
+
+        passes = []
+        original = growcl.encoder.encode
+
+        def counted(backbone, batch, prompts=None, *args, **kwargs):
+            if not prompts:
+                passes.append(len(batch))
+            return original(backbone, batch, prompts, *args, **kwargs)
+
+        data = small_stream(2)
+        eng = Engine(ENC, quick_cfg(), 4)  # pretraining passes are not counted
+        monkeypatch.setattr(growcl.encoder, "encode", counted)
+        for t, ds in enumerate(data):
+            passes.clear()
+            eng.train_task(t, ds)
+            assert passes == [len(ds.x_train)]
+
     @pytest.mark.parametrize("mode", ["grow_always", "single_set"])
     def test_test_set_encoded_once_per_set_until_it_retrains(self, mode, monkeypatch):
         # evaluate_after keeps a test set's features under a set until
