@@ -28,6 +28,7 @@ from growcl import snapshot
 from growcl.trainer import run_stream
 
 SCHEMA_VERSION = 1
+COMPARED = ("faa", "pra", "ffm", "ssp")  # report metrics that ``compare`` diffs
 
 
 def _json_line(obj) -> str:
@@ -184,20 +185,35 @@ def cmd_replay(args) -> int:
     return 0
 
 
+def _report_metrics(path) -> dict:
+    """The ``metrics`` object of the report at ``path``; raises ValueError
+    when the file is not JSON, or not an object holding a ``metrics`` object
+    whose compared values are numbers or null."""
+    report = json.loads(Path(path).read_text())
+    metrics = report.get("metrics") if isinstance(report, dict) else None
+    if not isinstance(metrics, dict):
+        raise ValueError('not an object with a "metrics" object')
+    for key in COMPARED:
+        value = metrics.get(key)
+        if value is not None and not isinstance(value, (int, float)):
+            raise ValueError(f"metric {key!r} is {value!r}, not a number or null")
+    return metrics
+
+
 def cmd_compare(args) -> int:
-    reports = []
+    metrics = []
     for path in (args.report_a, args.report_b):
         try:
-            reports.append(json.loads(Path(path).read_text()))
+            metrics.append(_report_metrics(path))
         except OSError as exc:
             print(f"runtime error: {exc}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # json.JSONDecodeError included
             print(f"runtime error: bad report {path}: {exc}", file=sys.stderr)
             return 2
-    a, b = (r["metrics"] for r in reports)
+    a, b = metrics
     diff = {}
-    for key in ("faa", "pra", "ffm", "ssp"):
+    for key in COMPARED:
         va, vb = a.get(key), b.get(key)
         diff[f"delta_{key}"] = None if va is None or vb is None else round(vb - va, 12)
         print(f"{key:4s}: a={va} b={vb} delta={diff[f'delta_{key}']}")

@@ -23,6 +23,14 @@ that block builds keys and values from every token and the prompt but
 computes the query, attention row, residual and MLP for the class token
 alone.
 
+A forward-only pass (no backward wanted: queries, features for evaluation,
+the reps of stored and pre-trained spaces) runs ``ROW_BLOCK`` rows at a time
+and writes each block's features and reps into preallocated outputs in row
+order. Rows never interact, so the results equal a one-shot pass bit for
+bit, and the pass's peak memory is one block's intermediates plus the
+outputs, whatever the number of rows. A pass that keeps a backward runs its
+rows in one shot, since the backward needs every row's intermediates.
+
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
 ``d_model``-wide rows. ``segment_map`` is the only place these names are
@@ -37,6 +45,7 @@ the current task's classifier rows ever train.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +63,12 @@ from growcl.autodiff import (
 )
 
 MASK_BIAS = -1e30
+
+# Forward-only passes run this many rows at a time. A block's intermediates
+# cost about 27 KB per row while it runs, so 64 rows peak near 1.9 MB, close
+# to a 32-row training step's 1.6 MB; the working set of a pass over a whole
+# task then stops growing with its rows, and only the outputs do.
+ROW_BLOCK = 64
 
 
 class EncoderError(ValueError):
@@ -77,6 +92,12 @@ class EncoderConfig:
     key_loss_weight: float = 1.0
 
     def __post_init__(self):
+        for name in ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim",
+                     "n_feature_tokens", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise EncoderError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.key_loss_weight) and self.key_loss_weight >= 0.0):
+            raise EncoderError(f"key_loss_weight must be finite and >= 0, got {self.key_loss_weight}")
         if self.d_model % self.n_heads:
             raise EncoderError("d_model must be divisible by n_heads")
         if any(b < 0 or b >= self.n_blocks for b in self.prompted_blocks):
@@ -365,55 +386,33 @@ def _attention_block(
     return out, backward
 
 
-def encode(
-    backbone: FrozenBackbone,
-    batch: np.ndarray,
-    prompts: dict | None = None,
-    collect_layers: bool = False,
-    return_backward: bool = False,
+def _encode_rows(
+    backbone: FrozenBackbone, batch: np.ndarray, prompts: dict, cls_out: dict, keep: bool
 ):
-    """Run the encoder; returns (features [n, d], layer_reps), and a third
-    item, ``backward``, when ``return_backward``.
-
-    ``prompts`` maps prompted block index -> [P, d] prefix rows that every
-    sample's tokens attend to in that block (already joined with any frozen
-    extras).
-    ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
-    class-token output of each prompted block, then the final feature under
-    ``key`` (copies).
-    ``backward(g_feats, weight_grads=False)`` takes the features' gradient
-    and returns ({block: prompt gradient [P, d]}, {weight name: gradient});
-    the weight gradients (pretraining) are filled only when ``weight_grads``.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
+    """One pass over every row of ``batch``: returns (features [n, d],
+    backward or None); block ``b``'s class-token output is written into
+    ``cls_out[b]`` for each block it names. ``backward`` is built only when
+    ``keep``; see ``encode``."""
     cfg = backbone.config
-    if batch.ndim != 2 or batch.shape[1] != cfg.input_dim:
-        raise EncoderError(f"batch shape {batch.shape} incompatible with input_dim {cfg.input_dim}")
     n, d = batch.shape[0], cfg.d_model
-    if n == 0:
-        raise EncoderError("empty batch")
     w = backbone.weights
     tok = np.empty((n, cfg.n_feature_tokens + 1, d))
     tok[:, 0] = w["cls"]
     tok[:, 1:] = (batch @ w["embed_w"] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
-    prompts = prompts or {}
-    blocks, cls_out = [], {}
+    blocks = []
     for i in range(cfg.n_blocks):
         # Only the class token is read after the last block.
         n_out = 1 if i == cfg.n_blocks - 1 else None
         tok, block_backward = _attention_block(
-            tok, _block_weights(w, i), cfg.n_heads, prompts.get(i), n_out, keep=return_backward
+            tok, _block_weights(w, i), cfg.n_heads, prompts.get(i), n_out, keep=keep
         )
         blocks.append(block_backward)
-        if collect_layers and i in cfg.prompted_blocks:
-            cls_out[i] = tok[:, 0].copy()
+        if i in cls_out:
+            cls_out[i][...] = tok[:, 0]
     out, xhat, inv = layer_norm_forward(tok, w["ln_f_g"], w["ln_f_b"])
     feats = out[:, 0]
-    reps = {}
-    if collect_layers:
-        reps = segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.copy())
-    if not return_backward:
-        return feats, reps
+    if not keep:
+        return feats, None
 
     def backward(g_feats, weight_grads=False):
         grads = {}
@@ -437,7 +436,55 @@ def encode(
             grads["embed_b"] = g_embed.sum(axis=0)
         return prompt_grads, grads
 
-    return feats, reps, backward
+    return feats, backward
+
+
+def encode(
+    backbone: FrozenBackbone,
+    batch: np.ndarray,
+    prompts: dict | None = None,
+    collect_layers: bool = False,
+    return_backward: bool = False,
+):
+    """Run the encoder; returns (features [n, d], layer_reps), and a third
+    item, ``backward``, when ``return_backward``.
+
+    ``prompts`` maps prompted block index -> [P, d] prefix rows that every
+    sample's tokens attend to in that block (already joined with any frozen
+    extras).
+    ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
+    class-token output of each prompted block, then the final feature under
+    ``key`` (copies).
+    ``backward(g_feats, weight_grads=False)`` takes the features' gradient
+    and returns ({block: prompt gradient [P, d]}, {weight name: gradient});
+    the weight gradients (pretraining) are filled only when ``weight_grads``.
+
+    Without ``return_backward`` the rows run ``ROW_BLOCK`` at a time into
+    preallocated outputs; every row's arithmetic is the same as in one pass.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    cfg = backbone.config
+    if batch.ndim != 2 or batch.shape[1] != cfg.input_dim:
+        raise EncoderError(f"batch shape {batch.shape} incompatible with input_dim {cfg.input_dim}")
+    n, d = batch.shape[0], cfg.d_model
+    if n == 0:
+        raise EncoderError("empty batch")
+    prompts = prompts or {}
+    cls_out = {b: np.empty((n, d)) for b in cfg.prompted_blocks} if collect_layers else {}
+    if return_backward:
+        feats, backward = _encode_rows(backbone, batch, prompts, cls_out, keep=True)
+    else:
+        feats = np.empty((n, d))
+        for lo in range(0, n, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            block_out = {b: out[rows] for b, out in cls_out.items()}
+            feats[rows], _ = _encode_rows(backbone, batch[rows], prompts, block_out, keep=False)
+    reps = {}
+    if collect_layers:
+        reps = segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.copy())
+    if return_backward:
+        return feats, reps, backward
+    return feats, reps
 
 
 def _prompt_rows(cfg: EncoderConfig, p: np.ndarray, extra: np.ndarray | None) -> dict:

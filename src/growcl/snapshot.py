@@ -14,11 +14,16 @@ Layout (all little-endian):
 Arrays hold the backbone (declaration order), the head, every prompt set
 with its frozen attachment and task list, all stored bases, and the
 accuracy grids. Weights are quantized to float32 on save; resuming from a
-snapshot therefore continues from the rounded state.
+snapshot therefore continues from the rounded state. ``load`` checks every
+length field against the bytes left in the file before it reads, so a
+truncated or corrupt container (bytes after the last array included) raises
+``SnapshotError``.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 
 import numpy as np
@@ -41,24 +46,38 @@ def _write_array(fh, name: str, arr: np.ndarray):
     fh.write(data.tobytes())
 
 
-def _read(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise SnapshotError(f"truncated snapshot: needed {n} bytes, file ended after {len(data)}")
-    return data
+class _Reader:
+    """A snapshot file read front to back. Every length is checked against the
+    bytes left in the file before anything is read, so a corrupt length field
+    fails as a truncated snapshot instead of requesting a huge read."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+
+    def read(self, n: int) -> bytes:
+        if n > self.left:
+            raise SnapshotError(f"truncated snapshot: needed {n} bytes, only {self.left} left")
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise SnapshotError(f"truncated snapshot: needed {n} bytes, file ended after {len(data)}")
+        self.left -= n
+        return data
+
+    def u32s(self, count: int) -> tuple:
+        return struct.unpack(f"<{count}I", self.read(4 * count))
 
 
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
-
-
-def _read_array(fh):
-    (name_len,) = _unpack(fh, "<H")
-    name = _read(fh, name_len).decode("utf-8")
-    (ndim,) = _unpack(fh, "<I")
-    shape = _unpack(fh, f"<{ndim}I")
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").reshape(shape)
+def _read_array(reader: _Reader):
+    (name_len,) = struct.unpack("<H", reader.read(2))
+    try:
+        name = reader.read(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"corrupt snapshot: array name is not UTF-8: {exc}") from exc
+    (ndim,) = reader.u32s(1)
+    shape = reader.u32s(ndim)
+    data = np.frombuffer(reader.read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
     return name, data.astype(np.float64)
 
 
@@ -113,21 +132,23 @@ def save(path, engine, matrix):
 def load(path) -> dict:
     """Read a container back into {header fields, arrays by name}."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        reader = _Reader(fh)
+        if reader.read(4) != MAGIC:
             raise SnapshotError("bad magic: not a run snapshot")
-        fixed = _unpack(fh, "<9I")
         (version, d_model, n_blocks, n_heads, prompt_len,
-         input_dim, n_feature_tokens, mlp_ratio, n_prompted) = fixed
+         input_dim, n_feature_tokens, mlp_ratio, n_prompted) = reader.u32s(9)
         if version != VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
-        prompted = _unpack(fh, f"<{n_prompted}I")
-        n_classes, n_tasks, tasks_done, n_arrays = _unpack(fh, "<4I")
+        prompted = reader.u32s(n_prompted)
+        n_classes, n_tasks, tasks_done, n_arrays = reader.u32s(4)
         arrays = {}
         order = []
         for _ in range(n_arrays):
-            name, arr = _read_array(fh)
+            name, arr = _read_array(reader)
             arrays[name] = arr
             order.append(name)
+        if reader.left:
+            raise SnapshotError(f"corrupt snapshot: {reader.left} bytes after the last array")
     return {
         "version": version,
         "d_model": d_model,

@@ -10,13 +10,22 @@ is seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+# Each class's samples split 80/20 into train and test rows.
+TRAIN_FRACTION = 0.8
 
 
 class StreamError(ValueError):
     pass
+
+
+def n_train_per_class(samples_per_class: int) -> int:
+    """Train rows per class under the 80/20 split; the rest are test rows."""
+    return int(round(TRAIN_FRACTION * samples_per_class))
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,24 @@ class StreamSpec:
     shift_fraction: float = 0.05
 
     def __post_init__(self):
+        for name in ("n_tasks", "classes_per_task", "dim"):
+            if getattr(self, name) < 1:
+                raise StreamError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise StreamError(f"seed must be >= 0, got {self.seed}")
+        n_train = n_train_per_class(self.samples_per_class)
+        if not 0 < n_train < self.samples_per_class:
+            raise StreamError(
+                f"samples_per_class = {self.samples_per_class} splits into {n_train} train and "
+                f"{self.samples_per_class - n_train} test rows per class; both need a row"
+            )
+        for name in ("noise_scale", "mean_scale"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise StreamError(f"{name} must be finite and >= 0, got {v}")
+        for name in ("rotation_jitter_deg", "shift_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise StreamError(f"{name} must be finite, got {getattr(self, name)}")
         sched = tuple(self.similarity_schedule) or tuple(0.0 for _ in range(self.n_tasks))
         if len(sched) != self.n_tasks:
             raise StreamError(f"schedule length {len(sched)} != n_tasks {self.n_tasks}")
@@ -119,7 +146,7 @@ def generate(spec: StreamSpec):
         for j in range(spec.classes_per_task):
             idx = np.arange(j * spec.samples_per_class, (j + 1) * spec.samples_per_class)
             rng.shuffle(idx)
-            cut = int(round(0.8 * spec.samples_per_class))
+            cut = n_train_per_class(spec.samples_per_class)
             train_idx.append(idx[:cut])
             test_idx.append(idx[cut:])
         train_idx = np.concatenate(train_idx)

@@ -97,8 +97,9 @@ class TrainConfig:
         for name in ("probe_samples", "space_samples", "pretrain_classes"):
             if getattr(self, name) < 1:
                 raise TrainerError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.pretrain_steps < 0:
-            raise TrainerError(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
+        for name in ("pretrain_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr", "pretrain_lr"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):

@@ -44,6 +44,15 @@ space_samples = 48
 """
 
 
+def config_with(section, key, value):
+    """CONFIG_TEXT with ``key = value`` set in ``[section]`` (replacing any
+    line for ``key`` there)."""
+    head, _, rest = CONFIG_TEXT.partition(f"[{section}]\n")
+    body, sep, tail = rest.partition("\n[")
+    body = re.sub(rf"^{key} = .*\n?", "", body, flags=re.M)
+    return f"{head}[{section}]\n{key} = {value}\n{body}{sep}{tail}"
+
+
 def trace_jsonl(trace, path):
     rows = [{"task": 1, "records": []}]
     for task, pairs in trace:
@@ -160,19 +169,37 @@ class TestRun:
         ("probe_samples", "0"), ("probe_samples", "-2"), ("space_samples", "0"),
         ("space_samples", "-2"), ("pretrain_classes", "0"), ("pretrain_steps", "-1"),
         ("lr", "-0.3"), ("lr", "0"), ("lr", "nan"), ("pretrain_lr", "inf"), ("pretrain_lr", "-0.05"),
+        ("seed", "-3"),
     ])
     def test_invalid_train_option_exits_1(self, tmp_path, capsys, key, value):
-        text = CONFIG_TEXT
-        line = f"{key} = {value}"
-        if re.search(rf"^{key} = ", text, flags=re.M):
-            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
-        else:
-            text = text.replace("[train]\n", f"[train]\n{line}\n")
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(text)
+        cfg.write_text(config_with("train", key, value))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error: invalid [train] config: " in err and key in err, err
+
+    @pytest.mark.parametrize("section, key, value", [
+        # the 80/20 split leaves 0 test rows below 3 samples per class
+        ("stream", "samples_per_class", "0"), ("stream", "samples_per_class", "1"),
+        ("stream", "samples_per_class", "2"), ("stream", "n_tasks", "0"),
+        ("stream", "classes_per_task", "0"), ("stream", "seed", "-5"), ("stream", "noise_scale", "nan"),
+        ("stream", "noise_scale", "-0.1"), ("stream", "mean_scale", "inf"),
+        ("encoder", "key_loss_weight", "nan"), ("encoder", "key_loss_weight", "-1"),
+        ("encoder", "mlp_ratio", "0"), ("encoder", "n_heads", "0"),
+        ("encoder", "prompt_len", "0"), ("encoder", "n_blocks", "0"),
+    ])
+    def test_invalid_stream_or_encoder_option_exits_1(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_with(section, key, value))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: invalid [{section}] config: " in err and key in err, err
+
+    def test_smallest_split_runs(self, tmp_path):
+        # 3 samples per class: 2 train rows and 1 test row each
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_with("stream", "samples_per_class", "3"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_zero_probe_gradient_exits_2_naming_task_and_set(self, tmp_path, capsys):
         # Too large to overflow, this rate saturates the head during task 0,
@@ -301,3 +328,13 @@ class TestCompare:
         a = tmp_path / "a.json"
         self.write_report(a)
         assert main(["compare", str(a), str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[1]", "{}", '{"metrics": 3}', '{"metrics": {"faa": "high"}}', "not json",
+    ])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, text):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.write_report(a)
+        b.write_text(text)
+        assert main(["compare", str(a), str(b)]) == 2
+        assert f"runtime error: bad report {b}: " in capsys.readouterr().err

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from growcl import encoder as encoder_module
 from growcl.autodiff import Tensor, concat, cross_entropy, layer_norm
 from growcl.encoder import (
     _BLOCK_WEIGHTS,
+    ROW_BLOCK,
     EncoderConfig,
     EncoderError,
     FrozenBackbone,
@@ -114,6 +118,66 @@ class TestForwardQuery:
         assert np.array_equal(reps["key"], q)
         _, preps = prompted_with_layers(backbone, pset, batch)
         assert list(preps) == ["block0", "block1", "key"]
+
+
+class TestRowBlocks:
+    """Forward-only passes run ``ROW_BLOCK`` rows at a time."""
+
+    @pytest.mark.parametrize("prompted", [False, True])
+    def test_blocked_pass_equals_one_shot_pass_bit_for_bit(self, monkeypatch, prompted):
+        rng = np.random.default_rng(11)
+        backbone = FrozenBackbone.init(CFG, rng)
+        prompts = None
+        if prompted:
+            pset = PromptSet.init(CFG, rng)
+            extra = rng.normal(0, 0.5, (CFG.n_prompted, 2, CFG.d_model))
+            prompts = _prompt_rows(CFG, pset.p, extra)
+        batch = rng.standard_normal((200, CFG.input_dim))
+        one_shot, one_shot_reps, _ = encode(backbone, batch, prompts, collect_layers=True,
+                                            return_backward=True)
+
+        rows_per_call = []
+        encode_rows = encoder_module._encode_rows
+
+        def spy(backbone, batch, *args, **kwargs):
+            rows_per_call.append(len(batch))
+            return encode_rows(backbone, batch, *args, **kwargs)
+        monkeypatch.setattr(encoder_module, "_encode_rows", spy)
+        feats, reps = encode(backbone, batch, prompts, collect_layers=True)
+
+        assert rows_per_call == [ROW_BLOCK] * (200 // ROW_BLOCK) + [200 % ROW_BLOCK]
+        assert feats.tobytes() == one_shot.tobytes()
+        assert list(reps) == list(one_shot_reps) == ["block0", "block1", "key"]
+        for name, rows in reps.items():
+            assert rows.shape == (200, CFG.d_model)
+            assert rows.tobytes() == one_shot_reps[name].tobytes(), name
+        assert not np.shares_memory(reps["key"], feats)
+
+    @pytest.mark.parametrize("pass_name", ["query_with_layers", "prompted_with_layers"])
+    def test_peak_memory_does_not_grow_with_rows(self, pass_name):
+        rng = np.random.default_rng(12)
+        backbone = FrozenBackbone.init(CFG, rng)
+        pset = PromptSet.init(CFG, rng)
+
+        def run(x):
+            if pass_name == "query_with_layers":
+                return query_with_layers(backbone, x)
+            return prompted_with_layers(backbone, pset, x)
+
+        def peak_and_output(n):
+            x = rng.standard_normal((n, CFG.input_dim))
+            run(x)  # warm up
+            tracemalloc.start()
+            try:
+                feats, reps = run(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, feats.nbytes + sum(rows.nbytes for rows in reps.values())
+
+        one_block, _ = peak_and_output(ROW_BLOCK)
+        many_blocks, out_bytes = peak_and_output(40 * ROW_BLOCK)
+        assert many_blocks < 2 * one_block + out_bytes, (many_blocks, one_block, out_bytes)
 
 
 def finite_difference_entry(build_loss, arr, idx, h=1e-4):

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -129,3 +130,97 @@ def test_attachments_roundtrip(tmp_path):
     assert back_sources == [0]
     np.testing.assert_allclose(back_frozen, frozen, atol=1e-7)
     assert engine.attachments[0][0] is None
+
+
+class BoundedFile:
+    """A snapshot file opened for reading whose ``read(n)`` fails for any
+    ``n`` larger than the whole file, so a read sized from a corrupt length
+    field fails the test before anything is allocated."""
+
+    def __init__(self, path, mode="rb"):
+        self.size = os.path.getsize(path)
+        self.fh = open(path, mode)
+
+    def read(self, n=-1):
+        if n > self.size:
+            raise AssertionError(f"read({n}) from a {self.size}-byte file")
+        return self.fh.read(n)
+
+    def seek(self, *args):
+        return self.fh.seek(*args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _field_offsets(raw):
+    """Byte offsets of the length fields: n_prompted, n_arrays, and the
+    first array's name length, name, ndim and first shape entry."""
+    n_prompted = 4 + 4 * 8
+    (count,) = struct.unpack("<I", raw[n_prompted:n_prompted + 4])
+    n_arrays = n_prompted + 4 * (1 + count + 3)
+    name_len = n_arrays + 4
+    (length,) = struct.unpack("<H", raw[name_len:name_len + 2])
+    ndim = name_len + 2 + length
+    return {"n_prompted": n_prompted, "n_arrays": n_arrays, "name": name_len + 2,
+            "ndim": ndim, "shape0": ndim + 4, "shape1": ndim + 8}
+
+
+@pytest.mark.parametrize("edit", ["trailing_bytes", "fewer_arrays"])
+def test_bytes_after_the_last_array_rejected(run, tmp_path, edit):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = bytearray(path.read_bytes())
+    if edit == "trailing_bytes":
+        raw += b"JUNKJUNK"
+    else:
+        at = _field_offsets(raw)["n_arrays"]
+        (count,) = struct.unpack("<I", raw[at:at + 4])
+        raw[at:at + 4] = struct.pack("<I", count - 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(snapshot.SnapshotError, match="after the last array"):
+        snapshot.load(path)
+
+
+def test_non_utf8_name_rejected(run, tmp_path):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = bytearray(path.read_bytes())
+    raw[_field_offsets(raw)["name"]] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(snapshot.SnapshotError, match="UTF-8"):
+        snapshot.load(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_prompted", 2**32 - 1), ("n_prompted", 2**28), ("n_arrays", 2**32 - 1),
+    ("ndim", 2**32 - 1), ("ndim", 2**30), ("shape0", 2**32 - 1), ("shape1", 2**31),
+])
+def test_corrupt_length_field_is_checked_before_reading(run, tmp_path, monkeypatch, field, value):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = bytearray(path.read_bytes())
+    at = _field_offsets(raw)[field]
+    raw[at:at + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(snapshot, "open", BoundedFile, raising=False)
+    with pytest.raises(snapshot.SnapshotError, match="truncated"):
+        snapshot.load(path)
+
+
+def test_bounded_file_loads_an_intact_snapshot(run, tmp_path, monkeypatch):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    expected = snapshot.load(path)
+    monkeypatch.setattr(snapshot, "open", BoundedFile, raising=False)
+    loaded = snapshot.load(path)
+    assert loaded["array_order"] == expected["array_order"]
+    for name, arr in expected["arrays"].items():
+        assert np.array_equal(loaded["arrays"][name], arr)
