@@ -28,7 +28,7 @@ def main():
     spec = StreamSpec(n_tasks=4, classes_per_task=3, dim=48, samples_per_class=100,
                       seed=3, noise_scale=0.12, mean_scale=3.5)
     data = generate(spec)
-    engine = Engine(enc, cfg, spec.n_classes)
+    engine = Engine.fresh(enc, cfg, spec.n_classes)
     matrix = AccuracyMatrix(spec.n_tasks)
     for t in range(spec.n_tasks):
         report = engine.train_task(t, data[t])

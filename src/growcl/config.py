@@ -3,13 +3,12 @@
 Three sections, all optional keys falling back to dataclass defaults:
 
     [stream]   task stream shape (n_tasks, classes_per_task, dim,
-               similarity, samples_per_class, seed, noise/mean scales)
+               similarity, samples_per_class, seed, noise_scale, mean_scale)
     [encoder]  frozen encoder shape (d_model, n_blocks, n_heads, prompt_len,
                prompted_blocks, input_dim, n_feature_tokens, mlp_ratio,
                key_loss_weight); its weights draw from the [train] seed
     [train]    eps_task, eps_pre, phi, n_fft, epochs, batch_size, lr, seed,
-               mode, probe_samples, space_samples, pretrain_steps,
-               pretrain_classes, pretrain_lr
+               mode, probe_samples, space_samples, pretrain_steps
 
 Unknown keys or sections are rejected so typos fail loudly.
 """
@@ -40,13 +39,6 @@ def _coerce(value: str, target_type, key: str):
         parts = [p.strip() for p in value.split(",") if p.strip()]
         caster = int if key == "prompted_blocks" else float
         return tuple(caster(p) for p in parts)
-    if target_type is bool:
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {value!r}")
     if target_type is int:
         return int(value)
     if target_type is float:

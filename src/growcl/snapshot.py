@@ -186,25 +186,23 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
         raise SnapshotError("encoder config mismatch on prompted_blocks")
 
     arrays = snap["arrays"]
-    engine = object.__new__(Engine)
-    engine.enc_cfg = enc_cfg
-    engine.cfg = train_cfg
-    engine.rng = np.random.default_rng(np.random.SeedSequence(train_cfg.seed))
-    backbone = FrozenBackbone(enc_cfg, {})
+
+    def array(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise SnapshotError(f"missing array {name}")
+        return arrays[name]
+
+    backbone = FrozenBackbone(enc_cfg)
     for name in backbone.names():
-        backbone.weights[name] = arrays[f"backbone.{name}"]
-    engine.backbone = backbone
-    engine.head = Head(arrays["head.w"], arrays["head.b"])
-    engine.pool = PromptPool()
-    engine.attachments = {}
+        backbone.weights[name] = array(f"backbone.{name}")
+    sets, assignments, attachments = [], {}, {}
     sid = 0
-    while f"set{sid}.p" in arrays:
-        pset = PromptSet(arrays[f"set{sid}.p"], arrays[f"set{sid}.k"], sid)
-        engine.pool.sets.append(pset)
-        engine.pool.assignments[sid] = [int(t) for t in arrays[f"set{sid}.tasks"]]
-        frozen = arrays[f"set{sid}.attached"]
-        sources = [int(v) for v in arrays[f"set{sid}.attached_ids"]]
-        engine.attachments[sid] = (frozen if frozen.shape[1] else None, sources)
+    while any(name.startswith(f"set{sid}.") for name in arrays):
+        sets.append(PromptSet(array(f"set{sid}.p"), array(f"set{sid}.k"), sid))
+        assignments[sid] = [int(t) for t in array(f"set{sid}.tasks")]
+        frozen = array(f"set{sid}.attached")
+        sources = [int(v) for v in array(f"set{sid}.attached_ids")]
+        attachments[sid] = (frozen if frozen.shape[1] else None, sources)
         sid += 1
     memory = SubspaceMemory()
     for name in snap["array_order"]:
@@ -213,16 +211,15 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
             store = memory.old_spaces if kind == "old" else memory.pre_spaces
             # float32 storage drifts orthonormality past tolerance; clean it
             store.setdefault(int(owner), {})[seg] = orthonormalized(arrays[name], label=name)
-    engine.memory = memory
-    engine.seen_classes = [int(c) for c in arrays["seen_classes"]]
-    engine.tasks_done = snap["tasks_done"]
-    engine.reports = []
-    engine.test_queries = {}
-    engine.test_features = {}
+    engine = Engine(
+        enc_cfg, train_cfg, np.random.default_rng(np.random.SeedSequence(train_cfg.seed)),
+        backbone, Head(array("head.w"), array("head.b")), PromptPool(sets, assignments), memory,
+        attachments, [int(c) for c in array("seen_classes")], snap["tasks_done"],
+    )
 
     matrix = AccuracyMatrix(snap["n_tasks"])
-    matrix.a = np.where(arrays["matrix.a"] < 0, np.nan, arrays["matrix.a"])
-    matrix.a_oracle = np.where(arrays["matrix.a_oracle"] < 0, np.nan, arrays["matrix.a_oracle"])
-    matrix.retrieval_hits = arrays["matrix.hits"].astype(int)
-    matrix.retrieval_totals = arrays["matrix.totals"].astype(int)
+    matrix.a = np.where(array("matrix.a") < 0, np.nan, array("matrix.a"))
+    matrix.a_oracle = np.where(array("matrix.a_oracle") < 0, np.nan, array("matrix.a_oracle"))
+    matrix.retrieval_hits = array("matrix.hits").astype(int)
+    matrix.retrieval_totals = array("matrix.totals").astype(int)
     return engine, matrix

@@ -17,6 +17,10 @@ import numpy as np
 
 # Each class's samples split 80/20 into train and test rows.
 TRAIN_FRACTION = 0.8
+# A similar task's frame: its source frame turned by ROTATION_JITTER_DEG in a
+# random plane, plus Gaussian noise of scale SHIFT_FRACTION on every entry.
+ROTATION_JITTER_DEG = 10.0
+SHIFT_FRACTION = 0.05
 
 
 class StreamError(ValueError):
@@ -38,8 +42,6 @@ class StreamSpec:
     seed: int = 0
     noise_scale: float = 0.35
     mean_scale: float = 2.0
-    rotation_jitter_deg: float = 10.0
-    shift_fraction: float = 0.05
 
     def __post_init__(self):
         for name in ("n_tasks", "classes_per_task", "dim"):
@@ -57,9 +59,6 @@ class StreamSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise StreamError(f"{name} must be finite and >= 0, got {v}")
-        for name in ("rotation_jitter_deg", "shift_fraction"):
-            if not math.isfinite(getattr(self, name)):
-                raise StreamError(f"{name} must be finite, got {getattr(self, name)}")
         sched = tuple(self.similarity_schedule) or tuple(0.0 for _ in range(self.n_tasks))
         if len(sched) != self.n_tasks:
             raise StreamError(f"schedule length {len(sched)} != n_tasks {self.n_tasks}")
@@ -122,8 +121,8 @@ def generate(spec: StreamSpec):
         fresh = _random_frame(rng, spec.dim, spec.classes_per_task)
         if sim > 0.0 and frames:
             source = frames[int(rng.integers(0, t))]
-            jittered = _rotate_in_random_plane(rng, source, np.radians(spec.rotation_jitter_deg))
-            shift = spec.shift_fraction * rng.standard_normal(jittered.shape)
+            jittered = _rotate_in_random_plane(rng, source, np.radians(ROTATION_JITTER_DEG))
+            shift = SHIFT_FRACTION * rng.standard_normal(jittered.shape)
             derived = jittered + shift
             blended = sim * derived + (1.0 - sim) * fresh
             frame = blended / np.linalg.norm(blended, axis=0, keepdims=True)

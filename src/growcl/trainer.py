@@ -1,14 +1,19 @@
 """Per-task orchestration: probe, decide, train under constraints, store spaces.
 
 One engine owns a frozen backbone, the unified head, the prompt pool, the
-subspace memory and the accuracy matrix. For each task it (1) probes every
-pool set and decides grow-or-reuse (first task always grows; the
-``grow_always`` and ``single_set`` modes bypass the decision), (2) trains the
-chosen set with the soft pre-trained-knowledge constraint and, on reuse, the
-orthogonal-to-old-space condition, optionally with frozen transfer prompts
-joined behind the active ones in each block's attention prefix, and (3) builds
-or extends the set's stored feature space and caches the task's pre-trained
-space.
+subspace memory and the frozen transfer attachments; its constructor takes
+exactly that state. ``Engine.fresh`` starts a run: it seeds the RNG, draws
+the backbone, pretrains it on a ``PRETRAIN_CLASSES``-class synthetic task at
+step size ``PRETRAIN_LR`` and draws the head. ``snapshot.restore_engine``
+calls the same constructor with the state read from a file.
+
+For each task the engine (1) probes every pool set and decides grow-or-reuse
+(first task always grows; the ``grow_always`` and ``single_set`` modes bypass
+the decision), (2) trains the chosen set with the soft pre-trained-knowledge
+constraint and, on reuse, the orthogonal-to-old-space condition, optionally
+with frozen transfer prompts joined behind the active ones in each block's
+attention prefix, and (3) builds or extends the set's stored feature space and
+caches the task's pre-trained space.
 
 Every per-segment quantity follows the encoder's segment map (``block{b}``
 per prompted block, then ``key``): layer reps become stored spaces under
@@ -80,8 +85,6 @@ class TrainConfig:
     probe_samples: int = 256
     space_samples: int = 512
     pretrain_steps: int = 120
-    pretrain_classes: int = 8
-    pretrain_lr: float = 0.05
 
     def __post_init__(self):
         for name in ("eps_task", "eps_pre"):
@@ -94,16 +97,14 @@ class TrainConfig:
             raise TrainerError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_fft < 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainerError("n_fft >= 0, epochs >= 1, batch_size >= 1 required")
-        for name in ("probe_samples", "space_samples", "pretrain_classes"):
+        for name in ("probe_samples", "space_samples"):
             if getattr(self, name) < 1:
                 raise TrainerError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("pretrain_steps", "seed"):
             if getattr(self, name) < 0:
                 raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("lr", "pretrain_lr"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise TrainerError(f"{name} must be finite and > 0, got {v}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise TrainerError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -125,49 +126,56 @@ class TaskReport:
     attached_sets: list
 
 
+# Backbone pretraining runs on a one-task synthetic stream of PRETRAIN_CLASSES
+# classes, stepped at PRETRAIN_LR for ``TrainConfig.pretrain_steps`` steps.
+PRETRAIN_CLASSES = 8
+PRETRAIN_LR = 0.05
+
+
 class Engine:
     """A single continual run over an ordered task stream."""
 
-    def __init__(self, enc_cfg: EncoderConfig, cfg: TrainConfig, n_classes: int):
+    def __init__(self, enc_cfg: EncoderConfig, cfg: TrainConfig, rng: np.random.Generator,
+                 backbone: FrozenBackbone, head: Head, pool: PromptPool, memory: SubspaceMemory,
+                 attachments: dict, seen_classes: list, tasks_done: int):
         self.enc_cfg = enc_cfg
         self.cfg = cfg
-        self.rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        self.backbone = FrozenBackbone.init(enc_cfg, self.rng)
-        if cfg.pretrain_steps > 0:
-            self._pretrain()
-        self.head = Head.init(enc_cfg.d_model, n_classes, self.rng)
-        self.pool = PromptPool()
-        self.memory = SubspaceMemory()
-        self.attachments = {}  # set id -> (frozen tokens or None, [source set ids])
-        self.seen_classes = []
-        self.tasks_done = 0
+        self.rng = rng
+        self.backbone = backbone
+        self.head = head
+        self.pool = pool
+        self.memory = memory
+        self.attachments = attachments  # set id -> (frozen tokens or None, [source set ids])
+        self.seen_classes = seen_classes
+        self.tasks_done = tasks_done
         self.reports = []
         self.test_queries = {}  # task index -> (x_test, its promptless features)
         self.test_features = {}  # (set id, task index) -> (x_test, its features under the set)
 
-    # -- setup -----------------------------------------------------------------
-
-    def _pretrain(self):
-        spec = StreamSpec(
-            n_tasks=1,
-            classes_per_task=self.cfg.pretrain_classes,
-            dim=self.enc_cfg.input_dim,
-            samples_per_class=40,
-            seed=int(self.rng.integers(0, 2**31)),
-        )
-        pre = generate(spec)[0]
-        try:
-            pretrain_backbone(
-                self.backbone,
-                pre.x_train,
-                pre.y_train,
-                steps=self.cfg.pretrain_steps,
-                lr=self.cfg.pretrain_lr,
-                batch_size=self.cfg.batch_size,
-                rng=self.rng,
+    @classmethod
+    def fresh(cls, enc_cfg: EncoderConfig, cfg: TrainConfig, n_classes: int) -> "Engine":
+        """A new run's engine: seed the RNG from ``cfg.seed``, draw and
+        pretrain the backbone, then draw the head over ``n_classes``."""
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        backbone = FrozenBackbone.init(enc_cfg, rng)
+        if cfg.pretrain_steps > 0:
+            spec = StreamSpec(
+                n_tasks=1,
+                classes_per_task=PRETRAIN_CLASSES,
+                dim=enc_cfg.input_dim,
+                samples_per_class=40,
+                seed=int(rng.integers(0, 2**31)),
             )
-        except NonFiniteError as exc:
-            raise TrainerError(f"pretraining, {exc}") from exc
+            pre = generate(spec)[0]
+            try:
+                pretrain_backbone(
+                    backbone, pre.x_train, pre.y_train, steps=cfg.pretrain_steps,
+                    lr=PRETRAIN_LR, batch_size=cfg.batch_size, rng=rng,
+                )
+            except NonFiniteError as exc:
+                raise TrainerError(f"pretraining, {exc}") from exc
+        head = Head.init(enc_cfg.d_model, n_classes, rng)
+        return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(), {}, [], 0)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -252,7 +260,8 @@ class Engine:
             self.pool.assign_task(sid, task_id)
             pset = self.pool.sets[sid]
         # the set's prompts and attachments change below
-        self.test_features = {key: v for key, v in self.test_features.items() if key[0] != sid}
+        for key in [key for key in self.test_features if key[0] == sid]:
+            del self.test_features[key]
 
         attached = self._attach_transfer_prompts(sid, probe, probe_grads)
         extra = self._extra_for(sid)
@@ -406,7 +415,7 @@ def run_stream(enc_cfg: EncoderConfig, cfg: TrainConfig, datasets, n_classes: in
     """Train every task in order, evaluating all seen tasks after each one."""
     if n_classes is None:
         n_classes = max(int(c) for ds in datasets for c in ds.class_ids) + 1
-    engine = Engine(enc_cfg, cfg, n_classes)
+    engine = Engine.fresh(enc_cfg, cfg, n_classes)
     matrix = AccuracyMatrix(len(datasets))
     for t, ds in enumerate(datasets):
         engine.train_task(t, ds)

@@ -123,7 +123,7 @@ def test_criterion_04_no_forgetting_drift():
     spec = StreamSpec(n_tasks=4, classes_per_task=3, dim=48, samples_per_class=100,
                       seed=3, noise_scale=0.12, mean_scale=3.5)
     data = generate(spec)
-    eng = Engine(NOFORGET_ENC, NOFORGET_CFG, spec.n_classes)
+    eng = Engine.fresh(NOFORGET_ENC, NOFORGET_CFG, spec.n_classes)
     matrix = AccuracyMatrix(4)
     for t in range(4):
         report = eng.train_task(t, data[t])
@@ -146,7 +146,7 @@ def test_criterion_05_soft_constraint_behavior():
                       probe_samples=32, space_samples=48)
     data = generate(StreamSpec(n_tasks=1, classes_per_task=3, dim=24,
                                samples_per_class=40, seed=9))
-    eng = Engine(enc, cfg, 3)
+    eng = Engine.fresh(enc, cfg, 3)
     eng.train_task(0, data[0])
     pre_spaces = eng.memory.pre_spaces[0]
 
@@ -216,7 +216,7 @@ def test_criterion_06_gradient_correctness_and_frozen_transfer():
                       probe_samples=24, space_samples=32, mode="grow_always")
     data = generate(StreamSpec(n_tasks=2, classes_per_task=2, dim=12,
                                samples_per_class=30, seed=21))
-    eng = Engine(enc, cfg, 4)
+    eng = Engine.fresh(enc, cfg, 4)
     eng.train_task(0, data[0])
     source_before = eng.pool.sets[0].p.copy()
     eng.train_task(1, data[1])

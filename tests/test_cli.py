@@ -1,11 +1,14 @@
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from growcl import trainer
 from growcl.cli import main, replay_rows
-from growcl.config import ConfigError, parse_config
+from growcl.config import _ALIASES, _SECTIONS, ConfigError, parse_config
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
     SIX_SETS_FINAL_POOL,
@@ -81,15 +84,29 @@ class TestConfigParsing:
         assert enc.d_model == 32
 
     def test_unknown_key_rejected(self, tmp_path):
-        # bogus keys, and the removed fft_literal_angle / space_from / key_loss / encoder seed
+        # bogus keys, and the removed fft_literal_angle / space_from / key_loss / encoder seed /
+        # pretrain_classes / pretrain_lr / rotation_jitter_deg / shift_fraction
         for section, line in (("train", "bogus = 1"), ("train", "fft_literal_angle = 0"),
                               ("train", "space_from = prompted"), ("encoder", "key_loss = cosine"),
-                              ("encoder", "seed = 99")):
+                              ("encoder", "seed = 99"), ("train", "pretrain_classes = 8"),
+                              ("train", "pretrain_lr = 0.05"), ("stream", "rotation_jitter_deg = 10"),
+                              ("stream", "shift_fraction = 0.05")):
             with pytest.raises(ConfigError):
                 parse_config(f"[{section}]\n{line}\n")
             path = tmp_path / "exp.cfg"
             path.write_text(CONFIG_TEXT.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_readme_lists_every_config_field(self):
+        # each section's bullet under "## Config format" names its keys in
+        # backticks; parenthesised notes (allowed values, limits) name none
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+        for name, cls in _SECTIONS.items():
+            bullet = re.search(rf"^- `\[{name}\]`:(.*?)(?=^- |^$)", section, re.M | re.S).group(1)
+            listed = set(re.findall(r"`([a-z_]+)`", re.sub(r"\([^()]*\)", "", bullet)))
+            key_of = {f: key for key, f in _ALIASES.get(name, {}).items()}
+            assert listed == {key_of.get(f.name, f.name) for f in fields(cls)}, name
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,9 +173,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert "runtime error: task 0, epoch 0, set 0: non-finite" in err
 
-    def test_non_finite_pretraining_exits_2_naming_the_step(self, tmp_path, capsys):
+    def test_non_finite_pretraining_exits_2_naming_the_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "PRETRAIN_LR", 1e6)
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(CONFIG_TEXT.replace("[train]\n", "[train]\npretrain_lr = 1e6\n"))
+        cfg.write_text(CONFIG_TEXT)
         with np.errstate(all="ignore"):
             rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -167,9 +185,8 @@ class TestRun:
 
     @pytest.mark.parametrize("key, value", [
         ("probe_samples", "0"), ("probe_samples", "-2"), ("space_samples", "0"),
-        ("space_samples", "-2"), ("pretrain_classes", "0"), ("pretrain_steps", "-1"),
-        ("lr", "-0.3"), ("lr", "0"), ("lr", "nan"), ("pretrain_lr", "inf"), ("pretrain_lr", "-0.05"),
-        ("seed", "-3"),
+        ("space_samples", "-2"), ("pretrain_steps", "-1"), ("lr", "-0.3"), ("lr", "0"),
+        ("lr", "nan"), ("seed", "-3"),
     ])
     def test_invalid_train_option_exits_1(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "exp.cfg"

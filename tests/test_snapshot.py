@@ -8,7 +8,7 @@ from growcl import snapshot
 from growcl.encoder import EncoderConfig, forward_prompted, forward_query
 from growcl.metrics import AccuracyMatrix
 from growcl.stream import StreamSpec, generate
-from growcl.trainer import TrainConfig, run_stream
+from growcl.trainer import Engine, TrainConfig, run_stream
 
 ENC = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=(0, 1),
                     input_dim=24, n_feature_tokens=3)
@@ -102,6 +102,30 @@ def test_restored_engine_can_continue(tmp_path):
     report = engine.train_task(2, more[2])
     assert engine.tasks_done == 3
     assert report.task == 2
+
+
+@pytest.mark.parametrize("name", ["backbone.embed_w", "set0.p", "set0.k", "seen_classes"])
+def test_missing_array_rejected(run, tmp_path, name):
+    # renamed in place: the container still loads, the engine lacks the array
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = path.read_bytes()
+    old = name.encode()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, old[:-1] + b"x"))
+    snap = snapshot.load(path)
+    with pytest.raises(snapshot.SnapshotError, match=f"missing array {name}$"):
+        snapshot.restore_engine(snap, ENC, CFG)
+
+
+def test_restored_engine_has_the_attributes_of_a_fresh_one(run, tmp_path):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    engine, _ = snapshot.restore_engine(snapshot.load(path), ENC, CFG)
+    fresh = Engine.fresh(ENC, CFG, res.engine.head.n_classes)
+    assert sorted(vars(engine)) == sorted(vars(fresh))
 
 
 def test_config_mismatch_rejected(run, tmp_path):

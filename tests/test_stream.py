@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from growcl.stream import StreamSpec, StreamError, dump_csv, generate
+from growcl.stream import ROTATION_JITTER_DEG, SHIFT_FRACTION, StreamSpec, StreamError, dump_csv, generate
 
 
 def spec(**kw):
@@ -70,7 +70,7 @@ class TestGenerate:
         t1, t2 = generate(s)
         # Each derived class direction stays within the rotation jitter plus
         # the small mean-shift allowance of its source direction.
-        bound = np.radians(s.rotation_jitter_deg) + np.arcsin(min(1.0, 4 * s.shift_fraction)) + 0.05
+        bound = np.radians(ROTATION_JITTER_DEG) + np.arcsin(min(1.0, 4 * SHIFT_FRACTION)) + 0.05
         for j in range(s.classes_per_task):
             cos = float(t1.frame[:, j] @ t2.frame[:, j])
             assert np.arccos(np.clip(cos, -1, 1)) <= bound

@@ -84,13 +84,13 @@ class TestModes:
 class TestTaskContracts:
     def test_out_of_order_rejected(self):
         data = small_stream(2)
-        eng = Engine(ENC, quick_cfg(), 4)
+        eng = Engine.fresh(ENC, quick_cfg(), 4)
         with pytest.raises(TrainerError):
             eng.train_task(1, data[1])
 
     def test_class_overlap_rejected(self):
         data = small_stream(2)
-        eng = Engine(ENC, quick_cfg(), 4)
+        eng = Engine.fresh(ENC, quick_cfg(), 4)
         eng.train_task(0, data[0])
         with pytest.raises(TrainerError):
             eng.train_task(1, data[0].__class__(
@@ -101,7 +101,7 @@ class TestTaskContracts:
 
     def test_pre_space_stored_per_task(self):
         data = small_stream(2)
-        eng = Engine(ENC, quick_cfg(), 4)
+        eng = Engine.fresh(ENC, quick_cfg(), 4)
         eng.train_task(0, data[0])
         eng.train_task(1, data[1])
         assert set(eng.memory.pre_spaces) == {0, 1}
@@ -109,7 +109,7 @@ class TestTaskContracts:
 
     def test_old_space_exists_after_first_task(self):
         data = small_stream(1)
-        eng = Engine(ENC, quick_cfg(), 2)
+        eng = Engine.fresh(ENC, quick_cfg(), 2)
         eng.train_task(0, data[0])
         assert 0 in eng.memory.old_spaces
 
@@ -122,7 +122,7 @@ class TestTwinTaskReuse:
         # engine's own decision.
         data = small_stream(2, similarity=(0.0, 1.0), seed=11, spc=40)
         cfg = quick_cfg(mode="lw2g", eps_task=0.95, eps_pre=0.95)
-        eng = Engine(ENC, cfg, 4)
+        eng = Engine.fresh(ENC, cfg, 4)
         eng.train_task(0, data[0])
 
         ds = data[1]
@@ -156,7 +156,7 @@ class TestProbeCount:
 
         monkeypatch.setattr(GradientProbe, "gradient", counted)
         data = small_stream(3, similarity=(0, 0, 1))
-        eng = Engine(ENC, quick_cfg(mode="lw2g"), 6)
+        eng = Engine.fresh(ENC, quick_cfg(mode="lw2g"), 6)
         for t, ds in enumerate(data):
             pool_before = [p.id for p in eng.pool.sets]
             calls.clear()
@@ -171,7 +171,7 @@ class TestSegmentMap:
     def test_reps_gradient_and_spaces_list_the_same_names(self, blocks):
         enc = dataclasses.replace(ENC, prompted_blocks=blocks)
         ds = small_stream(1)[0]
-        eng = Engine(enc, quick_cfg(), 2)
+        eng = Engine.fresh(enc, quick_cfg(), 2)
         sid = eng.train_task(0, ds).set_id
         pset = eng.pool.sets[sid]
         x, y = ds.x_train[:8], ds.y_train[:8]
@@ -194,7 +194,7 @@ class TestOrthogonalStep:
         return GradientVector(np.full(GRAD_SIZE, float(fill)), ENC)
 
     def test_gradient_inside_span_no_update(self):
-        eng = Engine(ENC, quick_cfg(pretrain_steps=0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), 2)
         pset = PromptSet.init(ENC, np.random.default_rng(0), 0)
         before_p, before_k = pset.p.copy(), pset.k.copy()
         spaces = {name: Basis(np.eye(ENC.d_model)) for name in ("block0", "block1", "key")}
@@ -203,7 +203,7 @@ class TestOrthogonalStep:
         np.testing.assert_allclose(pset.k, before_k, atol=1e-12)
 
     def test_no_space_is_plain_sgd(self):
-        eng = Engine(ENC, quick_cfg(pretrain_steps=0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), 2)
         pset = PromptSet.init(ENC, np.random.default_rng(0), 0)
         before = pset.p.copy()
         eng.orthogonal_step(pset, self.layout_gradient(1.0), None, lr=0.5)
@@ -211,7 +211,7 @@ class TestOrthogonalStep:
 
     def test_accumulated_drift_stays_orthogonal(self):
         rng = np.random.default_rng(4)
-        eng = Engine(ENC, quick_cfg(pretrain_steps=0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), 2)
         pset = PromptSet.init(ENC, rng, 0)
         q, _ = np.linalg.qr(rng.standard_normal((ENC.d_model, 5)))
         spaces = {name: Basis(q) for name in ("block0", "block1", "key")}
@@ -227,7 +227,7 @@ class TestOrthogonalStep:
 class TestFinalizeSpace:
     def test_eps_one_captures_full_rank(self):
         data = small_stream(1, spc=40)
-        eng = Engine(ENC, quick_cfg(eps_task=1.0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(eps_task=1.0), 2)
         eng.train_task(0, data[0])
         # the representation sample has many more generic rows than d, so
         # eps=1 requires every direction
@@ -236,7 +236,7 @@ class TestFinalizeSpace:
 
     def test_basis_columns_non_decreasing_over_reuses(self):
         data = small_stream(3)
-        eng = Engine(ENC, quick_cfg(mode="single_set"), 6)
+        eng = Engine.fresh(ENC, quick_cfg(mode="single_set"), 6)
         ranks = []
         for t in range(3):
             eng.train_task(t, data[t])
@@ -250,7 +250,7 @@ class TestFinalizeSpace:
         # directions only if new energy appeared. With identical data and an
         # eps met by the stored span the basis must not grow.
         data = small_stream(1, spc=40)
-        eng = Engine(ENC, quick_cfg(eps_task=0.9), 4)
+        eng = Engine.fresh(ENC, quick_cfg(eps_task=0.9), 4)
         eng.train_task(0, data[0])
         before = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         eng.cfg = quick_cfg(eps_task=0.5)  # easily satisfied by existing span
@@ -274,7 +274,7 @@ class TestNoForgetting:
         # As one set's stored span only gains columns, a frozen reference
         # gradient's survival under the orthogonal condition can only shrink.
         data = small_stream(3)
-        eng = Engine(ENC, quick_cfg(mode="single_set"), 6)
+        eng = Engine.fresh(ENC, quick_cfg(mode="single_set"), 6)
         g_ref = GradientVector(np.random.default_rng(8).standard_normal(GRAD_SIZE), ENC)
         angles = []
         for t in range(3):
@@ -394,7 +394,7 @@ class TestEvaluation:
             return original(backbone, batch, prompts, *args, **kwargs)
 
         data = small_stream(2)
-        eng = Engine(ENC, quick_cfg(), 4)  # pretraining passes are not counted
+        eng = Engine.fresh(ENC, quick_cfg(), 4)  # pretraining passes are not counted
         monkeypatch.setattr(growcl.encoder, "encode", counted)
         for t, ds in enumerate(data):
             passes.clear()
