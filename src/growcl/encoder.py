@@ -26,10 +26,13 @@ alone.
 A forward-only pass (no backward wanted: queries, features for evaluation,
 the reps of stored and pre-trained spaces) runs ``ROW_BLOCK`` rows at a time
 and writes each block's features and reps into preallocated outputs in row
-order. Rows never interact, so the results equal a one-shot pass bit for
-bit, and the pass's peak memory is one block's intermediates plus the
-outputs, whatever the number of rows. A pass that keeps a backward runs its
-rows in one shot, since the backward needs every row's intermediates.
+order. Rows never interact, and a one-row pass embeds its row as two
+copies (numpy's one-row product rounds differently from its many-row one),
+so a row's features are the same bits whatever rows share its pass: the
+results equal a one-shot pass bit for bit, and the pass's peak memory is one
+block's intermediates plus the outputs, whatever the number of rows. A pass
+that keeps a backward runs its rows in one shot, since the backward needs
+every row's intermediates.
 
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
@@ -398,7 +401,11 @@ def _encode_rows(
     w = backbone.weights
     tok = np.empty((n, cfg.n_feature_tokens + 1, d))
     tok[:, 0] = w["cls"]
-    tok[:, 1:] = (batch @ w["embed_w"] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
+    # numpy computes a one-row product with gemv, which rounds differently
+    # from gemm: a lone row is embedded as two copies, so a row's features
+    # never depend on the rows that share its pass
+    rows = batch if n > 1 else np.repeat(batch, 2, axis=0)
+    tok[:, 1:] = ((rows @ w["embed_w"])[:n] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
     blocks = []
     for i in range(cfg.n_blocks):
         # Only the class token is read after the last block.

@@ -172,7 +172,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
 
     The encoder config must structurally match the snapshot header.
     """
-    from growcl.encoder import FrozenBackbone, Head, PromptSet
+    from growcl.encoder import FrozenBackbone, Head, PromptSet, segment_map
     from growcl.metrics import AccuracyMatrix
     from growcl.pool import PromptPool
     from growcl.subspace import orthonormalized
@@ -204,13 +204,18 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
         sources = [int(v) for v in array(f"set{sid}.attached_ids")]
         attachments[sid] = (frozen if frozen.shape[1] else None, sources)
         sid += 1
+    # every restored set has a stored space and every finished task a
+    # pre-trained one, with one basis per segment of the encoder
     memory = SubspaceMemory()
-    for name in snap["array_order"]:
-        if name.startswith("old.") or name.startswith("pre."):
-            kind, owner, seg = name.split(".", 2)
-            store = memory.old_spaces if kind == "old" else memory.pre_spaces
-            # float32 storage drifts orthonormality past tolerance; clean it
-            store.setdefault(int(owner), {})[seg] = orthonormalized(arrays[name], label=name)
+    segments = list(segment_map(enc_cfg, range(enc_cfg.n_prompted), None))
+    for kind, store, owners in (("old", memory.old_spaces, range(len(sets))),
+                                ("pre", memory.pre_spaces, range(snap["tasks_done"]))):
+        for owner in owners:
+            spaces = store[owner] = {}
+            for seg in segments:
+                name = f"{kind}.{owner}.{seg}"
+                # float32 storage drifts orthonormality past tolerance; clean it
+                spaces[seg] = orthonormalized(array(name), label=name)
     engine = Engine(
         enc_cfg, train_cfg, np.random.default_rng(np.random.SeedSequence(train_cfg.seed)),
         backbone, Head(array("head.w"), array("head.b")), PromptPool(sets, assignments), memory,

@@ -150,7 +150,10 @@ class Engine:
         self.tasks_done = tasks_done
         self.reports = []
         self.test_queries = {}  # task index -> (x_test, its promptless features)
-        self.test_features = {}  # (set id, task index) -> (x_test, its features under the set)
+        # (set id, task index) -> (x_test, where, feats): test row r has not
+        # been encoded under the set while where[r] < 0; then its features are
+        # feats[where[r]]
+        self.test_features = {}
 
     @classmethod
     def fresh(cls, enc_cfg: EncoderConfig, cfg: TrainConfig, n_classes: int) -> "Engine":
@@ -363,7 +366,9 @@ class Engine:
         The main grid follows the class-incremental protocol: retrieval picks
         the set, logits range over every class seen so far. The oracle grid is
         the task-identity upper bound: ground-truth set and logits restricted
-        to the task's own classes.
+        to the task's own classes. A test row is encoded only under the sets
+        that read it (the one retrieval picks, and the task's own set for the
+        oracle), once per set until ``train_task`` trains that set again.
         """
         seen = [c for t in range(after_task + 1) for c in datasets[t].class_ids]
         for i in range(after_task + 1):
@@ -376,25 +381,37 @@ class Engine:
             retrieved = self.pool.retrieve_batch(q)
             true_sid = self.pool.set_for_task(i)
             hits = int(np.sum(retrieved == true_sid))
-            acc = self._accuracy(i, ds, retrieved, seen)
+            # the oracle reads every row under the task's own set, so it goes
+            # first: one encoder call covers the rows the main grid reads there
             oracle = self._accuracy(i, ds, np.full(len(ds.y_test), true_sid), ds.class_ids)
+            acc = self._accuracy(i, ds, retrieved, seen)
             matrix.record(i, after_task, acc, oracle, hits, len(ds.y_test))
 
-    def _test_features(self, sid: int, task: int, x_test: np.ndarray) -> np.ndarray:
-        """Features of task ``task``'s test set under set ``sid``, encoded once
-        until ``train_task`` trains that set again."""
+    def _test_features(self, sid: int, task: int, x_test: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Features of rows ``rows`` of task ``task``'s test set under set
+        ``sid``. Only rows not encoded before are encoded, in one call; the
+        cache keeps the features of every encoded row until ``train_task``
+        trains the set again."""
         cached = self.test_features.get((sid, task))
         if cached is None or cached[0] is not x_test:
-            feats = prompted_features(self.backbone, self.pool.sets[sid], x_test, self._extra_for(sid))
-            cached = self.test_features[(sid, task)] = (x_test, feats)
-        return cached[1]
+            cached = (x_test, np.full(len(x_test), -1), np.empty((0, self.enc_cfg.d_model)))
+        _, where, feats = cached
+        missing = rows[where[rows] < 0]
+        if len(missing):
+            new = prompted_features(self.backbone, self.pool.sets[sid], x_test[missing], self._extra_for(sid))
+            where[missing] = np.arange(len(feats), len(feats) + len(missing))
+            feats = np.concatenate([feats, new])
+        self.test_features[(sid, task)] = (x_test, where, feats)
+        return feats[where[rows]]
 
     def _accuracy(self, task: int, ds, set_ids: np.ndarray, seen_classes) -> float:
         bias = class_mask_bias(self.head.n_classes, seen_classes)
         correct = 0
-        for sid in np.unique(set_ids):
+        # sorted(set(...)), not np.unique: np.unique imports numpy.ma (numpy
+        # >= 2), which nothing else in a run loads
+        for sid in sorted(set(set_ids.tolist())):
             rows = np.flatnonzero(set_ids == sid)
-            feats = self._test_features(int(sid), task, ds.x_test)[rows]
+            feats = self._test_features(sid, task, ds.x_test, rows)
             logits = feats @ self.head.w + self.head.b + bias
             correct += int(np.sum(logits.argmax(axis=1) == ds.y_test[rows]))
         return correct / len(ds.y_test)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -146,6 +149,26 @@ class TestRun:
         assert report["metrics"]["ssp"] == 2  # grow_always: one set per task
         assert report["config"]["train"]["mode"] == "grow_always"
         assert report["config"]["train"]["seed"] == 9
+
+    def test_run_does_not_load_numpy_ma(self, tmp_path):
+        # numpy.ma adds about 0.6 MB of resident memory that no part of a run
+        # needs; np.unique, for one, imports it lazily on numpy >= 2. A fresh
+        # interpreter, since this one may have loaded it already.
+        root = Path(__file__).resolve().parent.parent
+        code = (
+            "import sys; from growcl.cli import main; before = 'numpy.ma' in sys.modules; "
+            "rc = main(['run', '--config', sys.argv[1], '--mode', 'grow_always', '--out', sys.argv[2]]); "
+            "print(rc, before, 'numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(root / "configs" / "quick.cfg"), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        rc, before, after = done.stdout.split()[-3:]
+        if before == "True":
+            pytest.skip("numpy < 2 imports numpy.ma with numpy itself")
+        assert (rc, after) == ("0", "False")
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

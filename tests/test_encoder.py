@@ -153,6 +153,20 @@ class TestRowBlocks:
             assert rows.tobytes() == one_shot_reps[name].tobytes(), name
         assert not np.shares_memory(reps["key"], feats)
 
+    def test_a_row_encodes_to_the_same_bits_alone(self):
+        # numpy computes a one-row product with gemv, which rounds differently
+        # from the gemm of a many-row one; a lone row must not take that path,
+        # whether it is a whole pass or the last row block of one
+        rng = np.random.default_rng(13)
+        backbone = FrozenBackbone.init(CFG, rng)
+        prompts = _prompt_rows(CFG, PromptSet.init(CFG, rng).p, None)
+        batch = rng.standard_normal((ROW_BLOCK + 1, CFG.input_dim))
+        one_shot, _, _ = encode(backbone, batch, prompts, return_backward=True)
+        blocked, _ = encode(backbone, batch, prompts)
+        alone, _ = encode(backbone, batch[-1:], prompts)
+        assert blocked.tobytes() == one_shot.tobytes()
+        assert alone.tobytes() == one_shot[-1:].tobytes()
+
     @pytest.mark.parametrize("pass_name", ["query_with_layers", "prompted_with_layers"])
     def test_peak_memory_does_not_grow_with_rows(self, pass_name):
         rng = np.random.default_rng(12)

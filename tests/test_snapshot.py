@@ -119,6 +119,27 @@ def test_missing_array_rejected(run, tmp_path, name):
         snapshot.restore_engine(snap, ENC, CFG)
 
 
+@pytest.mark.parametrize("name, corrupt", [
+    ("old.0.block0", "old.0.blockX"),  # no such segment
+    ("old.0.block0", "old.x.block0"),  # owner not an integer
+    ("old.0.key", "old.9.key"),        # no such set
+    ("pre.1.key", "pre.2.key"),        # task 2 is not done
+    ("old.0.key", "olx.0.key"),        # not a stored basis at all
+])
+def test_misnamed_stored_basis_rejected(run, tmp_path, name, corrupt):
+    # renamed in place: the container still loads, but a restored set or
+    # finished task lacks one of its segments' bases
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = path.read_bytes()
+    assert raw.count(name.encode()) == 1
+    path.write_bytes(raw.replace(name.encode(), corrupt.encode()))
+    snap = snapshot.load(path)
+    with pytest.raises(snapshot.SnapshotError, match=f"missing array {name}$"):
+        snapshot.restore_engine(snap, ENC, CFG)
+
+
 def test_restored_engine_has_the_attributes_of_a_fresh_one(run, tmp_path):
     _, res = run
     path = tmp_path / "snap.bin"

@@ -402,24 +402,66 @@ class TestEvaluation:
             assert passes == [len(ds.x_train)]
 
     @pytest.mark.parametrize("mode", ["grow_always", "single_set"])
-    def test_test_set_encoded_once_per_set_until_it_retrains(self, mode, monkeypatch):
-        # evaluate_after keeps a test set's features under a set until
-        # train_task trains that set again
+    def test_test_rows_encoded_once_per_set_until_it_retrains(self, mode, monkeypatch):
+        # evaluate_after encodes a test row under a set only when a grid reads
+        # it there, and keeps its features until train_task trains that set
+        # again
         import growcl.trainer
 
-        encoded = []
+        data = small_stream(3)
+        where = {row.tobytes(): (i, r) for i, ds in enumerate(data) for r, row in enumerate(ds.x_test)}
+        encoded = []  # (set id, task, test row) per encoded row
         original = growcl.trainer.prompted_features
 
         def counted(backbone, pset, batch, extra=None):
-            encoded.append((pset.id, batch))
+            encoded.extend((pset.id, *where[row.tobytes()]) for row in batch)
             return original(backbone, pset, batch, extra)
 
         monkeypatch.setattr(growcl.trainer, "prompted_features", counted)
-        data = small_stream(3)
-        run_stream(ENC, quick_cfg(mode=mode), data)
-        pairs = [(sid, next(i for i, ds in enumerate(data) if b is ds.x_test)) for sid, b in encoded]
-        if mode == "grow_always":  # no set trains twice
-            assert len(pairs) == len(set(pairs))
-            assert {(i, i) for i in range(3)} <= set(pairs)
-        else:  # set 0 trains on every task, so every seen test set is re-encoded
-            assert pairs == [(0, i) for t in range(3) for i in range(t + 1)]
+        eng = Engine.fresh(ENC, quick_cfg(mode=mode), 6)
+        matrix = AccuracyMatrix(3)
+        per_eval = []
+        for t, ds in enumerate(data):
+            eng.train_task(t, ds)
+            encoded.clear()
+            eng.evaluate_after(t, data, matrix)
+            per_eval.append(list(encoded))
+        every_row = [(i, r) for i, ds in enumerate(data) for r in range(len(ds.x_test))]
+        if mode == "grow_always":  # no set trains twice; set i is task i's own
+            cells = [cell for cells in per_eval for cell in cells]
+            assert len(cells) == len(set(cells))
+            assert {(i, i, r) for i, r in every_row} <= set(cells)
+            pairs = {(sid, i) for sid, i, _ in cells}
+            assert len(cells) < sum(len(data[i].x_test) for _, i in pairs)
+        else:  # set 0 trains on every task, so every seen test row is re-encoded
+            for t, cells in enumerate(per_eval):
+                assert sorted(cells) == [(0, i, r) for i, r in every_row if i <= t]
+
+    @pytest.mark.parametrize("mode", ["grow_always", "lw2g"])
+    def test_accuracy_cells_match_a_brute_force_evaluation(self, mode):
+        # every cell of both grids, recomputed from full-test-set logits
+        from growcl.encoder import forward_prompted, forward_query
+
+        data = small_stream(3, similarity=(0, 0, 1))
+        eng = Engine.fresh(ENC, quick_cfg(mode=mode), 6)
+        matrix = AccuracyMatrix(3)
+        most_sets = 0  # the most sets one test set's rows were routed to
+        for t, ds in enumerate(data):
+            eng.train_task(t, ds)
+            eng.evaluate_after(t, data, matrix)
+            seen = [c for d in data[: t + 1] for c in d.class_ids]
+
+            def predictions(sid, d, mask):
+                extra = eng.attachments.get(sid, (None, []))[0]
+                logits = forward_prompted(eng.backbone, eng.head, eng.pool.sets[sid], d.x_test, mask, extra)
+                return logits.argmax(axis=1)
+
+            for i, d in enumerate(data[: t + 1]):
+                retrieved = [eng.pool.retrieve(q) for q in forward_query(eng.backbone, d.x_test)]
+                main = {sid: predictions(sid, d, seen) for sid in set(retrieved)}
+                most_sets = max(most_sets, len(main))
+                correct = sum(int(main[sid][r] == d.y_test[r]) for r, sid in enumerate(retrieved))
+                oracle = predictions(eng.pool.set_for_task(i), d, d.class_ids)
+                assert matrix.a[i, t] == correct / len(d.y_test)
+                assert matrix.a_oracle[i, t] == int(np.sum(oracle == d.y_test)) / len(d.y_test)
+        assert most_sets > 1
