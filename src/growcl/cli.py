@@ -123,35 +123,21 @@ def replay_rows(rows):
             )
             for r in row.get("records", [])
         ]
-        if records:
-            decision = decide(records)
-        else:
-            decision = None  # unconditional grow
+        decision = decide(records) if records else None  # no records: unconditional grow
         if decision is None or decision.is_grow:
             sid = next_id
             next_id += 1
             assignments.setdefault(sid, []).append(task)
-            decisions.append(
-                {
-                    "task": task,
-                    "decision": "grow",
-                    "set": sid,
-                    "z": [round(r.z_degrees, 6) for r in records],
-                }
-            )
+            label = "grow"
         else:
             sid = decision.reuse_id
             if sid not in assignments:
                 raise ValueError(f"trace reuses unknown set {sid} at task {task}")
             assignments[sid].append(task)
-            decisions.append(
-                {
-                    "task": task,
-                    "decision": f"reuse({sid})",
-                    "set": sid,
-                    "z": [round(r.z_degrees, 6) for r in records],
-                }
-            )
+            label = f"reuse({sid})"
+        decisions.append(
+            {"task": task, "decision": label, "set": sid, "z": [round(r.z_degrees, 6) for r in records]}
+        )
     return decisions, assignments
 
 

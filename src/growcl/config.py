@@ -5,8 +5,8 @@ Three sections, all optional keys falling back to dataclass defaults:
     [stream]   task stream shape (n_tasks, classes_per_task, dim,
                similarity, samples_per_class, seed, noise_scale, mean_scale)
     [encoder]  frozen encoder shape (d_model, n_blocks, n_heads, prompt_len,
-               prompted_blocks, input_dim, n_feature_tokens, mlp_ratio,
-               key_loss_weight); its weights draw from the [train] seed
+               prompted_blocks, input_dim, n_feature_tokens, mlp_ratio);
+               its weights draw from the [train] seed
     [train]    eps_task, eps_pre, phi, n_fft, epochs, batch_size, lr, seed,
                mode, probe_samples, space_samples, pretrain_steps
 

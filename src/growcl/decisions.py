@@ -142,10 +142,10 @@ def hindrance_for_old_set(probe: GradientProbe, pset: PromptSet, old_spaces: dic
     return hindrance(g, old_spaces), g
 
 
-def dynamic_threshold(grad: GradientVector, pre_spaces: dict) -> HfcValue:
+def dynamic_threshold(grad: GradientVector, pre_space: dict) -> HfcValue:
     """Hindrance floor: the set's probe gradient measured against the
     complement of the task's pre-trained feature space."""
-    return hindrance(grad, pre_spaces)
+    return hindrance(grad, pre_space)
 
 
 # -- soft pre-trained-knowledge constraint ------------------------------------
@@ -154,7 +154,7 @@ def dynamic_threshold(grad: GradientVector, pre_spaces: dict) -> HfcValue:
 @dataclass(frozen=True)
 class SoftConstraintConfig:
     phi: float
-    pre_spaces: dict = field(default_factory=dict)
+    pre_space: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.phi <= 1.0:
@@ -166,7 +166,7 @@ def apply_soft_constraint(grad: GradientVector, cfg: SoftConstraintConfig) -> Gr
     pre-trained feature space: g - (1 - phi) * Proj_pre(g)."""
     if cfg.phi == 1.0:
         return grad.copy()
-    proj = project_gradient(grad, cfg.pre_spaces)
+    proj = project_gradient(grad, cfg.pre_space)
     return GradientVector(grad.flat - (1.0 - cfg.phi) * proj.flat, grad.cfg)
 
 
@@ -200,20 +200,17 @@ def select_transfer_sets(grads: dict, spaces_by_set: dict, n: int):
 # -- prompt composition ----------------------------------------------------------
 
 
-def compose_prompts(active: PromptSet, reused) -> np.ndarray | None:
+def compose_prompts(active: PromptSet, reused) -> np.ndarray:
     """Frozen copies of ``reused`` sets' tokens, joined per prompted block
-    into [n_prompted, extra, d] (None when nothing is reused). They sit
+    into [n_prompted, m, d] (zero rows when nothing is reused). They sit
     behind ``active``'s tokens in each prefix and never receive gradient."""
-    reused = list(reused)
-    if not reused:
-        return None
     blocks, _, d = active.p.shape
     for r in reused:
         if r.p.shape[0] != blocks or r.p.shape[2] != d:
             raise DecisionError(
                 f"incompatible prompt shape {r.p.shape} vs active {active.p.shape}"
             )
-    return np.concatenate([r.p for r in reused], axis=1)
+    return np.concatenate([np.zeros((blocks, 0, d)), *(r.p for r in reused)], axis=1)
 
 
 # -- trace records -----------------------------------------------------------------

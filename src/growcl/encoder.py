@@ -48,7 +48,6 @@ the current task's classifier rows ever train.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +72,10 @@ MASK_BIAS = -1e30
 # task then stops growing with its rows, and only the outputs do.
 ROW_BLOCK = 64
 
+# Weight of the retrieval key's cosine pull toward the batch's mean query,
+# added to the training loss.
+KEY_LOSS_WEIGHT = 1.0
+
 
 class EncoderError(ValueError):
     """Shape or contract violation in the encoder."""
@@ -92,15 +95,12 @@ class EncoderConfig:
     input_dim: int = 64
     n_feature_tokens: int = 4
     mlp_ratio: int = 2
-    key_loss_weight: float = 1.0
 
     def __post_init__(self):
         for name in ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim",
                      "n_feature_tokens", "mlp_ratio"):
             if getattr(self, name) < 1:
                 raise EncoderError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.key_loss_weight) and self.key_loss_weight >= 0.0):
-            raise EncoderError(f"key_loss_weight must be finite and >= 0, got {self.key_loss_weight}")
         if self.d_model % self.n_heads:
             raise EncoderError("d_model must be divisible by n_heads")
         if any(b < 0 or b >= self.n_blocks for b in self.prompted_blocks):
@@ -178,11 +178,20 @@ class FrozenBackbone:
 
 @dataclass
 class PromptSet:
-    """A learnable prompt tensor plus its retrieval key."""
+    """A learnable prompt tensor plus its retrieval key, and the frozen
+    transfer rows that join its prompt in every prefix: copies of the
+    prompts of sets ``sources``, concatenated per prompted block (zero rows
+    until transfer attaches some)."""
 
     p: np.ndarray  # [n_prompted, prompt_len, d]
     k: np.ndarray  # [d]
     id: int = -1
+    extra: np.ndarray | None = None  # [n_prompted, m, d], m >= 0
+    sources: list = field(default_factory=list)  # set ids
+
+    def __post_init__(self):
+        if self.extra is None:
+            self.extra = np.zeros((self.p.shape[0], 0, self.p.shape[2]))
 
     @classmethod
     def init(cls, cfg: EncoderConfig, rng: np.random.Generator, set_id: int = -1) -> "PromptSet":
@@ -596,8 +605,8 @@ def loss_and_grads(
     logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
     loss, logp = cross_entropy_forward(logits, labels)
     k_grad = np.zeros_like(pset.k)
-    if q_bar is not None and cfg.key_loss_weight != 0.0:
-        key_loss, k_grad = _key_loss(pset.k, q_bar, cfg.key_loss_weight)
+    if q_bar is not None:
+        key_loss, k_grad = _key_loss(pset.k, q_bar, KEY_LOSS_WEIGHT)
         loss = loss + key_loss
     if not np.isfinite(loss):
         raise NonFiniteError("non-finite loss")

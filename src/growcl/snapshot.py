@@ -12,12 +12,17 @@ Layout (all little-endian):
         name_len u16, name utf-8, ndim u32, shape u32[ndim], data f32[...]
 
 Arrays hold the backbone (declaration order), the head, every prompt set
-with its frozen attachment and task list, all stored bases, and the
-accuracy grids. Weights are quantized to float32 on save; resuming from a
-snapshot therefore continues from the rounded state. ``load`` checks every
-length field against the bytes left in the file before it reads, so a
-truncated or corrupt container (bytes after the last array included) raises
-``SnapshotError``.
+with its frozen transfer rows (``attached``, [n_prompted, m, d], zero rows
+when none), their source set ids and the set's task list, each set's stored
+bases (``old.<set>.<segment>``), the accuracy grids and the seen classes.
+Pre-trained spaces live only while their task trains and are not stored;
+``pre.<task>.<segment>`` arrays that older files hold are ignored. Weights
+are quantized to float32 on save; resuming from a snapshot therefore
+continues from the rounded state. ``load`` checks every length field
+against the bytes left in the file before it reads, so a truncated or
+corrupt container (bytes after the last array included) raises
+``SnapshotError``; ``restore_engine`` checks every array it reads against
+the shape the engine expects.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ import numpy as np
 
 MAGIC = b"LW2G"
 VERSION = 1
+# the encoder config's fields in header order, before n_prompted
+ENCODER_FIELDS = ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim",
+                  "n_feature_tokens", "mlp_ratio")
 
 
 class SnapshotError(ValueError):
@@ -88,23 +96,16 @@ def collect_arrays(engine, matrix) -> list:
         out.append((f"backbone.{name}", engine.backbone.weights[name]))
     out.append(("head.w", engine.head.w))
     out.append(("head.b", engine.head.b))
-    cfg = engine.enc_cfg
     for pset in engine.pool.sets:
         sid = pset.id
         out.append((f"set{sid}.p", pset.p))
         out.append((f"set{sid}.k", pset.k))
-        frozen, sources = engine.attachments.get(sid, (None, []))
-        if frozen is None:
-            frozen = np.zeros((cfg.n_prompted, 0, cfg.d_model))
-        out.append((f"set{sid}.attached", frozen))
-        out.append((f"set{sid}.attached_ids", np.asarray(sources, dtype=float)))
+        out.append((f"set{sid}.attached", pset.extra))
+        out.append((f"set{sid}.attached_ids", np.asarray(pset.sources, dtype=float)))
         out.append((f"set{sid}.tasks", np.asarray(engine.pool.assignments[sid], dtype=float)))
     for sid, spaces in sorted(engine.memory.old_spaces.items()):
         for seg, basis in spaces.items():
             out.append((f"old.{sid}.{seg}", basis.matrix))
-    for tid, spaces in sorted(engine.memory.pre_spaces.items()):
-        for seg, basis in spaces.items():
-            out.append((f"pre.{tid}.{seg}", basis.matrix))
     out.append(("matrix.a", np.nan_to_num(matrix.a, nan=-1.0)))
     out.append(("matrix.a_oracle", np.nan_to_num(matrix.a_oracle, nan=-1.0)))
     out.append(("matrix.hits", matrix.retrieval_hits.astype(float)))
@@ -119,8 +120,7 @@ def save(path, engine, matrix):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         header = [
-            VERSION, cfg.d_model, cfg.n_blocks, cfg.n_heads, cfg.prompt_len,
-            cfg.input_dim, cfg.n_feature_tokens, cfg.mlp_ratio, cfg.n_prompted,
+            VERSION, *(getattr(cfg, name) for name in ENCODER_FIELDS), cfg.n_prompted,
             *cfg.prompted_blocks, engine.head.n_classes, matrix.n_tasks,
             engine.tasks_done, len(arrays),
         ]
@@ -135,8 +135,7 @@ def load(path) -> dict:
         reader = _Reader(fh)
         if reader.read(4) != MAGIC:
             raise SnapshotError("bad magic: not a run snapshot")
-        (version, d_model, n_blocks, n_heads, prompt_len,
-         input_dim, n_feature_tokens, mlp_ratio, n_prompted) = reader.u32s(9)
+        version, *encoder, n_prompted = reader.u32s(len(ENCODER_FIELDS) + 2)
         if version != VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
         prompted = reader.u32s(n_prompted)
@@ -151,13 +150,7 @@ def load(path) -> dict:
             raise SnapshotError(f"corrupt snapshot: {reader.left} bytes after the last array")
     return {
         "version": version,
-        "d_model": d_model,
-        "n_blocks": n_blocks,
-        "n_heads": n_heads,
-        "prompt_len": prompt_len,
-        "input_dim": input_dim,
-        "n_feature_tokens": n_feature_tokens,
-        "mlp_ratio": mlp_ratio,
+        **dict(zip(ENCODER_FIELDS, encoder)),
         "prompted_blocks": prompted,
         "n_classes": n_classes,
         "n_tasks": n_tasks,
@@ -170,7 +163,8 @@ def load(path) -> dict:
 def restore_engine(snap: dict, enc_cfg, train_cfg):
     """Rebuild an Engine and AccuracyMatrix from a loaded container.
 
-    The encoder config must structurally match the snapshot header.
+    The encoder config must structurally match the snapshot header, and every
+    array read must have the shape the engine gives it.
     """
     from growcl.encoder import FrozenBackbone, Head, PromptSet, segment_map
     from growcl.metrics import AccuracyMatrix
@@ -178,8 +172,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     from growcl.subspace import orthonormalized
     from growcl.trainer import Engine, SubspaceMemory
 
-    for field_name in ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim",
-                       "n_feature_tokens", "mlp_ratio"):
+    for field_name in ENCODER_FIELDS:
         if getattr(enc_cfg, field_name) != snap[field_name]:
             raise SnapshotError(f"encoder config mismatch on {field_name}")
     if tuple(enc_cfg.prompted_blocks) != tuple(snap["prompted_blocks"]):
@@ -187,44 +180,52 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
 
     arrays = snap["arrays"]
 
-    def array(name: str) -> np.ndarray:
+    def array(name: str, shape: tuple) -> np.ndarray:
+        """Array ``name``, whose shape must match ``shape`` (None: any length)."""
         if name not in arrays:
             raise SnapshotError(f"missing array {name}")
-        return arrays[name]
+        arr = arrays[name]
+        if arr.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, arr.shape)):
+            raise SnapshotError(f"array {name} has shape {arr.shape}, expected {shape}")
+        return arr
 
-    backbone = FrozenBackbone(enc_cfg)
+    d, n_prompted, n_tasks = enc_cfg.d_model, enc_cfg.n_prompted, snap["n_tasks"]
+    # a drawn backbone gives every weight's shape
+    backbone = FrozenBackbone.init(enc_cfg, np.random.default_rng(0))
     for name in backbone.names():
-        backbone.weights[name] = array(f"backbone.{name}")
-    sets, assignments, attachments = [], {}, {}
+        backbone.weights[name] = array(f"backbone.{name}", backbone.weights[name].shape)
+    head = Head(array("head.w", (d, snap["n_classes"])), array("head.b", (snap["n_classes"],)))
+    sets, assignments = [], {}
     sid = 0
     while any(name.startswith(f"set{sid}.") for name in arrays):
-        sets.append(PromptSet(array(f"set{sid}.p"), array(f"set{sid}.k"), sid))
-        assignments[sid] = [int(t) for t in array(f"set{sid}.tasks")]
-        frozen = array(f"set{sid}.attached")
-        sources = [int(v) for v in array(f"set{sid}.attached_ids")]
-        attachments[sid] = (frozen if frozen.shape[1] else None, sources)
+        sources = [int(v) for v in array(f"set{sid}.attached_ids", (None,))]
+        sets.append(PromptSet(
+            array(f"set{sid}.p", (n_prompted, enc_cfg.prompt_len, d)), array(f"set{sid}.k", (d,)), sid,
+            extra=array(f"set{sid}.attached", (n_prompted, enc_cfg.prompt_len * len(sources), d)),
+            sources=sources,
+        ))
+        assignments[sid] = [int(t) for t in array(f"set{sid}.tasks", (None,))]
         sid += 1
-    # every restored set has a stored space and every finished task a
-    # pre-trained one, with one basis per segment of the encoder
+    # every restored set has a stored space, one basis per segment
     memory = SubspaceMemory()
-    segments = list(segment_map(enc_cfg, range(enc_cfg.n_prompted), None))
-    for kind, store, owners in (("old", memory.old_spaces, range(len(sets))),
-                                ("pre", memory.pre_spaces, range(snap["tasks_done"]))):
-        for owner in owners:
-            spaces = store[owner] = {}
-            for seg in segments:
-                name = f"{kind}.{owner}.{seg}"
-                # float32 storage drifts orthonormality past tolerance; clean it
-                spaces[seg] = orthonormalized(array(name), label=name)
+    segments = list(segment_map(enc_cfg, range(n_prompted), None))
+    for sid in range(len(sets)):
+        spaces = memory.old_spaces[sid] = {}
+        for seg in segments:
+            name = f"old.{sid}.{seg}"
+            # float32 storage drifts orthonormality past tolerance; clean it
+            spaces[seg] = orthonormalized(array(name, (d, None)), label=name)
     engine = Engine(
         enc_cfg, train_cfg, np.random.default_rng(np.random.SeedSequence(train_cfg.seed)),
-        backbone, Head(array("head.w"), array("head.b")), PromptPool(sets, assignments), memory,
-        attachments, [int(c) for c in array("seen_classes")], snap["tasks_done"],
+        backbone, head, PromptPool(sets, assignments), memory,
+        [int(c) for c in array("seen_classes", (None,))], snap["tasks_done"],
     )
 
-    matrix = AccuracyMatrix(snap["n_tasks"])
-    matrix.a = np.where(array("matrix.a") < 0, np.nan, array("matrix.a"))
-    matrix.a_oracle = np.where(array("matrix.a_oracle") < 0, np.nan, array("matrix.a_oracle"))
-    matrix.retrieval_hits = array("matrix.hits").astype(int)
-    matrix.retrieval_totals = array("matrix.totals").astype(int)
+    matrix = AccuracyMatrix(n_tasks)
+    grid = (n_tasks, n_tasks)
+    a, oracle = array("matrix.a", grid), array("matrix.a_oracle", grid)
+    matrix.a = np.where(a < 0, np.nan, a)
+    matrix.a_oracle = np.where(oracle < 0, np.nan, oracle)
+    matrix.retrieval_hits = array("matrix.hits", grid).astype(int)
+    matrix.retrieval_totals = array("matrix.totals", grid).astype(int)
     return engine, matrix

@@ -1,19 +1,21 @@
 """Per-task orchestration: probe, decide, train under constraints, store spaces.
 
-One engine owns a frozen backbone, the unified head, the prompt pool, the
-subspace memory and the frozen transfer attachments; its constructor takes
-exactly that state. ``Engine.fresh`` starts a run: it seeds the RNG, draws
-the backbone, pretrains it on a ``PRETRAIN_CLASSES``-class synthetic task at
-step size ``PRETRAIN_LR`` and draws the head. ``snapshot.restore_engine``
-calls the same constructor with the state read from a file.
+One engine owns a frozen backbone, the unified head, the prompt pool (each
+set with its frozen transfer rows) and the stored spaces of the pool's sets;
+its constructor takes exactly that state. ``Engine.fresh`` starts a run: it
+seeds the RNG, draws the backbone, pretrains it on a
+``PRETRAIN_CLASSES``-class synthetic task at step size ``PRETRAIN_LR`` and
+draws the head. ``snapshot.restore_engine`` calls the same constructor with
+the state read from a file.
 
 For each task the engine (1) probes every pool set and decides grow-or-reuse
 (first task always grows; the ``grow_always`` and ``single_set`` modes bypass
 the decision), (2) trains the chosen set with the soft pre-trained-knowledge
 constraint and, on reuse, the orthogonal-to-old-space condition, optionally
 with frozen transfer prompts joined behind the active ones in each block's
-attention prefix, and (3) builds or extends the set's stored feature space and
-caches the task's pre-trained space.
+attention prefix, and (3) builds or extends the set's stored feature space.
+The task's pre-trained space lives only while ``train_task`` runs: the
+decision floor and the soft constraint read it, and nothing after.
 
 Every per-segment quantity follows the encoder's segment map (``block{b}``
 per prompted block, then ``key``): layer reps become stored spaces under
@@ -109,10 +111,9 @@ class TrainConfig:
 
 @dataclass
 class SubspaceMemory:
-    """Stored per-segment bases: per pool set (old tasks) and per task (pre)."""
+    """Stored per-segment bases of each pool set's old tasks."""
 
     old_spaces: dict = field(default_factory=dict)  # set id -> {segment: Basis}
-    pre_spaces: dict = field(default_factory=dict)  # task id -> {segment: Basis}
 
 
 @dataclass
@@ -137,7 +138,7 @@ class Engine:
 
     def __init__(self, enc_cfg: EncoderConfig, cfg: TrainConfig, rng: np.random.Generator,
                  backbone: FrozenBackbone, head: Head, pool: PromptPool, memory: SubspaceMemory,
-                 attachments: dict, seen_classes: list, tasks_done: int):
+                 seen_classes: list, tasks_done: int):
         self.enc_cfg = enc_cfg
         self.cfg = cfg
         self.rng = rng
@@ -145,7 +146,6 @@ class Engine:
         self.head = head
         self.pool = pool
         self.memory = memory
-        self.attachments = attachments  # set id -> (frozen tokens or None, [source set ids])
         self.seen_classes = seen_classes
         self.tasks_done = tasks_done
         self.reports = []
@@ -178,7 +178,7 @@ class Engine:
             except NonFiniteError as exc:
                 raise TrainerError(f"pretraining, {exc}") from exc
         head = Head.init(enc_cfg.d_model, n_classes, rng)
-        return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(), {}, [], 0)
+        return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(), [], 0)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -203,9 +203,6 @@ class Engine:
         bs = self.cfg.batch_size
         return [(x[idx[i : i + bs]], y[idx[i : i + bs]]) for i in range(0, len(idx), bs)], idx
 
-    def _extra_for(self, sid: int):
-        return self.attachments.get(sid, (None, []))[0]
-
     # -- core per-task operations --------------------------------------------------
 
     def orthogonal_step(self, pset: PromptSet, grad: GradientVector, old_spaces: dict | None, lr: float):
@@ -222,7 +219,7 @@ class Engine:
         idx = self._subset(len(dataset.x_train), self.cfg.space_samples)
         x = dataset.x_train[idx]
         pset = self.pool.sets[set_id]
-        _, reps = prompted_with_layers(self.backbone, pset, x, extra=self._extra_for(set_id))
+        _, reps = prompted_with_layers(self.backbone, pset, x, extra=pset.extra)
         old = None if grew else self.memory.old_spaces[set_id]
         label = f"set {set_id} / task {task_id}"
         self.memory.old_spaces[set_id] = self._spaces_from_reps(
@@ -250,10 +247,9 @@ class Engine:
         # constraint).
         q_all, reps = query_with_layers(self.backbone, x)
         pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
-        pre_spaces = self._spaces_from_reps(pre_reps, cfg.eps_pre, f"pre / task {task_id}")
-        self.memory.pre_spaces[task_id] = pre_spaces
+        pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre, f"pre / task {task_id}")
 
-        decision, probe_grads = self._decide(task_id, probe, pre_spaces)
+        decision, probe_grads = self._decide(task_id, probe, pre_space)
 
         if decision.is_grow:
             pset = PromptSet.init(self.enc_cfg, self.rng)
@@ -262,15 +258,14 @@ class Engine:
             sid = decision.reuse_id
             self.pool.assign_task(sid, task_id)
             pset = self.pool.sets[sid]
-        # the set's prompts and attachments change below
+        # the set's prompts and frozen rows change below
         for key in [key for key in self.test_features if key[0] == sid]:
             del self.test_features[key]
 
-        attached = self._attach_transfer_prompts(sid, probe, probe_grads)
-        extra = self._extra_for(sid)
+        attached = self._attach_transfer_prompts(pset, probe, probe_grads)
         reuse_spaces = self.memory.old_spaces.get(sid) if not decision.is_grow else None
 
-        soft = SoftConstraintConfig(cfg.phi, pre_spaces)
+        soft = SoftConstraintConfig(cfg.phi, pre_space)
         p_before = pset.p.copy()
         k_before = pset.k.copy()
         final_loss = np.nan
@@ -282,7 +277,7 @@ class Engine:
                 try:
                     loss, grad, gw, gb = loss_and_grads(
                         self.backbone, self.head, pset, x[batch], y[batch], tuple(classes),
-                        extra=extra, q_bar=q_bar, train_head_classes=classes,
+                        extra=pset.extra, q_bar=q_bar, train_head_classes=classes,
                     )
                 except NonFiniteError as exc:
                     raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
@@ -303,7 +298,7 @@ class Engine:
 
     # -- decision plumbing ---------------------------------------------------------
 
-    def _decide(self, task_id: int, probe: GradientProbe, pre_spaces: dict):
+    def _decide(self, task_id: int, probe: GradientProbe, pre_space: dict):
         probe_grads = {}
         if self.tasks_done == 0 or self.cfg.mode == "grow_always":
             return GrowDecision("grow", None, ()), probe_grads
@@ -313,31 +308,30 @@ class Engine:
         for pset in self.pool.sets:
             try:
                 old_val, g = hindrance_for_old_set(probe, pset, self.memory.old_spaces[pset.id])
-                pre_val = dynamic_threshold(g, pre_spaces)
+                pre_val = dynamic_threshold(g, pre_space)
             except DecisionError as exc:
                 raise TrainerError(f"task {task_id}, set {pset.id}: {exc}") from exc
             probe_grads[pset.id] = g
             records.append(HindranceRecord(pset.id, old_val, pre_val))
         return decide(records), probe_grads
 
-    def _attach_transfer_prompts(self, sid: int, probe: GradientProbe, probe_grads: dict):
+    def _attach_transfer_prompts(self, pset: PromptSet, probe: GradientProbe, probe_grads: dict):
         """Pick the sets whose stored spaces capture most of the task gradient
-        and freeze copies of their prompts behind the active ones."""
-        cfg = self.cfg
-        candidates = [p.id for p in self.pool.sets if p.id != sid and p.id in self.memory.old_spaces]
-        if cfg.n_fft == 0 or not candidates:
-            self.attachments[sid] = (None, [])
-            return []
-        grads = {}
-        for cid in candidates:
-            g = probe_grads.get(cid)
-            if g is None:
-                g = probe.gradient(self.pool.sets[cid])
-            grads[cid] = g
-        spaces = {cid: self.memory.old_spaces[cid] for cid in candidates}
-        chosen = select_transfer_sets(grads, spaces, cfg.n_fft)
-        frozen = compose_prompts(self.pool.sets[sid], [self.pool.sets[c] for c in chosen])
-        self.attachments[sid] = (frozen, chosen)
+        and freeze copies of their prompts behind ``pset``'s own, replacing
+        any it held before."""
+        candidates = [p.id for p in self.pool.sets if p.id != pset.id and p.id in self.memory.old_spaces]
+        chosen = []
+        if self.cfg.n_fft and candidates:
+            grads = {}
+            for cid in candidates:
+                g = probe_grads.get(cid)
+                if g is None:
+                    g = probe.gradient(self.pool.sets[cid])
+                grads[cid] = g
+            spaces = {cid: self.memory.old_spaces[cid] for cid in candidates}
+            chosen = select_transfer_sets(grads, spaces, self.cfg.n_fft)
+        pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
+        pset.sources = chosen
         return chosen
 
     def _drift_ratios(self, pset, p_before, k_before, reuse_spaces):
@@ -398,7 +392,8 @@ class Engine:
         _, where, feats = cached
         missing = rows[where[rows] < 0]
         if len(missing):
-            new = prompted_features(self.backbone, self.pool.sets[sid], x_test[missing], self._extra_for(sid))
+            pset = self.pool.sets[sid]
+            new = prompted_features(self.backbone, pset, x_test[missing], pset.extra)
             where[missing] = np.arange(len(feats), len(feats) + len(missing))
             feats = np.concatenate([feats, new])
         self.test_features[(sid, task)] = (x_test, where, feats)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from growcl.autodiff import Tensor, concat, cross_entropy, gelu, layer_norm, softmax
-from growcl.encoder import class_mask_bias
+from growcl.encoder import KEY_LOSS_WEIGHT, class_mask_bias
 
 
 def tape_attention_block(x, p, i, n_heads, prompt=None):
@@ -98,8 +98,8 @@ def tape_loss_and_grads(backbone, head, pset, batch, labels, head_mask, extra=No
     feats = tape_encode(backbone, batch, tape_prompt_tensors(cfg, p_t, extra))
     logits = feats @ hw + hb + Tensor(class_mask_bias(head.n_classes, head_mask))
     loss = cross_entropy(logits, labels)
-    if q_bar is not None and cfg.key_loss_weight != 0.0:
-        loss = loss + cfg.key_loss_weight * tape_key_loss(k_t, q_bar)
+    if q_bar is not None:
+        loss = loss + KEY_LOSS_WEIGHT * tape_key_loss(k_t, q_bar)
     loss.backward()
     k_grad = k_t.grad if k_t.grad is not None else np.zeros_like(pset.k)
     return float(loss.data), p_t.grad, k_grad, hw.grad, hb.grad

@@ -4,6 +4,7 @@ Each test is one criterion, checked at its stated tolerance; the conftest
 terminal hook prints one PASS/FAIL line per criterion after the run.
 """
 
+import copy
 import json
 import time
 
@@ -24,6 +25,7 @@ from growcl.encoder import (
     PromptSet,
     grad_prompts,
     loss_and_grads,
+    query_with_layers,
 )
 from growcl.metrics import AccuracyMatrix, faa, ffm, pra, ssp
 from growcl.stream import StreamSpec, generate
@@ -147,10 +149,17 @@ def test_criterion_05_soft_constraint_behavior():
     data = generate(StreamSpec(n_tasks=1, classes_per_task=3, dim=24,
                                samples_per_class=40, seed=9))
     eng = Engine.fresh(enc, cfg, 3)
-    eng.train_task(0, data[0])
-    pre_spaces = eng.memory.pre_spaces[0]
-
     ds = data[0]
+    # task 0's pre-trained space as train_task builds it: promptless reps at
+    # the probe subset, drawn from the RNG state the task starts from
+    rng_at_start = copy.deepcopy(eng.rng)
+    eng.train_task(0, ds)
+    eng.rng = rng_at_start
+    _, probe_idx = eng._probe_batches(ds.x_train, ds.y_train)
+    _, reps = query_with_layers(eng.backbone, ds.x_train)
+    pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
+    pre_spaces = eng._spaces_from_reps(pre_reps, cfg.eps_pre, "pre / task 0")
+
     probe = GradientProbe(eng.backbone, eng.head, tuple(ds.class_ids),
                           [(ds.x_train[:24], ds.y_train[:24])])
     g = probe.gradient(eng.pool.sets[0])
@@ -220,7 +229,7 @@ def test_criterion_06_gradient_correctness_and_frozen_transfer():
     eng.train_task(0, data[0])
     source_before = eng.pool.sets[0].p.copy()
     eng.train_task(1, data[1])
-    frozen, sources = eng.attachments[1]
+    frozen, sources = eng.pool.sets[1].extra, eng.pool.sets[1].sources
     assert sources == [0]
     assert np.array_equal(eng.pool.sets[0].p, source_before)
     assert np.array_equal(frozen, source_before)

@@ -87,10 +87,11 @@ class TestConfigParsing:
         assert enc.d_model == 32
 
     def test_unknown_key_rejected(self, tmp_path):
-        # bogus keys, and the removed fft_literal_angle / space_from / key_loss / encoder seed /
-        # pretrain_classes / pretrain_lr / rotation_jitter_deg / shift_fraction
+        # bogus keys, and the removed fft_literal_angle / space_from / key_loss / key_loss_weight /
+        # encoder seed / pretrain_classes / pretrain_lr / rotation_jitter_deg / shift_fraction
         for section, line in (("train", "bogus = 1"), ("train", "fft_literal_angle = 0"),
                               ("train", "space_from = prompted"), ("encoder", "key_loss = cosine"),
+                              ("encoder", "key_loss_weight = 1.0"),
                               ("encoder", "seed = 99"), ("train", "pretrain_classes = 8"),
                               ("train", "pretrain_lr = 0.05"), ("stream", "rotation_jitter_deg = 10"),
                               ("stream", "shift_fraction = 0.05")):
@@ -224,7 +225,6 @@ class TestRun:
         ("stream", "samples_per_class", "2"), ("stream", "n_tasks", "0"),
         ("stream", "classes_per_task", "0"), ("stream", "seed", "-5"), ("stream", "noise_scale", "nan"),
         ("stream", "noise_scale", "-0.1"), ("stream", "mean_scale", "inf"),
-        ("encoder", "key_loss_weight", "nan"), ("encoder", "key_loss_weight", "-1"),
         ("encoder", "mlp_ratio", "0"), ("encoder", "n_heads", "0"),
         ("encoder", "prompt_len", "0"), ("encoder", "n_blocks", "0"),
     ])
@@ -339,6 +339,31 @@ class TestReplay:
         summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert summary["decisions"] == report["decisions"]
         assert summary["assignments"] == report["assignments"]
+
+
+class TestModuleEntryPoint:
+    """``python -m growcl`` runs ``cli.main`` and exits with its code."""
+
+    def run_module(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run([sys.executable, "-m", "growcl", *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_replay_exits_0(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        trace_jsonl(TRACE_TWO_SETS, path)
+        done = self.run_module("replay", "--replay", path)
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout.strip().split("\n")[-1])
+        assert summary["decisions"] == decision_strings(TWO_SETS_DECISIONS)
+
+    def test_compare_on_a_malformed_report_exits_2(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"schema": 1, "metrics": {"faa": 0.5, "ffm": 0.1, "pra": 0.6, "ssp": 3}}))
+        b.write_text("[1]")
+        done = self.run_module("compare", a, b)
+        assert done.returncode == 2
+        assert f"runtime error: bad report {b}: " in done.stderr
 
 
 class TestCompare:

@@ -345,7 +345,7 @@ class TestComposePrompts:
     def test_no_reuse_passthrough(self):
         rng = np.random.default_rng(10)
         active = PromptSet.init(CFG, rng, 0)
-        assert compose_prompts(active, []) is None
+        assert compose_prompts(active, []).shape == (CFG.n_prompted, 0, CFG.d_model)
 
     def test_one_reused_doubles_tokens(self):
         rng = np.random.default_rng(11)

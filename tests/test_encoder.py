@@ -7,6 +7,7 @@ from growcl import encoder as encoder_module
 from growcl.autodiff import Tensor, concat, cross_entropy, layer_norm
 from growcl.encoder import (
     _BLOCK_WEIGHTS,
+    KEY_LOSS_WEIGHT,
     ROW_BLOCK,
     EncoderConfig,
     EncoderError,
@@ -421,7 +422,7 @@ class TestPrefixEquivalence:
         k_t = Tensor(pset.k, requires_grad=True)
         logits = appended_encode(backbone, batch, tape_prompt_tensors(cfg, p_t, extra)) @ Tensor(head.w)
         ref_loss = cross_entropy(logits + Tensor(head.b + class_mask_bias(8, range(8))), labels)
-        ref_loss = ref_loss + cfg.key_loss_weight * tape_key_loss(k_t, q_bar)
+        ref_loss = ref_loss + KEY_LOSS_WEIGHT * tape_key_loss(k_t, q_bar)
         ref_loss.backward()
         assert loss == pytest.approx(float(ref_loss.data), rel=1e-12, abs=0)
         assert _rel_err(grad.p, p_t.grad) <= 1e-12

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -123,12 +124,11 @@ def test_missing_array_rejected(run, tmp_path, name):
     ("old.0.block0", "old.0.blockX"),  # no such segment
     ("old.0.block0", "old.x.block0"),  # owner not an integer
     ("old.0.key", "old.9.key"),        # no such set
-    ("pre.1.key", "pre.2.key"),        # task 2 is not done
     ("old.0.key", "olx.0.key"),        # not a stored basis at all
 ])
 def test_misnamed_stored_basis_rejected(run, tmp_path, name, corrupt):
-    # renamed in place: the container still loads, but a restored set or
-    # finished task lacks one of its segments' bases
+    # renamed in place: the container still loads, but a restored set lacks
+    # one of its segments' bases
     _, res = run
     path = tmp_path / "snap.bin"
     snapshot.save(path, res.engine, res.matrix)
@@ -138,6 +138,68 @@ def test_misnamed_stored_basis_rejected(run, tmp_path, name, corrupt):
     snap = snapshot.load(path)
     with pytest.raises(snapshot.SnapshotError, match=f"missing array {name}$"):
         snapshot.restore_engine(snap, ENC, CFG)
+
+
+def save_with(path, res, replace=None, insert_before=None, insert=()):
+    """Save ``res`` with ``replace`` ({name: array}) swapped in, and the
+    named arrays ``insert`` placed before array ``insert_before``."""
+    arrays = [(name, (replace or {}).get(name, arr))
+              for name, arr in snapshot.collect_arrays(res.engine, res.matrix)]
+    if insert:
+        at = [name for name, _ in arrays].index(insert_before)
+        arrays[at:at] = list(insert)
+    original = snapshot.collect_arrays
+    snapshot.collect_arrays = lambda engine, matrix: arrays
+    try:
+        snapshot.save(path, res.engine, res.matrix)
+    finally:
+        snapshot.collect_arrays = original
+
+
+D, P, L = ENC.d_model, ENC.n_prompted, ENC.prompt_len
+
+
+MISSHAPEN = [
+    ("backbone.embed_w", (3 * D, 24)),  # transposed
+    ("backbone.b1.mlp_b1", (1, 2 * D)),
+    ("head.w", (4, D)),                 # transposed
+    ("head.b", (5,)),                   # not the header's head size
+    ("set0.p", (P, L + 1, D)),
+    ("set0.k", (D + 1,)),
+    ("set0.attached", (P, L, D)),       # frozen rows without a source set
+    ("old.0.key", (D - 1, 2)),
+    ("matrix.a", (3, 3)),
+]
+
+
+@pytest.mark.parametrize("name, shape", MISSHAPEN, ids=[name for name, _ in MISSHAPEN])
+def test_misshapen_array_rejected(run, tmp_path, name, shape):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    save_with(path, res, replace={name: np.zeros(shape)})
+    snap = snapshot.load(path)
+    with pytest.raises(snapshot.SnapshotError, match=re.escape(f"array {name} has shape {shape}, expected")):
+        snapshot.restore_engine(snap, ENC, CFG)
+
+
+def test_older_file_with_pre_trained_bases_restores(run, tmp_path):
+    # files written before pre-trained spaces were dropped hold a basis
+    # pre.<task>.<segment> per finished task after the stored ones; restoring
+    # ignores them
+    _, res = run
+    plain, older = tmp_path / "plain.bin", tmp_path / "older.bin"
+    snapshot.save(plain, res.engine, res.matrix)
+    basis = np.eye(D)[:, :2]
+    pre = [(f"pre.{t}.{seg}", basis) for t in range(res.engine.tasks_done)
+           for seg in ("block0", "block1", "key")]
+    save_with(older, res, insert_before="matrix.a", insert=pre)
+    assert sum(name.startswith("pre.") for name in snapshot.load(older)["array_order"]) == len(pre)
+    engine, matrix = snapshot.restore_engine(snapshot.load(older), ENC, CFG)
+    expected, expected_matrix = snapshot.restore_engine(snapshot.load(plain), ENC, CFG)
+    assert not hasattr(engine.memory, "pre_spaces")
+    for (name, arr), (_, want) in zip(snapshot.collect_arrays(engine, matrix),
+                                      snapshot.collect_arrays(expected, expected_matrix), strict=True):
+        np.testing.assert_array_equal(arr, want, err_msg=name)
 
 
 def test_restored_engine_has_the_attributes_of_a_fresh_one(run, tmp_path):
@@ -166,15 +228,15 @@ def test_attachments_roundtrip(tmp_path):
     cfg = TrainConfig(epochs=1, lr=0.3, batch_size=16, seed=3, pretrain_steps=0,
                       probe_samples=32, space_samples=48, mode="grow_always", n_fft=1)
     res = run_stream(ENC, cfg, data)
-    frozen, sources = res.engine.attachments[1]
-    assert frozen is not None and sources == [0]
+    frozen, sources = res.engine.pool.sets[1].extra, res.engine.pool.sets[1].sources
+    assert frozen.shape[1] and sources == [0]
     path = tmp_path / "snap.bin"
     snapshot.save(path, res.engine, res.matrix)
     engine, _ = snapshot.restore_engine(snapshot.load(path), ENC, cfg)
-    back_frozen, back_sources = engine.attachments[1]
+    back_frozen, back_sources = engine.pool.sets[1].extra, engine.pool.sets[1].sources
     assert back_sources == [0]
     np.testing.assert_allclose(back_frozen, frozen, atol=1e-7)
-    assert engine.attachments[0][0] is None
+    assert engine.pool.sets[0].extra.shape[1] == 0
 
 
 class BoundedFile:

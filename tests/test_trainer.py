@@ -99,14 +99,6 @@ class TestTaskContracts:
                 x_test=data[0].x_test, y_test=data[0].y_test, frame=data[0].frame,
             ))
 
-    def test_pre_space_stored_per_task(self):
-        data = small_stream(2)
-        eng = Engine.fresh(ENC, quick_cfg(), 4)
-        eng.train_task(0, data[0])
-        eng.train_task(1, data[1])
-        assert set(eng.memory.pre_spaces) == {0, 1}
-        assert set(eng.memory.pre_spaces[0]) == {"block0", "block1", "key"}
-
     def test_old_space_exists_after_first_task(self):
         data = small_stream(1)
         eng = Engine.fresh(ENC, quick_cfg(), 2)
@@ -183,7 +175,7 @@ class TestSegmentMap:
         assert list(prompted_reps) == names
         assert list(grad.segments()) == names
         assert list(eng.memory.old_spaces[sid]) == names
-        assert list(eng.memory.pre_spaces[0]) == names
+        assert list(eng._spaces_from_reps(query_reps, eng.cfg.eps_pre, "pre / task 0")) == names
         for j, b in enumerate(blocks):  # block{b} is prompt row block j
             assert np.shares_memory(grad.segments()[f"block{b}"], grad.p[j])
             np.testing.assert_array_equal(grad.segments()[f"block{b}"], grad.p[j])
@@ -289,7 +281,7 @@ class TestTransferPrompts:
         res = run_stream(ENC, quick_cfg(mode="grow_always", n_fft=1), data)
         eng = res.engine
         # task 1's set should have attached the only candidate (set 0)
-        frozen, sources = eng.attachments[1]
+        frozen, sources = eng.pool.sets[1].extra, eng.pool.sets[1].sources
         assert sources == [0]
         assert frozen.shape == (ENC.n_prompted, ENC.prompt_len, ENC.d_model)
         # frozen tokens are a snapshot: not aliased to the live set
@@ -298,12 +290,12 @@ class TestTransferPrompts:
     def test_n_fft_zero_attaches_nothing(self):
         data = small_stream(2)
         res = run_stream(ENC, quick_cfg(mode="grow_always", n_fft=0), data)
-        assert all(res.engine.attachments[sid][0] is None for sid in (0, 1))
+        assert all(res.engine.pool.sets[sid].extra.shape[1] == 0 for sid in (0, 1))
 
     def test_single_set_mode_never_attaches(self):
         data = small_stream(2)
         res = run_stream(ENC, quick_cfg(mode="single_set", n_fft=2), data)
-        assert res.engine.attachments[0][0] is None
+        assert res.engine.pool.sets[0].extra.shape[1] == 0
 
 
 class TestDeterminism:
@@ -452,8 +444,8 @@ class TestEvaluation:
             seen = [c for d in data[: t + 1] for c in d.class_ids]
 
             def predictions(sid, d, mask):
-                extra = eng.attachments.get(sid, (None, []))[0]
-                logits = forward_prompted(eng.backbone, eng.head, eng.pool.sets[sid], d.x_test, mask, extra)
+                pset = eng.pool.sets[sid]
+                logits = forward_prompted(eng.backbone, eng.head, pset, d.x_test, mask, pset.extra)
                 return logits.argmax(axis=1)
 
             for i, d in enumerate(data[: t + 1]):
