@@ -24,7 +24,6 @@ from growcl.encoder import (
     PromptSet,
     forward_prompted,
     forward_query,
-    grad_prompts,
 )
 from growcl.metrics import AccuracyMatrix, faa, ffm, pra, ssp
 from growcl.pool import PromptPool
@@ -70,7 +69,6 @@ __all__ = [
     "forward_prompted",
     "forward_query",
     "generate",
-    "grad_prompts",
     "hfc",
     "k_rank_basis",
     "pra",

@@ -5,8 +5,9 @@ Three sections, all optional keys falling back to dataclass defaults:
     [stream]   task stream shape (n_tasks, classes_per_task, dim,
                similarity, samples_per_class, seed, noise_scale, mean_scale)
     [encoder]  frozen encoder shape (d_model, n_blocks, n_heads, prompt_len,
-               prompted_blocks, input_dim, n_feature_tokens, mlp_ratio);
-               its weights draw from the [train] seed
+               prompted_blocks, n_feature_tokens); its input_dim is the
+               stream's dim, and an input_dim key may only restate it; its
+               weights draw from the [train] seed
     [train]    eps_task, eps_pre, phi, n_fft, epochs, batch_size, lr, seed,
                mode, probe_samples, space_samples, pretrain_steps
 
@@ -71,6 +72,11 @@ def parse_config(text: str):
                     kwargs[key] = _coerce(value, base, key)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+        if section == "encoder":
+            dim = built["stream"].dim
+            if kwargs.setdefault("input_dim", dim) != dim:
+                raise ConfigError(f"invalid [encoder] config: input_dim {kwargs['input_dim']} "
+                                  f"differs from [stream] dim {dim}")
         try:
             built[section] = cls(**kwargs)
         except ValueError as exc:

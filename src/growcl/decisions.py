@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from growcl.encoder import GradientVector, Head, PromptSet, grad_prompts
+from growcl.encoder import GradientVector, Head, PromptSet, loss_and_grads
 from growcl.subspace import Basis, HfcValue, hfc, project_rows
 
 
@@ -125,7 +125,7 @@ class GradientProbe:
             raise DecisionError("probe needs at least one batch")
         acc = None
         for x, y in self.batches:
-            g = grad_prompts(self.backbone, self.head, pset, x, y, self.head_mask)
+            _, g, _, _ = loss_and_grads(self.backbone, self.head, pset, x, y, self.head_mask)
             acc = g.flat if acc is None else acc + g.flat
         return GradientVector(acc / len(self.batches), g.cfg)
 

@@ -47,7 +47,6 @@ the current task's classifier rows ever train.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +75,9 @@ ROW_BLOCK = 64
 # added to the training loss.
 KEY_LOSS_WEIGHT = 1.0
 
+# Width of each block's MLP hidden layer, in multiples of d_model.
+MLP_RATIO = 2
+
 
 class EncoderError(ValueError):
     """Shape or contract violation in the encoder."""
@@ -94,11 +96,9 @@ class EncoderConfig:
     prompted_blocks: tuple = (0, 1)
     input_dim: int = 64
     n_feature_tokens: int = 4
-    mlp_ratio: int = 2
 
     def __post_init__(self):
-        for name in ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim",
-                     "n_feature_tokens", "mlp_ratio"):
+        for name in ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim", "n_feature_tokens"):
             if getattr(self, name) < 1:
                 raise EncoderError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
@@ -142,7 +142,7 @@ class FrozenBackbone:
     @classmethod
     def init(cls, cfg: EncoderConfig, rng: np.random.Generator) -> "FrozenBackbone":
         d, ld = cfg.d_model, cfg.n_feature_tokens * cfg.d_model
-        hidden = cfg.mlp_ratio * d
+        hidden = MLP_RATIO * d
         w = {
             "embed_w": rng.normal(0, 1.0 / np.sqrt(cfg.input_dim), (cfg.input_dim, ld)),
             "embed_b": np.zeros(ld),
@@ -168,12 +168,6 @@ class FrozenBackbone:
 
     def names(self):
         return _backbone_names(self.config)
-
-    def weights_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in self.names():
-            h.update(np.ascontiguousarray(self.weights[name]).tobytes())
-        return h.hexdigest()
 
 
 @dataclass
@@ -625,23 +619,6 @@ def loss_and_grads(
         gw = np.where(rows[None, :], feats.T @ g_logits, 0.0)
         gb = np.where(rows, g_logits.sum(axis=0), 0.0)
     return float(loss), GradientVector(flat, cfg), gw, gb
-
-
-def grad_prompts(
-    backbone: FrozenBackbone,
-    head: Head,
-    pset: PromptSet,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    head_mask,
-    extra: np.ndarray | None = None,
-    q_bar: np.ndarray | None = None,
-) -> GradientVector:
-    """Gradient of the task loss w.r.t. the active set's prompts and key only."""
-    _, grad, _, _ = loss_and_grads(
-        backbone, head, pset, batch, labels, head_mask, extra=extra, q_bar=q_bar
-    )
-    return grad
 
 
 def pretrain_backbone(

@@ -44,42 +44,27 @@ class AccuracyMatrix:
         self.retrieval_hits[task_i, after_t] = hits
         self.retrieval_totals[task_i, after_t] = total
 
-    def column_complete(self, t: int) -> bool:
-        return not np.any(np.isnan(self.a[: t + 1, t]))
-
-    def final_column(self) -> np.ndarray:
-        t = self.n_tasks - 1
-        if not self.column_complete(t):
-            raise MetricsError("accuracy matrix incomplete: final column has gaps")
-        return self.a[:, t]
-
 
 def faa(m: AccuracyMatrix, oracle: bool = False) -> float:
-    """Final average accuracy: mean of the last column."""
-    col = m.final_column() if not oracle else _final_oracle_column(m)
+    """Final average accuracy: mean of the last column of ``a`` (``a_oracle``
+    with ``oracle``)."""
+    col = (m.a_oracle if oracle else m.a)[:, m.n_tasks - 1]
+    if np.any(np.isnan(col)):
+        raise MetricsError("accuracy matrix incomplete: final column has gaps")
     return float(col.mean())
 
 
-def _final_oracle_column(m: AccuracyMatrix) -> np.ndarray:
-    t = m.n_tasks - 1
-    col = m.a_oracle[:, t]
-    if np.any(np.isnan(col)):
-        raise MetricsError("oracle accuracy column has gaps")
-    return col
-
-
-def ffm(m: AccuracyMatrix, oracle: bool = False) -> float:
+def ffm(m: AccuracyMatrix) -> float:
     """Final forgetting: mean over tasks of the worst drop to the final column."""
     t_final = m.n_tasks - 1
     if m.n_tasks < 2:
         raise MetricsError("forgetting needs at least two tasks")
-    grid = m.a if not oracle else m.a_oracle
-    last = grid[:, t_final]
+    last = m.a[:, t_final]
     if np.any(np.isnan(last)):
         raise MetricsError("accuracy matrix incomplete")
     drops = []
     for i in range(t_final):
-        past = grid[i, i:t_final]
+        past = m.a[i, i:t_final]
         if np.any(np.isnan(past)):
             raise MetricsError(f"row {i} incomplete")
         drops.append(float(np.max(past - last[i])))

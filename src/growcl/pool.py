@@ -21,10 +21,6 @@ class PromptPool:
     def __len__(self) -> int:
         return len(self.sets)
 
-    @property
-    def size(self) -> int:
-        return len(self.sets)
-
     def assigned_tasks(self):
         return [t for tasks in self.assignments.values() for t in tasks]
 
@@ -51,10 +47,6 @@ class PromptPool:
         if task in self.assigned_tasks():
             raise PoolError(f"task {task} already assigned")
         self.assignments[set_id].append(task)
-
-    def retrieve(self, q: np.ndarray) -> int:
-        """``retrieve_batch`` for a single query."""
-        return int(self.retrieve_batch(np.asarray(q)[None])[0])
 
     def retrieve_batch(self, queries: np.ndarray) -> np.ndarray:
         """Best-matching set id per query row by cosine(query, key); ties go

@@ -5,8 +5,8 @@ Layout (all little-endian):
     magic   4 bytes  b"LW2G"
     version u32      currently 1
     u32 fields: d_model, n_blocks, n_heads, prompt_len, input_dim,
-                n_feature_tokens, mlp_ratio, n_prompted,
-                prompted_blocks[n_prompted], n_classes, n_tasks,
+                n_feature_tokens, mlp_ratio (always ``encoder.MLP_RATIO``),
+                n_prompted, prompted_blocks[n_prompted], n_classes, n_tasks,
                 tasks_done, n_arrays
     then n_arrays named float32 arrays in declaration order:
         name_len u16, name utf-8, ndim u32, shape u32[ndim], data f32[...]
@@ -18,11 +18,20 @@ bases (``old.<set>.<segment>``), the accuracy grids and the seen classes.
 Pre-trained spaces live only while their task trains and are not stored;
 ``pre.<task>.<segment>`` arrays that older files hold are ignored. Weights
 are quantized to float32 on save; resuming from a snapshot therefore
-continues from the rounded state. ``load`` checks every length field
+continues from the rounded state.
+
+Every check raises ``SnapshotError``. ``load`` checks every length field
 against the bytes left in the file before it reads, so a truncated or
-corrupt container (bytes after the last array included) raises
-``SnapshotError``; ``restore_engine`` checks every array it reads against
-the shape the engine expects.
+corrupt container (bytes after the last array included) fails without a
+large allocation; it rejects an array with more than ``MAX_NDIM`` axes,
+one whose element count exceeds the bytes left, and one that holds a NaN or
+an infinity (the grids store their gaps as -1). ``restore_engine`` checks
+the header against the encoder config, ``tasks_done <= n_tasks``, and every
+array it reads against the shape the engine expects, before it allocates
+anything sized by a header count. It also checks the integer arrays'
+values: each ``set<i>.attached_ids`` entry names another restored set, the
+sets' ``tasks`` together hold each of ``0 .. tasks_done-1`` exactly once,
+and ``seen_classes`` are distinct and below the head's ``n_classes``.
 """
 
 from __future__ import annotations
@@ -33,11 +42,14 @@ import struct
 
 import numpy as np
 
+from growcl.encoder import MLP_RATIO
+
 MAGIC = b"LW2G"
 VERSION = 1
-# the encoder config's fields in header order, before n_prompted
-ENCODER_FIELDS = ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim",
-                  "n_feature_tokens", "mlp_ratio")
+# the encoder config's fields in header order, before mlp_ratio and n_prompted
+ENCODER_FIELDS = ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim", "n_feature_tokens")
+# no array the engine stores has more axes
+MAX_NDIM = 3
 
 
 class SnapshotError(ValueError):
@@ -85,7 +97,15 @@ def _read_array(reader: _Reader):
         raise SnapshotError(f"corrupt snapshot: array name is not UTF-8: {exc}") from exc
     (ndim,) = reader.u32s(1)
     shape = reader.u32s(ndim)
-    data = np.frombuffer(reader.read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+    if ndim > MAX_NDIM:
+        raise SnapshotError(f"corrupt snapshot: array {name} has {ndim} axes, at most {MAX_NDIM} allowed")
+    count = math.prod(shape)
+    if 4 * count > reader.left:
+        raise SnapshotError(f"truncated snapshot: array {name} of shape {shape} needs "
+                            f"{4 * count} bytes, only {reader.left} left")
+    data = np.frombuffer(reader.read(4 * count), dtype="<f4").reshape(shape)
+    if not np.isfinite(data).all():
+        raise SnapshotError(f"array {name} holds non-finite values")
     return name, data.astype(np.float64)
 
 
@@ -120,7 +140,7 @@ def save(path, engine, matrix):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         header = [
-            VERSION, *(getattr(cfg, name) for name in ENCODER_FIELDS), cfg.n_prompted,
+            VERSION, *(getattr(cfg, name) for name in ENCODER_FIELDS), MLP_RATIO, cfg.n_prompted,
             *cfg.prompted_blocks, engine.head.n_classes, matrix.n_tasks,
             engine.tasks_done, len(arrays),
         ]
@@ -135,7 +155,7 @@ def load(path) -> dict:
         reader = _Reader(fh)
         if reader.read(4) != MAGIC:
             raise SnapshotError("bad magic: not a run snapshot")
-        version, *encoder, n_prompted = reader.u32s(len(ENCODER_FIELDS) + 2)
+        version, *encoder, mlp_ratio, n_prompted = reader.u32s(len(ENCODER_FIELDS) + 3)
         if version != VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
         prompted = reader.u32s(n_prompted)
@@ -151,6 +171,7 @@ def load(path) -> dict:
     return {
         "version": version,
         **dict(zip(ENCODER_FIELDS, encoder)),
+        "mlp_ratio": mlp_ratio,
         "prompted_blocks": prompted,
         "n_classes": n_classes,
         "n_tasks": n_tasks,
@@ -163,8 +184,10 @@ def load(path) -> dict:
 def restore_engine(snap: dict, enc_cfg, train_cfg):
     """Rebuild an Engine and AccuracyMatrix from a loaded container.
 
-    The encoder config must structurally match the snapshot header, and every
-    array read must have the shape the engine gives it.
+    The encoder config must structurally match the snapshot header, every
+    array read must have the shape the engine gives it, and the integer
+    arrays must describe a pool some run could have built (see the module
+    docstring).
     """
     from growcl.encoder import FrozenBackbone, Head, PromptSet, segment_map
     from growcl.metrics import AccuracyMatrix
@@ -175,8 +198,13 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     for field_name in ENCODER_FIELDS:
         if getattr(enc_cfg, field_name) != snap[field_name]:
             raise SnapshotError(f"encoder config mismatch on {field_name}")
+    if snap["mlp_ratio"] != MLP_RATIO:
+        raise SnapshotError(f"mlp_ratio {snap['mlp_ratio']} differs from the encoder's {MLP_RATIO}")
     if tuple(enc_cfg.prompted_blocks) != tuple(snap["prompted_blocks"]):
         raise SnapshotError("encoder config mismatch on prompted_blocks")
+    n_tasks, tasks_done = snap["n_tasks"], snap["tasks_done"]
+    if tasks_done > n_tasks:
+        raise SnapshotError(f"tasks_done {tasks_done} exceeds n_tasks {n_tasks}")
 
     arrays = snap["arrays"]
 
@@ -189,27 +217,50 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
             raise SnapshotError(f"array {name} has shape {arr.shape}, expected {shape}")
         return arr
 
-    d, n_prompted, n_tasks = enc_cfg.d_model, enc_cfg.n_prompted, snap["n_tasks"]
+    def ids(name: str, below: int) -> list:
+        """1-D array ``name`` as ints, each an integer in [0, below)."""
+        arr = array(name, (None,))
+        if np.any((arr != np.floor(arr)) | (arr < 0) | (arr >= below)):
+            raise SnapshotError(f"array {name} holds values that are not integers in [0, {below})")
+        return [int(v) for v in arr]
+
+    # the grids are sized by the header's n_tasks: check them before the
+    # AccuracyMatrix allocates its own
+    grid = (n_tasks, n_tasks)
+    a, oracle = array("matrix.a", grid), array("matrix.a_oracle", grid)
+    hits, totals = array("matrix.hits", grid), array("matrix.totals", grid)
+
+    d, n_prompted = enc_cfg.d_model, enc_cfg.n_prompted
     # a drawn backbone gives every weight's shape
     backbone = FrozenBackbone.init(enc_cfg, np.random.default_rng(0))
     for name in backbone.names():
         backbone.weights[name] = array(f"backbone.{name}", backbone.weights[name].shape)
     head = Head(array("head.w", (d, snap["n_classes"])), array("head.b", (snap["n_classes"],)))
+    n_sets = 0
+    while any(name.startswith(f"set{n_sets}.") for name in arrays):
+        n_sets += 1
     sets, assignments = [], {}
-    sid = 0
-    while any(name.startswith(f"set{sid}.") for name in arrays):
-        sources = [int(v) for v in array(f"set{sid}.attached_ids", (None,))]
+    for sid in range(n_sets):
+        sources = ids(f"set{sid}.attached_ids", n_sets)
+        if sid in sources:
+            raise SnapshotError(f"set {sid} lists itself in set{sid}.attached_ids")
         sets.append(PromptSet(
             array(f"set{sid}.p", (n_prompted, enc_cfg.prompt_len, d)), array(f"set{sid}.k", (d,)), sid,
             extra=array(f"set{sid}.attached", (n_prompted, enc_cfg.prompt_len * len(sources), d)),
             sources=sources,
         ))
-        assignments[sid] = [int(t) for t in array(f"set{sid}.tasks", (None,))]
-        sid += 1
+        assignments[sid] = ids(f"set{sid}.tasks", tasks_done)
+    assigned = sorted(t for tasks in assignments.values() for t in tasks)
+    if assigned != list(range(tasks_done)):
+        raise SnapshotError(f"the sets' task lists hold {assigned}, expected each of "
+                            f"0..{tasks_done - 1} exactly once")
+    seen_classes = ids("seen_classes", snap["n_classes"])
+    if len(set(seen_classes)) != len(seen_classes):
+        raise SnapshotError("array seen_classes repeats a class")
     # every restored set has a stored space, one basis per segment
     memory = SubspaceMemory()
     segments = list(segment_map(enc_cfg, range(n_prompted), None))
-    for sid in range(len(sets)):
+    for sid in range(n_sets):
         spaces = memory.old_spaces[sid] = {}
         for seg in segments:
             name = f"old.{sid}.{seg}"
@@ -217,15 +268,12 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
             spaces[seg] = orthonormalized(array(name, (d, None)), label=name)
     engine = Engine(
         enc_cfg, train_cfg, np.random.default_rng(np.random.SeedSequence(train_cfg.seed)),
-        backbone, head, PromptPool(sets, assignments), memory,
-        [int(c) for c in array("seen_classes", (None,))], snap["tasks_done"],
+        backbone, head, PromptPool(sets, assignments), memory, seen_classes, tasks_done,
     )
 
     matrix = AccuracyMatrix(n_tasks)
-    grid = (n_tasks, n_tasks)
-    a, oracle = array("matrix.a", grid), array("matrix.a_oracle", grid)
     matrix.a = np.where(a < 0, np.nan, a)
     matrix.a_oracle = np.where(oracle < 0, np.nan, oracle)
-    matrix.retrieval_hits = array("matrix.hits", grid).astype(int)
-    matrix.retrieval_totals = array("matrix.totals", grid).astype(int)
+    matrix.retrieval_hits = hits.astype(int)
+    matrix.retrieval_totals = totals.astype(int)
     return engine, matrix

@@ -23,7 +23,6 @@ from growcl.encoder import (
     FrozenBackbone,
     Head,
     PromptSet,
-    grad_prompts,
     loss_and_grads,
     query_with_layers,
 )
@@ -185,7 +184,7 @@ def _fd_check(backbone, head, pset, batch, labels, mask, extra, rng, per_block=2
     def loss_value():
         return loss_and_grads(backbone, head, pset, batch, labels, mask, extra=extra)[0]
 
-    grad = grad_prompts(backbone, head, pset, batch, labels, mask, extra=extra)
+    grad = loss_and_grads(backbone, head, pset, batch, labels, mask, extra=extra)[1]
     h = 1e-4
     for j in range(GRAD_ENC.n_prompted):
         seg = grad.p[j]

@@ -88,10 +88,11 @@ class TestConfigParsing:
 
     def test_unknown_key_rejected(self, tmp_path):
         # bogus keys, and the removed fft_literal_angle / space_from / key_loss / key_loss_weight /
-        # encoder seed / pretrain_classes / pretrain_lr / rotation_jitter_deg / shift_fraction
+        # mlp_ratio / encoder seed / pretrain_classes / pretrain_lr / rotation_jitter_deg /
+        # shift_fraction
         for section, line in (("train", "bogus = 1"), ("train", "fft_literal_angle = 0"),
                               ("train", "space_from = prompted"), ("encoder", "key_loss = cosine"),
-                              ("encoder", "key_loss_weight = 1.0"),
+                              ("encoder", "key_loss_weight = 1.0"), ("encoder", "mlp_ratio = 2"),
                               ("encoder", "seed = 99"), ("train", "pretrain_classes = 8"),
                               ("train", "pretrain_lr = 0.05"), ("stream", "rotation_jitter_deg = 10"),
                               ("stream", "shift_fraction = 0.05")):
@@ -111,6 +112,12 @@ class TestConfigParsing:
             listed = set(re.findall(r"`([a-z_]+)`", re.sub(r"\([^()]*\)", "", bullet)))
             key_of = {f: key for key, f in _ALIASES.get(name, {}).items()}
             assert listed == {key_of.get(f.name, f.name) for f in fields(cls)}, name
+
+    def test_input_dim_taken_from_stream_dim(self):
+        _, enc, _ = parse_config(CONFIG_TEXT.replace("input_dim = 24\n", ""))
+        assert enc.input_dim == 24
+        _, enc, _ = parse_config("[stream]\ndim = 10\n")
+        assert enc.input_dim == 10
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -225,8 +232,9 @@ class TestRun:
         ("stream", "samples_per_class", "2"), ("stream", "n_tasks", "0"),
         ("stream", "classes_per_task", "0"), ("stream", "seed", "-5"), ("stream", "noise_scale", "nan"),
         ("stream", "noise_scale", "-0.1"), ("stream", "mean_scale", "inf"),
-        ("encoder", "mlp_ratio", "0"), ("encoder", "n_heads", "0"),
-        ("encoder", "prompt_len", "0"), ("encoder", "n_blocks", "0"),
+        ("encoder", "n_heads", "0"), ("encoder", "prompt_len", "0"), ("encoder", "n_blocks", "0"),
+        # input_dim may only restate [stream] dim (24)
+        ("encoder", "input_dim", "20"),
     ])
     def test_invalid_stream_or_encoder_option_exits_1(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "exp.cfg"
@@ -234,6 +242,11 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"config error: invalid [{section}] config: " in err and key in err, err
+
+    def test_config_without_input_dim_runs(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("input_dim = 24\n", ""))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_smallest_split_runs(self, tmp_path):
         # 3 samples per class: 2 train rows and 1 test row each

@@ -15,6 +15,11 @@ def make_set(key, set_id=-1):
     return PromptSet(np.zeros((2, 3, 4)), np.asarray(key, dtype=float), set_id)
 
 
+def retrieve_one(pool, q):
+    """The set ``retrieve_batch`` picks for the single query ``q``."""
+    return int(pool.retrieve_batch(np.asarray(q)[None])[0])
+
+
 def replay_pool(decisions):
     """Apply a decision sequence (1-based set ids) and return assignments."""
     pool = PromptPool()
@@ -35,7 +40,7 @@ class TestRegistry:
         pool = PromptPool()
         sid = pool.add_set(make_set([1, 0, 0, 0]), task=1)
         assert sid == 0
-        assert pool.size == 1
+        assert len(pool) == 1
         assert pool.assignments == {0: [1]}
 
     def test_duplicate_task_rejected(self):
@@ -55,20 +60,20 @@ class TestRegistry:
         pool = PromptPool()
         pool.add_set(make_set([1, 0, 0, 0]), task=1)
         pool.assign_task(0, 4)
-        assert pool.size == 1
+        assert len(pool) == 1
         assert pool.assignments[0] == [1, 4]
 
     def test_six_set_trace_assignments(self):
         pool, labels = replay_pool(SIX_SETS_DECISIONS)
         got = {lbl: pool.assignments[sid] for lbl, sid in labels.items()}
         assert got == SIX_SETS_FINAL_POOL
-        assert pool.size == 6
+        assert len(pool) == 6
 
     def test_two_set_trace_assignments(self):
         pool, labels = replay_pool(TWO_SETS_DECISIONS)
         got = {lbl: pool.assignments[sid] for lbl, sid in labels.items()}
         assert got == TWO_SETS_FINAL_POOL
-        assert pool.size == 2
+        assert len(pool) == 2
 
     def test_set_for_task(self):
         pool, _ = replay_pool(SIX_SETS_DECISIONS)
@@ -83,18 +88,18 @@ class TestRetrieve:
         keys = np.eye(4)
         for t in range(4):
             pool.add_set(make_set(keys[t]), task=t + 1)
-        assert pool.retrieve(keys[2]) == 2
+        assert retrieve_one(pool, keys[2]) == 2
 
     def test_single_set_always_wins(self):
         pool = PromptPool()
         pool.add_set(make_set([1.0, 2.0, 3.0, 4.0]), task=1)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert pool.retrieve(rng.standard_normal(4)) == 0
+            assert retrieve_one(pool, rng.standard_normal(4)) == 0
 
     def test_empty_pool(self):
         with pytest.raises(PoolError):
-            PromptPool().retrieve(np.ones(4))
+            PromptPool().retrieve_batch(np.ones((1, 4)))
 
     def test_matches_brute_force_cosine(self):
         rng = np.random.default_rng(1)
@@ -115,14 +120,14 @@ class TestRetrieve:
         queries[8] = [-1.0, 0.0, 0.0, 0.0]  # obtuse to every other key: the zero key wins
         want = [brute_force(q) for q in queries]
         assert want[7] == 0 and want[8] == 4
-        assert [pool.retrieve(q) for q in queries] == want
+        assert [retrieve_one(pool, q) for q in queries] == want
         assert pool.retrieve_batch(queries).tolist() == want
 
     def test_tie_breaks_to_lowest_id(self):
         pool = PromptPool()
         pool.add_set(make_set([2.0, 0.0, 0.0, 0.0]), task=1)
         pool.add_set(make_set([1.0, 0.0, 0.0, 0.0]), task=2)  # same direction
-        assert pool.retrieve(np.array([1.0, 0.0, 0.0, 0.0])) == 0
+        assert retrieve_one(pool, np.array([1.0, 0.0, 0.0, 0.0])) == 0
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(2)
@@ -136,7 +141,7 @@ class TestRetrieve:
             permuted.add_set(make_set(keys[j]), task=t + 1)
         for _ in range(20):
             q = rng.standard_normal(4)
-            assert perm[permuted.retrieve(q)] == pool.retrieve(q)
+            assert perm[retrieve_one(permuted, q)] == retrieve_one(pool, q)
 
     def test_retrieve_batch(self):
         pool = PromptPool()

@@ -9,7 +9,7 @@ from growcl.encoder import (
     EncoderConfig,
     GradientVector,
     PromptSet,
-    grad_prompts,
+    loss_and_grads,
     prompted_with_layers,
     query_with_layers,
 )
@@ -169,7 +169,7 @@ class TestSegmentMap:
         x, y = ds.x_train[:8], ds.y_train[:8]
         _, query_reps = query_with_layers(eng.backbone, x)
         _, prompted_reps = prompted_with_layers(eng.backbone, pset, x)
-        grad = grad_prompts(eng.backbone, eng.head, pset, x, y, ds.class_ids)
+        grad = loss_and_grads(eng.backbone, eng.head, pset, x, y, ds.class_ids)[1]
         names = [f"block{b}" for b in blocks] + ["key"]
         assert list(query_reps) == names
         assert list(prompted_reps) == names
@@ -340,7 +340,7 @@ class TestEvaluation:
         assert 0.0 <= faa(res.matrix, oracle=True) <= 1.0
 
     def test_hit_counters_match_pool_retrieval_rule(self):
-        # a recorded hit is exactly: retrieve() returned the set whose
+        # a recorded hit is exactly: retrieve_batch() returned the set whose
         # assignment list contains the evaluated task
         from growcl.encoder import forward_query
 
@@ -350,7 +350,7 @@ class TestEvaluation:
         for i, ds in enumerate(data):
             q = forward_query(eng.backbone, ds.x_test)
             want = sum(
-                i in eng.pool.assignments[eng.pool.retrieve(row)] for row in q
+                i in eng.pool.assignments[sid] for sid in eng.pool.retrieve_batch(q).tolist()
             )
             assert m.retrieval_hits[i, 2] == want
 
@@ -449,7 +449,7 @@ class TestEvaluation:
                 return logits.argmax(axis=1)
 
             for i, d in enumerate(data[: t + 1]):
-                retrieved = [eng.pool.retrieve(q) for q in forward_query(eng.backbone, d.x_test)]
+                retrieved = eng.pool.retrieve_batch(forward_query(eng.backbone, d.x_test)).tolist()
                 main = {sid: predictions(sid, d, seen) for sid in set(retrieved)}
                 most_sets = max(most_sets, len(main))
                 correct = sum(int(main[sid][r] == d.y_test[r]) for r, sid in enumerate(retrieved))
