@@ -65,7 +65,7 @@ def parse_config(text: str):
             for key, value in parser.items(section):
                 key = _ALIASES.get(section, {}).get(key, key)
                 if key not in by_name:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                    raise ConfigError(f"invalid [{section}] config: unknown key {key!r}")
                 f = by_name[key]
                 base = f.type if isinstance(f.type, type) else type(f.default)
                 try:

@@ -232,6 +232,8 @@ class TestRun:
         ("stream", "samples_per_class", "2"), ("stream", "n_tasks", "0"),
         ("stream", "classes_per_task", "0"), ("stream", "seed", "-5"), ("stream", "noise_scale", "nan"),
         ("stream", "noise_scale", "-0.1"), ("stream", "mean_scale", "inf"),
+        # mlp_ratio is no longer a key (it is encoder.MLP_RATIO), so it exits 1 as unknown
+        ("encoder", "mlp_ratio", "0"),
         ("encoder", "n_heads", "0"), ("encoder", "prompt_len", "0"), ("encoder", "n_blocks", "0"),
         # input_dim may only restate [stream] dim (24)
         ("encoder", "input_dim", "20"),
