@@ -10,7 +10,6 @@ gradients and stored subspaces.
 from growcl.decisions import (
     GrowDecision,
     HindranceRecord,
-    SoftConstraintConfig,
     apply_soft_constraint,
     compose_prompts,
     decide,
@@ -22,7 +21,6 @@ from growcl.encoder import (
     GradientVector,
     Head,
     PromptSet,
-    forward_prompted,
     forward_query,
 )
 from growcl.metrics import AccuracyMatrix, faa, ffm, pra, ssp
@@ -31,13 +29,10 @@ from growcl.stream import StreamSpec, generate
 from growcl.subspace import (
     Basis,
     HfcValue,
-    RepresentationMatrix,
     SubspaceError,
     extend_basis,
     hfc,
     k_rank_basis,
-    project,
-    project_complement,
 )
 from growcl.trainer import Engine, SubspaceMemory, TrainConfig, run_stream
 
@@ -54,8 +49,6 @@ __all__ = [
     "HindranceRecord",
     "PromptPool",
     "PromptSet",
-    "RepresentationMatrix",
-    "SoftConstraintConfig",
     "StreamSpec",
     "SubspaceError",
     "SubspaceMemory",
@@ -66,14 +59,11 @@ __all__ = [
     "extend_basis",
     "faa",
     "ffm",
-    "forward_prompted",
     "forward_query",
     "generate",
     "hfc",
     "k_rank_basis",
     "pra",
-    "project",
-    "project_complement",
     "run_stream",
     "select_transfer_sets",
     "ssp",

@@ -152,12 +152,12 @@ def cmd_replay(args) -> int:
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or an integer past the digit limit
         print(f"runtime error: malformed trace row: {exc}", file=sys.stderr)
         return 2
     try:
         decisions, assignments = replay_rows(rows)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"runtime error: malformed trace: {exc}", file=sys.stderr)
         return 2
     for d in decisions:
@@ -174,15 +174,21 @@ def cmd_replay(args) -> int:
 def _report_metrics(path) -> dict:
     """The ``metrics`` object of the report at ``path``; raises ValueError
     when the file is not JSON, or not an object holding a ``metrics`` object
-    whose compared values are numbers or null."""
+    whose compared values are null or numbers that convert to a float."""
     report = json.loads(Path(path).read_text())
     metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict):
         raise ValueError('not an object with a "metrics" object')
     for key in COMPARED:
         value = metrics.get(key)
-        if value is not None and not isinstance(value, (int, float)):
+        if value is None:
+            continue
+        if not isinstance(value, (int, float)):
             raise ValueError(f"metric {key!r} is {value!r}, not a number or null")
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise ValueError(f"metric {key!r} does not convert to a float: {exc}") from exc
     return metrics
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from growcl.encoder import EncoderConfig
 from growcl.stream import StreamSpec
@@ -49,7 +49,8 @@ def _coerce(value: str, target_type, key: str):
 
 def parse_config(text: str):
     """Parse config text into (StreamSpec, EncoderConfig, TrainConfig)."""
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is just a character
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -117,14 +118,4 @@ class RunManifest:
     finished_at: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "config": self.config,
-                "outputs": self.outputs,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)

@@ -1,12 +1,13 @@
 """Grow-or-reuse decision logic and the gradient surgery around it.
 
 Before each task (after the first), every pool set is probed once: the
-task's gradient on that set is measured against the orthogonal complement of
-the set's stored feature space (the hindrance the orthogonal update rule
-would impose), and the same gradient against the complement of the task's
-pre-trained space (the hindrance floor an unencumbered set would face). The
-gap z = hindrance_old - hindrance_floor drives the decision: grow a new set
-when every gap is positive, otherwise fold the task into the set with the
+task's gradient on that set's own prompts, without its frozen transfer rows,
+is measured against the orthogonal complement of the set's stored feature
+space (the hindrance the orthogonal update rule would impose), and the same
+gradient against the complement of the task's pre-trained space (the
+hindrance floor an unencumbered set would face). The gap
+z = hindrance_old - hindrance_floor drives the decision: grow a new set when
+every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
 Stored spaces are per segment, keyed by the encoder's segment names
@@ -22,12 +23,12 @@ composition of active + frozen prompt tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from growcl.encoder import GradientVector, Head, PromptSet, loss_and_grads
-from growcl.subspace import Basis, HfcValue, hfc, project_rows
+from growcl.subspace import HfcValue, hfc, project_rows
 
 
 class DecisionError(ValueError):
@@ -53,13 +54,12 @@ class HindranceRecord:
 
 @dataclass(frozen=True)
 class GrowDecision:
-    kind: str  # "grow" | "reuse"
-    reuse_id: int | None
+    reuse_id: int | None  # None: grow a new set
     records: tuple
 
     @property
     def is_grow(self) -> bool:
-        return self.kind == "grow"
+        return self.reuse_id is None
 
     def describe(self) -> str:
         return "grow" if self.is_grow else f"reuse({self.reuse_id})"
@@ -72,8 +72,8 @@ def decide(records) -> GrowDecision:
         raise DecisionError("decide() needs at least one record; the first task grows unconditionally")
     best = min(records, key=lambda r: (r.z, r.set_id))
     if best.z > 0.0:
-        return GrowDecision("grow", None, records)
-    return GrowDecision("reuse", best.set_id, records)
+        return GrowDecision(None, records)
+    return GrowDecision(best.set_id, records)
 
 
 # -- lifting bases onto the flat prompt gradient ------------------------------
@@ -112,7 +112,8 @@ class GradientProbe:
     """Averaged task gradient over a fixed subset, no parameter updates.
 
     Probing uses cross-entropy only; the retrieval-key pull plays no part in
-    the decision, so the key segment of probe gradients is zero.
+    the decision, so the key segment of probe gradients is zero. A probe
+    measures a set's own prompts without its frozen transfer rows.
     """
 
     backbone: object
@@ -123,9 +124,11 @@ class GradientProbe:
     def gradient(self, pset: PromptSet) -> GradientVector:
         if not self.batches:
             raise DecisionError("probe needs at least one batch")
+        # the frozen rows a set trains with are chosen after the decision
+        bare = PromptSet(pset.p, pset.k, pset.id)
         acc = None
         for x, y in self.batches:
-            _, g, _, _ = loss_and_grads(self.backbone, self.head, pset, x, y, self.head_mask)
+            _, g, _, _ = loss_and_grads(self.backbone, self.head, bare, x, y, self.head_mask)
             acc = g.flat if acc is None else acc + g.flat
         return GradientVector(acc / len(self.batches), g.cfg)
 
@@ -151,23 +154,14 @@ def dynamic_threshold(grad: GradientVector, pre_space: dict) -> HfcValue:
 # -- soft pre-trained-knowledge constraint ------------------------------------
 
 
-@dataclass(frozen=True)
-class SoftConstraintConfig:
-    phi: float
-    pre_space: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi <= 1.0:
-            raise DecisionError(f"phi must be in [0, 1], got {self.phi}")
-
-
-def apply_soft_constraint(grad: GradientVector, cfg: SoftConstraintConfig) -> GradientVector:
+def apply_soft_constraint(grad: GradientVector, phi: float, pre_space: dict) -> GradientVector:
     """Remove a (1 - phi) fraction of the gradient's component inside the
-    pre-trained feature space: g - (1 - phi) * Proj_pre(g)."""
-    if cfg.phi == 1.0:
-        return grad.copy()
-    proj = project_gradient(grad, cfg.pre_space)
-    return GradientVector(grad.flat - (1.0 - cfg.phi) * proj.flat, grad.cfg)
+    pre-trained feature space: g - (1 - phi) * Proj_pre(g). At ``phi == 1``
+    that is ``grad`` itself. ``TrainConfig`` keeps phi in [0, 1]."""
+    if phi == 1.0:
+        return grad
+    proj = project_gradient(grad, pre_space)
+    return GradientVector(grad.flat - (1.0 - phi) * proj.flat, grad.cfg)
 
 
 # -- frozen-prompt transfer selection ------------------------------------------
@@ -216,7 +210,7 @@ def compose_prompts(active: PromptSet, reused) -> np.ndarray:
 # -- trace records -----------------------------------------------------------------
 
 
-def trace_record(task: int, records, decision: GrowDecision, pool_after: dict) -> dict:
+def trace_record(task: int, decision: GrowDecision, pool_after: dict) -> dict:
     """One decision as a JSON-ready dict (angles in degrees, like reports)."""
     return {
         "task": task,
@@ -227,7 +221,7 @@ def trace_record(task: int, records, decision: GrowDecision, pool_after: dict) -
                 "hfc_pre_deg": round(r.hfc_pre.degrees, 6),
                 "z": round(r.z_degrees, 6),
             }
-            for r in records
+            for r in decision.records
         ],
         "decision": decision.describe(),
         "pool_after": {str(sid): list(tasks) for sid, tasks in sorted(pool_after.items())},

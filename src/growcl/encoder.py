@@ -5,9 +5,11 @@ token is prepended, and each block runs pre-norm multi-head attention plus a
 GELU MLP. A prompted block takes its prompt rows as an attention prefix, as in
 Prefix-Tuning and DualPrompt: the rows' keys and values, computed once per
 batch, join those of the data tokens, and nothing else is computed for them,
-so prompts act purely through attention. The promptless pass ("query" mode)
-yields the vanilla feature used for key matching and for pre-trained
-subspaces.
+so prompts act purely through attention. A set's prefix is its own prompt
+rows followed by its frozen transfer rows (``PromptSet.extra``), and every
+prompted pass reads both from the set it is given. The promptless pass
+("query" mode) yields the vanilla feature used for key matching and for
+pre-trained subspaces.
 
 The encoder runs forward and backward on plain arrays. A block's forward
 returns its output and, when a gradient is wanted, a backward over its cached
@@ -15,13 +17,13 @@ intermediates that returns the input, prompt and (while the backbone is
 pretrained) weight gradients. ``encode`` chains the blocks, and its backward
 walks ``ln_f``, the blocks in reverse and, for pretraining, the embedding and
 class token. ``loss_and_grads`` puts the masked head and cross-entropy in
-front and adds the key's cosine pull in closed form. The LN, GELU, softmax
-and cross-entropy derivatives are the ``autodiff`` kernels; the ``autodiff``
-tape is not used here, and the tests compose the same model from it as an
-independent reference. Only the class token is read after the last block, so
-that block builds keys and values from every token and the prompt but
-computes the query, attention row, residual and MLP for the class token
-alone.
+front, adds the key's cosine pull in closed form, and returns the head
+gradients on the masked-in classes. The LN, GELU, softmax and cross-entropy
+derivatives are the ``autodiff`` kernels; the ``autodiff`` tape is not used
+here, and the tests compose the same model from it as an independent
+reference. Only the class token is read after the last block, so that block
+builds keys and values from every token and the prompt but computes the
+query, attention row, residual and MLP for the class token alone.
 
 A forward-only pass (no backward wanted: queries, features for evaluation,
 the reps of stored and pre-trained spaces) runs ``ROW_BLOCK`` rows at a time
@@ -252,9 +254,6 @@ class GradientVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
 
-    def copy(self) -> "GradientVector":
-        return GradientVector(self.flat.copy(), self.cfg)
-
 
 def class_mask_bias(n_classes: int, allowed) -> np.ndarray:
     """Additive logit bias: 0 for allowed classes, a large negative elsewhere."""
@@ -460,8 +459,8 @@ def encode(
     item, ``backward``, when ``return_backward``.
 
     ``prompts`` maps prompted block index -> [P, d] prefix rows that every
-    sample's tokens attend to in that block (already joined with any frozen
-    extras).
+    sample's tokens attend to in that block (a set's prompt, then its frozen
+    rows).
     ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
     class-token output of each prompted block, then the final feature under
     ``key`` (copies).
@@ -497,35 +496,28 @@ def encode(
     return feats, reps
 
 
-def _prompt_rows(cfg: EncoderConfig, p: np.ndarray, extra: np.ndarray | None) -> dict:
-    """Prefix rows per prompted block: the set's prompt, then any frozen extras."""
+def _prompt_rows(cfg: EncoderConfig, pset: PromptSet) -> dict:
+    """Prefix rows per prompted block: the set's prompt, then its frozen rows."""
     prompts = {}
     for j, b in enumerate(cfg.prompted_blocks):
-        rows = p[j]
-        if extra is not None and extra.shape[1]:
-            rows = np.concatenate([rows, extra[j]], axis=0)
+        rows = pset.p[j]
+        if pset.extra.shape[1]:
+            rows = np.concatenate([rows, pset.extra[j]], axis=0)
         prompts[b] = rows
     return prompts
 
 
-def prompted_features(
-    backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray, extra: np.ndarray | None = None
-) -> np.ndarray:
-    """Features [n, d] of ``batch`` under ``pset`` (and frozen ``extra`` rows)."""
-    feats, _ = encode(backbone, batch, _prompt_rows(backbone.config, pset.p, extra))
+def prompted_features(backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray) -> np.ndarray:
+    """Features [n, d] of ``batch`` under ``pset``'s prompt and frozen rows."""
+    feats, _ = encode(backbone, batch, _prompt_rows(backbone.config, pset))
     return feats
 
 
 def forward_prompted(
-    backbone: FrozenBackbone,
-    head: Head,
-    pset: PromptSet,
-    batch: np.ndarray,
-    head_mask,
-    extra: np.ndarray | None = None,
+    backbone: FrozenBackbone, head: Head, pset: PromptSet, batch: np.ndarray, head_mask
 ) -> np.ndarray:
     """Logits [n, n_classes] with classes outside ``head_mask`` pushed to -inf."""
-    feats = prompted_features(backbone, pset, batch, extra)
+    feats = prompted_features(backbone, pset, batch)
     return feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
 
 
@@ -540,11 +532,9 @@ def query_with_layers(backbone: FrozenBackbone, batch: np.ndarray):
     return encode(backbone, batch, collect_layers=True)
 
 
-def prompted_with_layers(
-    backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray, extra: np.ndarray | None = None
-):
-    prompts = _prompt_rows(backbone.config, pset.p, extra)
-    return encode(backbone, batch, prompts, collect_layers=True)
+def prompted_with_layers(backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray):
+    """Pass under ``pset``, returning (features, per-block class-token reps)."""
+    return encode(backbone, batch, _prompt_rows(backbone.config, pset), collect_layers=True)
 
 
 def _key_loss(k: np.ndarray, q_bar: np.ndarray, weight: float):
@@ -576,16 +566,14 @@ def loss_and_grads(
     batch: np.ndarray,
     labels: np.ndarray,
     head_mask,
-    extra: np.ndarray | None = None,
     q_bar: np.ndarray | None = None,
-    train_head_classes=None,
 ):
     """One forward/backward: cross-entropy (+ key pull when ``q_bar`` given).
 
-    Returns (loss value, GradientVector over the active set's p and k,
-    head weight grad or None, head bias grad or None). ``extra`` tokens join
-    the forward pass but receive no gradient; head gradients are restricted
-    to ``train_head_classes`` rows.
+    Returns (loss value, GradientVector over the set's p and k, head weight
+    grad, head bias grad). The set's frozen rows join the forward pass but
+    receive no gradient; the head gradients are zero outside the
+    ``head_mask`` classes.
     """
     cfg = backbone.config
     labels = np.asarray(labels, dtype=int)
@@ -595,7 +583,7 @@ def loss_and_grads(
     if not set(labels.tolist()) <= allowed:
         raise EncoderError("labels outside head mask")
 
-    feats, _, backward = encode(backbone, batch, _prompt_rows(cfg, pset.p, extra), return_backward=True)
+    feats, _, backward = encode(backbone, batch, _prompt_rows(cfg, pset), return_backward=True)
     logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
     loss, logp = cross_entropy_forward(logits, labels)
     k_grad = np.zeros_like(pset.k)
@@ -612,12 +600,10 @@ def loss_and_grads(
         p_grad[j] += prompt_grads[b][: cfg.prompt_len]
     flat = np.concatenate([p_grad.ravel(), k_grad])
 
-    gw = gb = None
-    if train_head_classes is not None:
-        rows = np.zeros(head.n_classes, dtype=bool)
-        rows[np.asarray(list(train_head_classes), dtype=int)] = True
-        gw = np.where(rows[None, :], feats.T @ g_logits, 0.0)
-        gb = np.where(rows, g_logits.sum(axis=0), 0.0)
+    rows = np.zeros(head.n_classes, dtype=bool)
+    rows[np.asarray(list(head_mask), dtype=int)] = True
+    gw = np.where(rows[None, :], feats.T @ g_logits, 0.0)
+    gb = np.where(rows, g_logits.sum(axis=0), 0.0)
     return float(loss), GradientVector(flat, cfg), gw, gb
 
 

@@ -31,7 +31,10 @@ array it reads against the shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
 values: each ``set<i>.attached_ids`` entry names another restored set, the
 sets' ``tasks`` together hold each of ``0 .. tasks_done-1`` exactly once,
-and ``seen_classes`` are distinct and below the head's ``n_classes``.
+and ``seen_classes`` are distinct and below the head's ``n_classes``. In
+the accuracy grids every ``matrix.a`` and ``matrix.a_oracle`` entry is -1
+or in [0, 1], every ``matrix.hits`` and ``matrix.totals`` entry is an
+integer in [0, ``MAX_COUNT``], and no hit count exceeds its total.
 """
 
 from __future__ import annotations
@@ -42,7 +45,11 @@ import struct
 
 import numpy as np
 
-from growcl.encoder import MLP_RATIO
+from growcl.encoder import MLP_RATIO, FrozenBackbone, Head, PromptSet, segment_map
+from growcl.metrics import AccuracyMatrix
+from growcl.pool import PromptPool
+from growcl.subspace import orthonormalized
+from growcl.trainer import Engine, SubspaceMemory
 
 MAGIC = b"LW2G"
 VERSION = 1
@@ -50,6 +57,9 @@ VERSION = 1
 ENCODER_FIELDS = ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim", "n_feature_tokens")
 # no array the engine stores has more axes
 MAX_NDIM = 3
+# float32 holds every integer up to 2**24 exactly; a stored count above it
+# cannot have been written exactly
+MAX_COUNT = 2**24
 
 
 class SnapshotError(ValueError):
@@ -189,12 +199,6 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     arrays must describe a pool some run could have built (see the module
     docstring).
     """
-    from growcl.encoder import FrozenBackbone, Head, PromptSet, segment_map
-    from growcl.metrics import AccuracyMatrix
-    from growcl.pool import PromptPool
-    from growcl.subspace import orthonormalized
-    from growcl.trainer import Engine, SubspaceMemory
-
     for field_name in ENCODER_FIELDS:
         if getattr(enc_cfg, field_name) != snap[field_name]:
             raise SnapshotError(f"encoder config mismatch on {field_name}")
@@ -229,6 +233,14 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     grid = (n_tasks, n_tasks)
     a, oracle = array("matrix.a", grid), array("matrix.a_oracle", grid)
     hits, totals = array("matrix.hits", grid), array("matrix.totals", grid)
+    for name, acc in (("matrix.a", a), ("matrix.a_oracle", oracle)):
+        if np.any((acc != -1) & ((acc < 0) | (acc > 1))):
+            raise SnapshotError(f"array {name} holds values that are neither -1 nor in [0, 1]")
+    for name, counts in (("matrix.hits", hits), ("matrix.totals", totals)):
+        if np.any((counts != np.floor(counts)) | (counts < 0) | (counts > MAX_COUNT)):
+            raise SnapshotError(f"array {name} holds values that are not integers in [0, {MAX_COUNT}]")
+    if np.any(hits > totals):
+        raise SnapshotError("array matrix.hits exceeds matrix.totals")
 
     d, n_prompted = enc_cfg.d_model, enc_cfg.n_prompted
     # a drawn backbone gives every weight's shape

@@ -163,13 +163,3 @@ def generate(spec: StreamSpec):
         )
     return datasets
 
-
-def dump_csv(dataset: TaskDataset, path, split: str = "train"):
-    """Write one split as CSV (header: label, f0..f{dim-1})."""
-    x = dataset.x_train if split == "train" else dataset.x_test
-    y = dataset.y_train if split == "train" else dataset.y_test
-    dim = x.shape[1]
-    header = "label," + ",".join(f"f{i}" for i in range(dim))
-    rows = np.hstack([y[:, None].astype(float), x])
-    np.savetxt(path, rows, delimiter=",", header=header, comments="",
-               fmt=["%d"] + ["%.10g"] * dim)

@@ -14,7 +14,7 @@ samples as rows (n x d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,26 +65,6 @@ class Basis:
 
 
 @dataclass(frozen=True)
-class RepresentationMatrix:
-    """Sample representations stacked as rows, tagged with their origin."""
-
-    rows: np.ndarray  # shape (n, d)
-    provenance: str = ""
-
-    def __post_init__(self):
-        r = np.asarray(self.rows, dtype=np.float64)
-        if r.ndim != 2 or r.shape[0] < 1:
-            raise SubspaceError(f"representation matrix needs >=1 row, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise SubspaceError("representation matrix contains non-finite entries")
-        object.__setattr__(self, "rows", r)
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
-@dataclass(frozen=True)
 class HfcValue:
     """Hindrance angle between a gradient and one of its projections."""
 
@@ -106,6 +86,16 @@ class HfcValue:
     @classmethod
     def from_degrees(cls, deg: float, grad_norm: float = 1.0) -> "HfcValue":
         return cls(math.radians(deg), grad_norm)
+
+
+def _check_rows(rows: np.ndarray) -> np.ndarray:
+    """Representation rows (n, d) as float64; at least one row, all finite."""
+    r = np.asarray(rows, dtype=np.float64)
+    if r.ndim != 2 or r.shape[0] < 1:
+        raise SubspaceError(f"representation matrix needs >=1 row, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise SubspaceError("representation matrix contains non-finite entries")
+    return r
 
 
 def _check_vector(v: np.ndarray, basis: Basis) -> np.ndarray:
@@ -199,16 +189,17 @@ def _min_rank_for_energy(s: np.ndarray, eps: float, base: float = 0.0, total: fl
     return int(reached[0]) + 1
 
 
-def k_rank_basis(r: RepresentationMatrix, eps: float, label: str = "") -> Basis:
+def k_rank_basis(rows: np.ndarray, eps: float, label: str = "") -> Basis:
     """Extract the minimal basis whose singular energy reaches ``eps`` of total.
 
-    SVDs the transposed representation matrix (columns = samples) and keeps
+    SVDs the transposed representation rows (columns = samples) and keeps
     the first k left singular vectors, with k minimal such that the cumulative
     squared singular values reach ``eps`` times the total.
     """
+    rows = _check_rows(rows)
     if not 0.0 < eps <= 1.0:
         raise SubspaceError(f"eps must be in (0, 1], got {eps}")
-    u, s = _left_singular(r.rows)
+    u, s = _left_singular(rows)
     total = float(np.sum(s * s))
     if total == 0.0:
         raise SubspaceError("degenerate representation matrix (all zero)")
@@ -247,7 +238,7 @@ def orthonormalized(matrix: np.ndarray, label: str = "") -> Basis:
     return Basis(cols, label)
 
 
-def extend_basis(old: Basis, r_new: RepresentationMatrix, eps: float, label: str = "") -> Basis:
+def extend_basis(old: Basis, rows: np.ndarray, eps: float, label: str = "") -> Basis:
     """Append the minimal set of new directions so the stored span keeps
     ``eps`` of the new representation's energy.
 
@@ -256,11 +247,11 @@ def extend_basis(old: Basis, r_new: RepresentationMatrix, eps: float, label: str
     ``||R_proj||_F^2 + ||(R_hat)_h||_F^2 >= eps * ||R||_F^2``.
     Old columns are returned unchanged, ahead of the new ones.
     """
+    rows = _check_rows(rows)
     if not 0.0 < eps <= 1.0:
         raise SubspaceError(f"eps must be in (0, 1], got {eps}")
-    if r_new.dim != old.dim:
-        raise SubspaceError(f"dimension mismatch: rows {r_new.dim} vs basis {old.dim}")
-    rows = r_new.rows
+    if rows.shape[1] != old.dim:
+        raise SubspaceError(f"dimension mismatch: rows {rows.shape[1]} vs basis {old.dim}")
     total = float(np.sum(rows * rows))
     if total == 0.0:
         raise SubspaceError("degenerate representation matrix (all zero)")

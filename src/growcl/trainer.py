@@ -8,12 +8,16 @@ seeds the RNG, draws the backbone, pretrains it on a
 draws the head. ``snapshot.restore_engine`` calls the same constructor with
 the state read from a file.
 
-For each task the engine (1) probes every pool set and decides grow-or-reuse
-(first task always grows; the ``grow_always`` and ``single_set`` modes bypass
-the decision), (2) trains the chosen set with the soft pre-trained-knowledge
-constraint and, on reuse, the orthogonal-to-old-space condition, optionally
+For each task the engine (1) probes every pool set's own prompts, without
+its frozen transfer rows, and decides grow-or-reuse (first task always grows;
+the ``grow_always`` and ``single_set`` modes bypass the decision), (2) trains
+the chosen set with the soft pre-trained-knowledge constraint and, when the
+set has a stored space, the orthogonal-to-old-space condition, optionally
 with frozen transfer prompts joined behind the active ones in each block's
-attention prefix, and (3) builds or extends the set's stored feature space.
+attention prefix, and (3) builds the set's stored feature space, or extends
+the one it has. Every step reads the engine's own state: the step size from
+``cfg``, a set's stored space from ``memory`` and its frozen rows from the
+set itself.
 The task's pre-trained space lives only while ``train_task`` runs: the
 decision floor and the soft constraint read it, and nothing after.
 
@@ -35,7 +39,6 @@ from growcl.decisions import (
     GradientProbe,
     GrowDecision,
     HindranceRecord,
-    SoftConstraintConfig,
     apply_soft_constraint,
     compose_prompts,
     decide,
@@ -64,7 +67,7 @@ from growcl.encoder import (
 from growcl.metrics import AccuracyMatrix
 from growcl.pool import PromptPool
 from growcl.stream import StreamSpec, generate
-from growcl.subspace import Basis, RepresentationMatrix, extend_basis, k_rank_basis
+from growcl.subspace import extend_basis, k_rank_basis
 
 MODES = ("lw2g", "grow_always", "single_set")
 
@@ -187,11 +190,10 @@ class Engine:
         """Per-segment basis build (or extension of ``old``'s, when given)."""
         spaces = {}
         for name, rows in reps.items():
-            rep = RepresentationMatrix(rows, provenance=label)
             if old is None:
-                spaces[name] = k_rank_basis(rep, eps, f"{label}/{name}")
+                spaces[name] = k_rank_basis(rows, eps, f"{label}/{name}")
             else:
-                spaces[name] = extend_basis(old[name], rep, eps)
+                spaces[name] = extend_basis(old[name], rows, eps)
         return spaces
 
     def _subset(self, n: int, cap: int) -> np.ndarray:
@@ -205,22 +207,22 @@ class Engine:
 
     # -- core per-task operations --------------------------------------------------
 
-    def orthogonal_step(self, pset: PromptSet, grad: GradientVector, old_spaces: dict | None, lr: float):
-        """Step along the component of the gradient orthogonal to the stored
-        old space (plain step when no space is stored yet)."""
+    def orthogonal_step(self, pset: PromptSet, grad: GradientVector):
+        """Step ``cfg.lr`` along the component of the gradient orthogonal to
+        the set's stored space (plain step when it has none yet)."""
+        old_spaces = self.memory.old_spaces.get(pset.id)
         if old_spaces:
             grad = project_gradient(grad, old_spaces, complement=True)
-        pset.p -= lr * grad.p
-        pset.k -= lr * grad.k
+        pset.p -= self.cfg.lr * grad.p
+        pset.k -= self.cfg.lr * grad.k
 
-    def finalize_task_space(self, set_id: int, task_id: int, dataset, grew: bool):
+    def finalize_task_space(self, set_id: int, task_id: int, dataset):
         """Collect a representation sample from the trained configuration and
-        build (grow) or extend (reuse) the set's stored space."""
+        build the set's stored space, or extend the one it already has."""
         idx = self._subset(len(dataset.x_train), self.cfg.space_samples)
         x = dataset.x_train[idx]
-        pset = self.pool.sets[set_id]
-        _, reps = prompted_with_layers(self.backbone, pset, x, extra=pset.extra)
-        old = None if grew else self.memory.old_spaces[set_id]
+        _, reps = prompted_with_layers(self.backbone, self.pool.sets[set_id], x)
+        old = self.memory.old_spaces.get(set_id)
         label = f"set {set_id} / task {task_id}"
         self.memory.old_spaces[set_id] = self._spaces_from_reps(
             reps, self.cfg.eps_task, label, old=old
@@ -263,9 +265,9 @@ class Engine:
             del self.test_features[key]
 
         attached = self._attach_transfer_prompts(pset, probe, probe_grads)
-        reuse_spaces = self.memory.old_spaces.get(sid) if not decision.is_grow else None
+        # a set that has just grown has no stored space yet
+        reuse_spaces = self.memory.old_spaces.get(sid)
 
-        soft = SoftConstraintConfig(cfg.phi, pre_space)
         p_before = pset.p.copy()
         k_before = pset.k.copy()
         final_loss = np.nan
@@ -276,22 +278,21 @@ class Engine:
                 q_bar = q_all[batch].mean(axis=0)
                 try:
                     loss, grad, gw, gb = loss_and_grads(
-                        self.backbone, self.head, pset, x[batch], y[batch], tuple(classes),
-                        extra=pset.extra, q_bar=q_bar, train_head_classes=classes,
+                        self.backbone, self.head, pset, x[batch], y[batch], tuple(classes), q_bar=q_bar
                     )
                 except NonFiniteError as exc:
                     raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
-                grad = apply_soft_constraint(grad, soft)
-                self.orthogonal_step(pset, grad, reuse_spaces, cfg.lr)
+                grad = apply_soft_constraint(grad, cfg.phi, pre_space)
+                self.orthogonal_step(pset, grad)
                 self.head.w -= cfg.lr * gw
                 self.head.b -= cfg.lr * gb
                 final_loss = loss
 
         drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
-        self.finalize_task_space(sid, task_id, dataset, grew=decision.is_grow)
+        self.finalize_task_space(sid, task_id, dataset)
         self.seen_classes.extend(classes)
         self.tasks_done += 1
-        row = trace_record(task_id, decision.records, decision, self.pool.assignments)
+        row = trace_record(task_id, decision, self.pool.assignments)
         report = TaskReport(task_id, sid, decision, row, float(final_loss), drift, attached)
         self.reports.append(report)
         return report
@@ -301,9 +302,9 @@ class Engine:
     def _decide(self, task_id: int, probe: GradientProbe, pre_space: dict):
         probe_grads = {}
         if self.tasks_done == 0 or self.cfg.mode == "grow_always":
-            return GrowDecision("grow", None, ()), probe_grads
+            return GrowDecision(None, ()), probe_grads
         if self.cfg.mode == "single_set":
-            return GrowDecision("reuse", 0, ()), probe_grads
+            return GrowDecision(0, ()), probe_grads
         records = []
         for pset in self.pool.sets:
             try:
@@ -392,8 +393,7 @@ class Engine:
         _, where, feats = cached
         missing = rows[where[rows] < 0]
         if len(missing):
-            pset = self.pool.sets[sid]
-            new = prompted_features(self.backbone, pset, x_test[missing], pset.extra)
+            new = prompted_features(self.backbone, self.pool.sets[sid], x_test[missing])
             where[missing] = np.arange(len(feats), len(feats) + len(missing))
             feats = np.concatenate([feats, new])
         self.test_features[(sid, task)] = (x_test, where, feats)

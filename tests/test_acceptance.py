@@ -14,7 +14,6 @@ import pytest
 from growcl.cli import main, replay_rows
 from growcl.decisions import (
     GradientProbe,
-    SoftConstraintConfig,
     apply_soft_constraint,
     project_gradient,
 )
@@ -28,7 +27,7 @@ from growcl.encoder import (
 )
 from growcl.metrics import AccuracyMatrix, faa, ffm, pra, ssp
 from growcl.stream import StreamSpec, generate
-from growcl.subspace import Basis, RepresentationMatrix, extend_basis, hfc, k_rank_basis, project, project_complement
+from growcl.subspace import Basis, extend_basis, hfc, k_rank_basis, project, project_complement
 from growcl.trainer import Engine, TrainConfig, run_stream
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
@@ -163,13 +162,13 @@ def test_criterion_05_soft_constraint_behavior():
                           [(ds.x_train[:24], ds.y_train[:24])])
     g = probe.gradient(eng.pool.sets[0])
 
-    out1 = apply_soft_constraint(g, SoftConstraintConfig(1.0, pre_spaces))
+    out1 = apply_soft_constraint(g, 1.0, pre_spaces)
     assert np.array_equal(out1.flat, g.flat)
 
-    out0 = apply_soft_constraint(g, SoftConstraintConfig(0.0, pre_spaces))
+    out0 = apply_soft_constraint(g, 0.0, pre_spaces)
     assert project_gradient(out0, pre_spaces).norm < 1e-8
 
-    norms = [apply_soft_constraint(g, SoftConstraintConfig(phi, pre_spaces)).norm
+    norms = [apply_soft_constraint(g, phi, pre_spaces).norm
              for phi in (0.0, 0.25, 0.5, 0.75, 1.0)]
     for n in norms:
         assert n <= g.norm + 1e-12
@@ -181,10 +180,12 @@ GRAD_ENC = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=4,
 
 
 def _fd_check(backbone, head, pset, batch, labels, mask, extra, rng, per_block=20):
-    def loss_value():
-        return loss_and_grads(backbone, head, pset, batch, labels, mask, extra=extra)[0]
+    pset = PromptSet(pset.p, pset.k, pset.id, extra=extra)
 
-    grad = loss_and_grads(backbone, head, pset, batch, labels, mask, extra=extra)[1]
+    def loss_value():
+        return loss_and_grads(backbone, head, pset, batch, labels, mask)[0]
+
+    grad = loss_and_grads(backbone, head, pset, batch, labels, mask)[1]
     h = 1e-4
     for j in range(GRAD_ENC.n_prompted):
         seg = grad.p[j]
@@ -241,7 +242,7 @@ def test_criterion_07_rank_selection_and_extension():
     for _ in range(500):
         rows = rng.standard_normal((int(rng.integers(2, 14)), int(rng.integers(2, 10))))
         eps = float(rng.uniform(0.15, 0.999))
-        basis = k_rank_basis(RepresentationMatrix(rows), eps)
+        basis = k_rank_basis(rows, eps)
         s = np.linalg.svd(rows, compute_uv=False)
         energy = np.cumsum(s * s)
         total = energy[-1]
@@ -254,7 +255,7 @@ def test_criterion_07_rank_selection_and_extension():
         old = Basis(random_orthonormal(rng, d, int(rng.integers(1, d))))
         rows = rng.standard_normal((int(rng.integers(2, 16)), d))
         eps = float(rng.uniform(0.15, 0.999))
-        joint = extend_basis(old, RepresentationMatrix(rows), eps)
+        joint = extend_basis(old, rows, eps)
         gram = joint.matrix.T @ joint.matrix
         assert np.all(np.abs(gram - np.eye(joint.rank)) < 1e-8)
         assert np.array_equal(joint.matrix[:, : old.rank], old.matrix)

@@ -10,7 +10,6 @@ from growcl.decisions import (
     GradientProbe,
     GrowDecision,
     HindranceRecord,
-    SoftConstraintConfig,
     apply_soft_constraint,
     compose_prompts,
     decide,
@@ -216,6 +215,12 @@ class TestProbe:
         probe, pset, _ = probe_setup
         np.testing.assert_allclose(probe.gradient(pset).k, 0.0)
 
+    def test_probe_measures_the_set_without_its_frozen_rows(self, probe_setup):
+        probe, pset, rng = probe_setup
+        bare = probe.gradient(pset)
+        pset.extra = rng.standard_normal((CFG.n_prompted, CFG.prompt_len, CFG.d_model))
+        assert np.array_equal(probe.gradient(pset).flat, bare.flat)
+
     def test_hindrance_for_old_set_requires_space(self, probe_setup):
         probe, pset, _ = probe_setup
         with pytest.raises(DecisionError):
@@ -247,10 +252,10 @@ class TestProbe:
         # segment; the floor then equals the angle to the complement of those
         # single projections, computable by hand.
         probe, pset, rng = probe_setup
-        from growcl.subspace import RepresentationMatrix, k_rank_basis
+        from growcl.subspace import k_rank_basis
 
         reps = {name: rng.standard_normal((12, CFG.d_model)) for name in SEGMENTS}
-        pre = {name: k_rank_basis(RepresentationMatrix(r), eps=1e-9) for name, r in reps.items()}
+        pre = {name: k_rank_basis(r, eps=1e-9) for name, r in reps.items()}
         assert all(b.rank == 1 for b in pre.values())
         g = probe.gradient(pset)
         thr = dynamic_threshold(g, pre)
@@ -274,13 +279,13 @@ class TestSoftConstraint:
 
     def test_phi_one_is_identity(self):
         g = self.make_gradient()
-        out = apply_soft_constraint(g, SoftConstraintConfig(1.0, self.full_spaces()))
+        out = apply_soft_constraint(g, 1.0, self.full_spaces())
         assert np.array_equal(out.flat, g.flat)
 
     def test_phi_zero_removes_span_component(self):
         g = self.make_gradient()
         spaces = self.full_spaces()
-        out = apply_soft_constraint(g, SoftConstraintConfig(0.0, spaces))
+        out = apply_soft_constraint(g, 0.0, spaces)
         assert project_gradient(out, spaces).norm < 1e-8
 
     def test_interpolation_arithmetic(self):
@@ -289,7 +294,7 @@ class TestSoftConstraint:
         flat[-CFG.d_model:][:2] = [1.0, 1.0]
         g = gradient_from_flat(flat)
         spaces = {"key": Basis(np.eye(CFG.d_model, 1))}
-        out = apply_soft_constraint(g, SoftConstraintConfig(0.5, spaces))
+        out = apply_soft_constraint(g, 0.5, spaces)
         assert out.k[0] == pytest.approx(0.5)
         assert out.k[1] == pytest.approx(1.0)
 
@@ -297,12 +302,8 @@ class TestSoftConstraint:
         g = self.make_gradient()
         spaces = self.full_spaces(k=3, seed=5)
         for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = apply_soft_constraint(g, SoftConstraintConfig(phi, spaces))
+            out = apply_soft_constraint(g, phi, spaces)
             assert out.norm <= g.norm + 1e-12
-
-    def test_phi_validation(self):
-        with pytest.raises(DecisionError):
-            SoftConstraintConfig(1.5)
 
 
 class TestTransferSelection:
@@ -375,7 +376,7 @@ class TestTraceRecord:
     def test_schema(self):
         records = [record(0, 9.0, 8.0)]
         d = decide(records)
-        row = trace_record(3, records, d, {0: [1, 3]})
+        row = trace_record(3, d, {0: [1, 3]})
         assert row["task"] == 3
         assert row["decision"] == "grow"
         assert row["records"][0]["hfc_old_deg"] == pytest.approx(9.0)

@@ -130,8 +130,8 @@ class TestRowBlocks:
         prompts = None
         if prompted:
             pset = PromptSet.init(CFG, rng)
-            extra = rng.normal(0, 0.5, (CFG.n_prompted, 2, CFG.d_model))
-            prompts = _prompt_rows(CFG, pset.p, extra)
+            pset.extra = rng.normal(0, 0.5, (CFG.n_prompted, 2, CFG.d_model))
+            prompts = _prompt_rows(CFG, pset)
         batch = rng.standard_normal((200, CFG.input_dim))
         one_shot, one_shot_reps, _ = encode(backbone, batch, prompts, collect_layers=True,
                                             return_backward=True)
@@ -159,7 +159,7 @@ class TestRowBlocks:
         # whether it is a whole pass or the last row block of one
         rng = np.random.default_rng(13)
         backbone = FrozenBackbone.init(CFG, rng)
-        prompts = _prompt_rows(CFG, PromptSet.init(CFG, rng).p, None)
+        prompts = _prompt_rows(CFG, PromptSet.init(CFG, rng))
         batch = rng.standard_normal((ROW_BLOCK + 1, CFG.input_dim))
         one_shot, _, _ = encode(backbone, batch, prompts, return_backward=True)
         blocked, _ = encode(backbone, batch, prompts)
@@ -256,9 +256,7 @@ class TestGradients:
 
     def test_head_grads_masked_to_current_rows(self, setup):
         backbone, head, pset, batch, labels = setup
-        _, _, gw, gb = loss_and_grads(
-            backbone, head, pset, batch, labels, range(8), train_head_classes=[0, 1, 2, 3]
-        )
+        _, _, gw, gb = loss_and_grads(backbone, head, pset, batch, labels, [0, 1, 2, 3])
         assert np.all(gw[:, 4:] == 0) and np.all(gb[4:] == 0)
         assert np.any(gw[:, :4] != 0)
 
@@ -268,20 +266,21 @@ class TestFrozenExtras:
         backbone, head, pset, batch, labels = setup
         extra = np.random.default_rng(7).standard_normal((CFG.n_prompted, 2 * CFG.prompt_len, CFG.d_model))
         base = forward_prompted(backbone, head, pset, batch, range(8))
-        with_extra = forward_prompted(backbone, head, pset, batch, range(8), extra=extra)
+        pset.extra = extra
+        with_extra = forward_prompted(backbone, head, pset, batch, range(8))
         assert not np.allclose(base, with_extra)
         snapshot = extra.copy()
-        loss_and_grads(backbone, head, pset, batch, labels, range(8), extra=extra)[1]
+        loss_and_grads(backbone, head, pset, batch, labels, range(8))[1]
         assert np.array_equal(extra, snapshot)
 
     def test_finite_differences_with_extra(self, setup):
         backbone, head, pset, batch, labels = setup
-        extra = np.random.default_rng(8).standard_normal((CFG.n_prompted, CFG.prompt_len, CFG.d_model))
+        pset.extra = np.random.default_rng(8).standard_normal((CFG.n_prompted, CFG.prompt_len, CFG.d_model))
 
         def loss_value():
-            return loss_and_grads(backbone, head, pset, batch, labels, range(8), extra=extra)[0]
+            return loss_and_grads(backbone, head, pset, batch, labels, range(8))[0]
 
-        grad = loss_and_grads(backbone, head, pset, batch, labels, range(8), extra=extra)[1]
+        grad = loss_and_grads(backbone, head, pset, batch, labels, range(8))[1]
         num = finite_difference_entry(loss_value, pset.p, (0, 1, 2))
         assert grad.p[0, 1, 2] == pytest.approx(num, rel=1e-3, abs=1e-5)
 
@@ -418,13 +417,13 @@ class TestPrefixEquivalence:
         labels = rng.integers(0, 4, size=6)
         q_bar = rng.standard_normal(cfg.d_model)
         extra = rng.standard_normal((cfg.n_prompted, 2 * cfg.prompt_len, cfg.d_model)) if with_extra else None
+        pset = PromptSet(pset.p, pset.k, extra=extra)
 
-        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset.p, extra))
+        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset))
         ref = appended_encode(backbone, batch, tape_prompt_tensors(cfg, Tensor(pset.p), extra))
         assert _rel_err(feats, ref.data) <= 1e-12
 
-        loss, grad, _, _ = loss_and_grads(backbone, head, pset, batch, labels, range(8),
-                                          extra=extra, q_bar=q_bar)
+        loss, grad, _, _ = loss_and_grads(backbone, head, pset, batch, labels, range(8), q_bar=q_bar)
         p_t = Tensor(pset.p, requires_grad=True)
         k_t = Tensor(pset.k, requires_grad=True)
         logits = appended_encode(backbone, batch, tape_prompt_tensors(cfg, p_t, extra)) @ Tensor(head.w)
@@ -456,8 +455,9 @@ class TestTapeReference:
         pset = PromptSet.init(cfg, rng)
         batch = rng.standard_normal((7, cfg.input_dim))
         extra = rng.standard_normal((cfg.n_prompted, 2, cfg.d_model)) if with_extra else None
+        pset = PromptSet(pset.p, pset.k, extra=extra)
 
-        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset.p, extra))
+        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset))
         ref = tape_encode(backbone, batch, tape_prompt_tensors(cfg, Tensor(pset.p), extra))
         assert _rel_err(feats, ref.data) <= 1e-12
         assert _rel_err(forward_query(backbone, batch), tape_encode(backbone, batch).data) <= 1e-12
@@ -477,9 +477,9 @@ class TestTapeReference:
         mask = range(6)
         extra = rng.standard_normal((cfg.n_prompted, 2, cfg.d_model)) if with_extra else None
         q_bar = rng.standard_normal(cfg.d_model) if with_q_bar else None
+        pset = PromptSet(pset.p, pset.k, extra=extra)
 
-        loss, grad, gw, gb = loss_and_grads(backbone, head, pset, batch, labels, mask, extra=extra,
-                                            q_bar=q_bar, train_head_classes=range(6))
+        loss, grad, gw, gb = loss_and_grads(backbone, head, pset, batch, labels, mask, q_bar=q_bar)
         ref_loss, ref_p, ref_k, ref_w, ref_b = tape_loss_and_grads(
             backbone, head, pset, batch, labels, mask, extra=extra, q_bar=q_bar, train_head=True
         )

@@ -1,26 +1,37 @@
-"""Hostile snapshots: every corrupted file either restores or raises
-``SnapshotError``, and none makes the reader allocate more than a few MB.
+"""Hostile inputs: corrupted snapshots, traces, reports and configs.
 
-The snapshot comes from ``configs/quick.cfg`` in ``grow_always`` mode (three
-sets, set 1 and set 2 each with one frozen transfer source). Every single
-bit of its header and of its first array's descriptor is flipped in turn;
-hypothesis then draws bit flips and truncations anywhere in the file. The
-named cases below pin the checks a sweep relies on: the value checks on the
-integer arrays, the axis bound, and the non-finite payload check.
+Every corrupted snapshot either restores or raises ``SnapshotError``, and
+none makes the reader allocate more than a few MB. The snapshot comes from
+``configs/quick.cfg`` in ``grow_always`` mode (three sets, set 1 and set 2
+each with one frozen transfer source). Every single bit of its header and of
+its first array's descriptor is flipped in turn; hypothesis then draws bit
+flips and truncations anywhere in the file. The named cases pin the checks
+a sweep relies on: the value checks on the integer arrays and the accuracy
+grids, the axis bound, and the non-finite payload check.
+
+Hypothesis also mutates trace rows (``replay`` must exit 0 or 2), reports
+(``compare`` must exit 0 or 2) and config values (parsing must succeed or
+exit 1, and no run starts); each ``@example`` pins a case that once ended in
+a traceback.
 """
 
+import contextlib
+import io
+import json
 import struct
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from growcl import snapshot
+from growcl import cli, snapshot
 from growcl.cli import main
 from growcl.config import load_config
+from trace_fixtures import TRACE_SIX_SETS
 
 ROOT = Path(__file__).resolve().parents[1]
 # quick.cfg's header: magic, version, 6 encoder fields, mlp_ratio,
@@ -168,3 +179,153 @@ def test_header_values_checked(quick, field, value, match):
     snap[field] = value
     with pytest.raises(snapshot.SnapshotError, match=match):
         snapshot.restore_engine(snap, enc, train)
+
+
+@pytest.mark.parametrize("name, index, value, match", [
+    ("matrix.hits", (0, 2), 1e30, "matrix.hits"),
+    ("matrix.a", (0, 2), 7.5, "matrix.a "),
+    ("matrix.a_oracle", (1, 1), -0.5, "matrix.a_oracle"),
+    ("matrix.totals", (0, 0), 2.5, "matrix.totals"),
+    ("matrix.totals", (0, 0), -1.0, "matrix.totals"),
+    ("matrix.totals", (0, 0), 1e30, "matrix.totals"),
+    ("matrix.hits", (0, 0), 1e6, "exceeds matrix.totals"),
+])
+def test_grid_values_checked(quick, name, index, value, match):
+    _, enc, train, _ = quick
+    snap = _loaded(quick)
+    snap["arrays"][name] = snap["arrays"][name].copy()
+    snap["arrays"][name][index] = value
+    with pytest.raises(snapshot.SnapshotError, match=match):
+        snapshot.restore_engine(snap, enc, train)
+
+
+# -- traces, reports and configs ---------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# any JSON value, small
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+TRACE_ROWS = [{"task": 1, "records": []}] + [
+    {"task": task, "records": [{"set": s, "hfc_old_deg": old, "hfc_pre_deg": pre} for s, old, pre in records]}
+    for task, records in TRACE_SIX_SETS
+]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile_text")
+
+
+def _main(argv) -> tuple:
+    """(exit code, stderr) of one CLI call, its stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _one_error_line(err: str, prefix: str):
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@st.composite
+def mutated_trace(draw):
+    """Trace lines with one row, record or field replaced, removed or cut short."""
+    rows = json.loads(json.dumps(TRACE_ROWS))
+    row = draw(st.sampled_from(rows[1:]))
+    record = draw(st.sampled_from(row["records"]))
+    target, key = draw(st.sampled_from(
+        [(row, "task"), (row, "records")] + [(record, k) for k in ("set", "hfc_old_deg", "hfc_pre_deg")]
+    ))
+    if draw(st.booleans()):
+        target[key] = draw(json_values)
+    else:
+        del target[key]
+    lines = [json.dumps(r) for r in rows]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))]
+    return lines
+
+
+@PROPERTY_SETTINGS
+@given(mutated_trace())
+@example([json.dumps(TRACE_ROWS[0]), '{"task": 2, "records": [{"set": 1e999, "hfc_old_deg": 9, "hfc_pre_deg": 8}]}'])
+@example([json.dumps(TRACE_ROWS[0]), '{"task": ' + "1" * 5000 + ', "records": []}'])
+def test_mutated_trace_replays_or_exits_2(scratch, lines):
+    path = scratch / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _main(["replay", "--replay", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        _one_error_line(err, "runtime error: ")
+
+
+REPORT = {"schema": 1, "metrics": {"faa": 0.4, "ffm": 0.1, "pra": 0.5, "ssp": 2, "faa_oracle": 0.9}}
+
+
+@st.composite
+def mutated_report(draw):
+    """Report text with one compared metric, the metrics object or the whole
+    report replaced, or the text cut short."""
+    report = json.loads(json.dumps(REPORT))
+    where = draw(st.sampled_from(["faa", "ffm", "pra", "ssp", "metrics", "report"]))
+    value = draw(json_values)
+    if where == "report":
+        report = value
+    elif where == "metrics":
+        report["metrics"] = value
+    else:
+        report["metrics"][where] = value
+    text = json.dumps(report)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(mutated_report())
+@example('{"metrics": {"faa": ' + "9" * 400 + '}}')
+def test_mutated_report_compares_or_exits_2(scratch, text):
+    (scratch / "a.json").write_text(json.dumps(REPORT))
+    (scratch / "b.json").write_text(text)
+    for pair in (("a.json", "b.json"), ("b.json", "a.json")):
+        code, err = _main(["compare", *(str(scratch / name) for name in pair)])
+        assert code in (0, 2)
+        if code == 2:
+            _one_error_line(err, "runtime error: ")
+
+
+QUICK_LINES = (ROOT / "configs" / "quick.cfg").read_text().splitlines()
+VALUE_LINES = [i for i, line in enumerate(QUICK_LINES) if " = " in line]
+
+
+class _RunStarted(BaseException):
+    """Raised in place of the run once the config has parsed."""
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(VALUE_LINES),
+    st.text(alphabet="0123456789.,-+e %$(){}:;[]\nabinfINF", max_size=8)
+    | st.sampled_from(["1e999", "-1e999", "nan", "inf", "1" * 5000, "%(dim)s", "${dim}"]),
+)
+@example(next(i for i in VALUE_LINES if QUICK_LINES[i].startswith("mode")), "lw2g%")
+def test_mutated_config_value_parses_or_exits_1(scratch, line, value):
+    lines = list(QUICK_LINES)
+    lines[line] = lines[line].split(" = ")[0] + " = " + value
+    path = scratch / "mutated.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(cli, "generate", side_effect=_RunStarted):
+        try:
+            code, err = _main(["run", "--config", str(path), "--out", str(scratch / "run")])
+        except _RunStarted:
+            return  # parsed: the run would start here
+    assert code == 1
+    _one_error_line(err, "config error: ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from growcl.stream import ROTATION_JITTER_DEG, SHIFT_FRACTION, StreamSpec, StreamError, dump_csv, generate
+from growcl.stream import ROTATION_JITTER_DEG, SHIFT_FRACTION, StreamSpec, StreamError, generate
 
 
 def spec(**kw):
@@ -81,14 +81,3 @@ class TestGenerate:
             emp = ds.x_train[ds.y_train == cls].mean(axis=0)
             target = 2.0 * ds.frame[:, j]
             assert np.linalg.norm(emp - target) < 0.5
-
-    def test_csv_dump(self, tmp_path):
-        ds = generate(spec())[0]
-        path = tmp_path / "task0.csv"
-        dump_csv(ds, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("label,f0,")
-        assert len(lines) == 1 + ds.n_train
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(back[:, 0], ds.y_train)
-        np.testing.assert_allclose(back[:, 1:], ds.x_train, atol=1e-9)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from growcl.subspace import (
     Basis,
     HfcValue,
-    RepresentationMatrix,
     SubspaceError,
     extend_basis,
     hfc,
@@ -140,28 +139,28 @@ class TestKRankBasis:
     def test_known_singular_values(self):
         # Diagonal rows give singular values (2, 1): energy 4/5 = 0.8 at k=1.
         rows = np.array([[2.0, 0.0], [0.0, 1.0]])
-        b = k_rank_basis(RepresentationMatrix(rows), eps=0.8)
+        b = k_rank_basis(rows, eps=0.8)
         assert b.rank == 1
-        b2 = k_rank_basis(RepresentationMatrix(rows), eps=0.81)
+        b2 = k_rank_basis(rows, eps=0.81)
         assert b2.rank == 2
 
     def test_eps_one_full_rank(self):
         rng = np.random.default_rng(12)
         rows = rng.standard_normal((6, 4))
-        b = k_rank_basis(RepresentationMatrix(rows), eps=1.0)
+        b = k_rank_basis(rows, eps=1.0)
         assert b.rank == np.linalg.matrix_rank(rows)
 
     def test_rank_one_matrix(self):
         rows = np.outer(np.arange(1, 5, dtype=float), np.array([1.0, 2.0, 2.0]))
         for eps in (0.1, 0.5, 0.999, 1.0):
-            assert k_rank_basis(RepresentationMatrix(rows), eps).rank == 1
+            assert k_rank_basis(rows, eps).rank == 1
 
     def test_minimality_against_energy_scan(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             rows = rng.standard_normal((rng.integers(2, 12), rng.integers(2, 9)))
             eps = rng.uniform(0.2, 0.999)
-            b = k_rank_basis(RepresentationMatrix(rows), eps)
+            b = k_rank_basis(rows, eps)
             s = np.linalg.svd(rows, compute_uv=False)
             energy = np.cumsum(s * s)
             total = energy[-1]
@@ -172,17 +171,24 @@ class TestKRankBasis:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(SubspaceError):
-            k_rank_basis(RepresentationMatrix(np.zeros((3, 3))), 0.5)
+            k_rank_basis(np.zeros((3, 3)), 0.5)
 
     def test_bad_eps(self):
         with pytest.raises(SubspaceError):
-            k_rank_basis(RepresentationMatrix(np.eye(2)), 0.0)
+            k_rank_basis(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("rows", [np.ones(3), np.zeros((0, 3)), np.array([[1.0, np.nan, 0.0]])])
+    def test_rows_must_be_2d_nonempty_and_finite(self, rows):
+        with pytest.raises(SubspaceError, match="representation matrix"):
+            k_rank_basis(rows, 0.5)
+        with pytest.raises(SubspaceError, match="representation matrix"):
+            extend_basis(Basis(np.eye(3, 1)), rows, 0.5)
 
     def test_deterministic_signs(self):
         rng = np.random.default_rng(14)
         rows = rng.standard_normal((5, 5))
-        b1 = k_rank_basis(RepresentationMatrix(rows), 0.9)
-        b2 = k_rank_basis(RepresentationMatrix(rows.copy()), 0.9)
+        b1 = k_rank_basis(rows, 0.9)
+        b2 = k_rank_basis(rows.copy(), 0.9)
         assert np.array_equal(b1.matrix, b2.matrix)
         for j in range(b1.rank):
             col = b1.matrix[:, j]
@@ -193,7 +199,7 @@ class TestExtendBasis:
     def test_residual_direction_added(self):
         old = Basis(np.array([[1.0], [0.0]]))
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        b = extend_basis(old, RepresentationMatrix(rows), eps=0.99)
+        b = extend_basis(old, rows, eps=0.99)
         assert b.rank == 2
         assert np.allclose(b.matrix[:, 0], [1.0, 0.0])
 
@@ -202,7 +208,7 @@ class TestExtendBasis:
         cols = random_orthonormal(rng, 6, 2)
         old = Basis(cols)
         rows = (cols @ rng.standard_normal((2, 10))).T
-        b = extend_basis(old, RepresentationMatrix(rows), eps=0.95)
+        b = extend_basis(old, rows, eps=0.95)
         assert b.rank == 2
         assert np.array_equal(b.matrix, old.matrix)
 
@@ -211,8 +217,7 @@ class TestExtendBasis:
         for _ in range(30):
             old = Basis(random_orthonormal(rng, 6, 2))
             rows = rng.standard_normal((12, 6))
-            rep = RepresentationMatrix(rows)
-            b = extend_basis(old, rep, eps=0.95)
+            b = extend_basis(old, rows, eps=0.95)
             gram = b.matrix.T @ b.matrix
             assert np.allclose(gram, np.eye(b.rank), atol=1e-8)
             # Minimality by decrement: dropping the last appended column must
@@ -230,12 +235,12 @@ class TestExtendBasis:
         rng = np.random.default_rng(17)
         old = Basis(random_orthonormal(rng, 5, 2))
         rows = rng.standard_normal((8, 5))
-        b = extend_basis(old, RepresentationMatrix(rows), eps=0.99)
+        b = extend_basis(old, rows, eps=0.99)
         assert np.array_equal(b.matrix[:, :2], old.matrix)
 
     def test_dimension_mismatch(self):
         with pytest.raises(SubspaceError):
-            extend_basis(Basis(np.eye(3)), RepresentationMatrix(np.ones((2, 4))), 0.9)
+            extend_basis(Basis(np.eye(3)), np.ones((2, 4)), 0.9)
 
 
 class TestInvariants:

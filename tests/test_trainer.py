@@ -186,31 +186,32 @@ class TestOrthogonalStep:
         return GradientVector(np.full(GRAD_SIZE, float(fill)), ENC)
 
     def test_gradient_inside_span_no_update(self):
-        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.5), 2)
         pset = PromptSet.init(ENC, np.random.default_rng(0), 0)
         before_p, before_k = pset.p.copy(), pset.k.copy()
         spaces = {name: Basis(np.eye(ENC.d_model)) for name in ("block0", "block1", "key")}
-        eng.orthogonal_step(pset, self.layout_gradient(1.0), spaces, lr=0.5)
+        eng.memory.old_spaces[pset.id] = spaces
+        eng.orthogonal_step(pset, self.layout_gradient(1.0))
         np.testing.assert_allclose(pset.p, before_p, atol=1e-12)
         np.testing.assert_allclose(pset.k, before_k, atol=1e-12)
 
     def test_no_space_is_plain_sgd(self):
-        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.5), 2)
         pset = PromptSet.init(ENC, np.random.default_rng(0), 0)
         before = pset.p.copy()
-        eng.orthogonal_step(pset, self.layout_gradient(1.0), None, lr=0.5)
+        eng.orthogonal_step(pset, self.layout_gradient(1.0))
         np.testing.assert_allclose(pset.p, before - 0.5, atol=1e-12)
 
     def test_accumulated_drift_stays_orthogonal(self):
         rng = np.random.default_rng(4)
-        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.1), 2)
         pset = PromptSet.init(ENC, rng, 0)
         q, _ = np.linalg.qr(rng.standard_normal((ENC.d_model, 5)))
-        spaces = {name: Basis(q) for name in ("block0", "block1", "key")}
+        eng.memory.old_spaces[pset.id] = {name: Basis(q) for name in ("block0", "block1", "key")}
         start = pset.p.copy()
         for _ in range(50):
             g = GradientVector(rng.standard_normal(GRAD_SIZE), ENC)
-            eng.orthogonal_step(pset, g, spaces, lr=0.1)
+            eng.orthogonal_step(pset, g)
         delta = (pset.p - start)[0]  # block0 rows
         proj = (delta @ q) @ q.T
         assert np.linalg.norm(proj) / np.linalg.norm(delta) < 1e-6
@@ -246,7 +247,7 @@ class TestFinalizeSpace:
         eng.train_task(0, data[0])
         before = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         eng.cfg = quick_cfg(eps_task=0.5)  # easily satisfied by existing span
-        eng.finalize_task_space(0, 0, data[0], grew=False)
+        eng.finalize_task_space(0, 0, data[0])
         after = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         assert after == before
 
@@ -405,9 +406,9 @@ class TestEvaluation:
         encoded = []  # (set id, task, test row) per encoded row
         original = growcl.trainer.prompted_features
 
-        def counted(backbone, pset, batch, extra=None):
+        def counted(backbone, pset, batch):
             encoded.extend((pset.id, *where[row.tobytes()]) for row in batch)
-            return original(backbone, pset, batch, extra)
+            return original(backbone, pset, batch)
 
         monkeypatch.setattr(growcl.trainer, "prompted_features", counted)
         eng = Engine.fresh(ENC, quick_cfg(mode=mode), 6)
@@ -445,7 +446,7 @@ class TestEvaluation:
 
             def predictions(sid, d, mask):
                 pset = eng.pool.sets[sid]
-                logits = forward_prompted(eng.backbone, eng.head, pset, d.x_test, mask, pset.extra)
+                logits = forward_prompted(eng.backbone, eng.head, pset, d.x_test, mask)
                 return logits.argmax(axis=1)
 
             for i, d in enumerate(data[: t + 1]):
