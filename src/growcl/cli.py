@@ -4,22 +4,30 @@
     growcl replay --replay trace.jsonl
     growcl compare report_a.json report_b.json
 
-Exit codes: 0 success, 1 config error, 2 runtime error. ``run`` writes
-report.json, metrics.csv, trace.jsonl, snapshot.bin and manifest.json into
-the output directory; report.json and trace.jsonl are byte-stable for a
-fixed config and seed (timestamps live only in manifest.json).
+Exit codes: 0 success, 1 config error, 2 runtime error. ``main`` alone maps
+a failure to its code and one stderr line: a ``ConfigError`` (an unreadable or
+invalid config, or a rejected ``--mode``/``--seed`` override) exits 1 as
+``config error: ...``, any other exception exits 2 as ``runtime error: ...``.
+``replay`` prefixes a trace it cannot parse or replay with ``malformed
+trace:``, ``compare`` a report it cannot read with ``bad report PATH:``.
+
+``run`` writes report.json, metrics.csv, trace.jsonl, snapshot.bin and
+manifest.json into the output directory; report.json and trace.jsonl are
+byte-stable for a fixed config and seed (timestamps live only in
+manifest.json).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from growcl.config import ConfigError, RunManifest, config_dict, content_hash, load_config
+from growcl.config import ConfigError, load_config
 from growcl.decisions import HindranceRecord, decide
 from growcl.metrics import faa, ffm, per_task_summary, pra, ssp, write_csv
 from growcl.stream import generate
@@ -40,7 +48,8 @@ def build_report(spec, enc_cfg, train_cfg, result) -> dict:
     pool = result.engine.pool
     return {
         "schema": SCHEMA_VERSION,
-        "config": config_dict(spec, enc_cfg, train_cfg),
+        "config": {name: dataclasses.asdict(obj) for name, obj in
+                   (("stream", spec), ("encoder", enc_cfg), ("train", train_cfg))},
         "metrics": {
             "faa": round(faa(m), 12),
             "ffm": round(ffm(m), 12) if m.n_tasks > 1 else None,
@@ -54,45 +63,39 @@ def build_report(spec, enc_cfg, train_cfg, result) -> dict:
     }
 
 
-def cmd_run(args) -> int:
+def cmd_run(args):
     started = datetime.now(timezone.utc).isoformat()
+    text, (spec, enc_cfg, train_cfg) = load_config(args.config)
     try:
-        text, (spec, enc_cfg, train_cfg) = load_config(args.config)
         if args.mode:
             train_cfg = dataclasses.replace(train_cfg, mode=args.mode)
         if args.seed is not None:
             train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        datasets = generate(spec)
-        result = run_stream(enc_cfg, train_cfg, datasets, n_classes=spec.n_classes)
-        report = build_report(spec, enc_cfg, train_cfg, result)
-        (out / "report.json").write_text(_json_line(report) + "\n")
-        with open(out / "trace.jsonl", "w") as fh:
-            for row in result.trace_rows:
-                fh.write(_json_line(row) + "\n")
-        write_csv(result.matrix, out / "metrics.csv")
-        snapshot.save(out / "snapshot.bin", result.engine, result.matrix)
-        manifest = RunManifest(
-            config_hash=content_hash(text.encode("utf-8")),
-            config=report["config"],
-            outputs={name: str(out / name) for name in
-                     ("report.json", "trace.jsonl", "metrics.csv", "snapshot.bin")},
-            started_at=started,
-            finished_at=datetime.now(timezone.utc).isoformat(),
-        )
-        (out / "manifest.json").write_text(manifest.to_json() + "\n")
-    except Exception as exc:  # noqa: BLE001 - surfaced as exit code 2
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    datasets = generate(spec)
+    result = run_stream(enc_cfg, train_cfg, datasets, n_classes=spec.n_classes)
+    report = build_report(spec, enc_cfg, train_cfg, result)
+    (out / "report.json").write_text(_json_line(report) + "\n")
+    with open(out / "trace.jsonl", "w") as fh:
+        for row in result.trace_rows:
+            fh.write(_json_line(row) + "\n")
+    write_csv(result.matrix, out / "metrics.csv")
+    snapshot.save(out / "snapshot.bin", result.engine, result.matrix)
+    manifest = {
+        "config_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "config": report["config"],
+        "outputs": {name: str(out / name) for name in
+                    ("report.json", "trace.jsonl", "metrics.csv", "snapshot.bin")},
+        "started_at": started,
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"run complete: faa={report['metrics']['faa']:.4f} "
           f"pra={report['metrics']['pra']:.4f} ssp={report['metrics']['ssp']} -> {out}")
-    return 0
 
 
 def replay_rows(rows):
@@ -141,25 +144,13 @@ def replay_rows(rows):
     return decisions, assignments
 
 
-def cmd_replay(args) -> int:
-    try:
-        rows = []
-        with open(args.replay) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # json.JSONDecodeError, or an integer past the digit limit
-        print(f"runtime error: malformed trace row: {exc}", file=sys.stderr)
-        return 2
-    try:
-        decisions, assignments = replay_rows(rows)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        print(f"runtime error: malformed trace: {exc}", file=sys.stderr)
-        return 2
+def cmd_replay(args):
+    with open(args.replay) as fh:
+        try:
+            rows = [json.loads(line) for line in fh if line.strip()]
+            decisions, assignments = replay_rows(rows)
+        except Exception as exc:
+            raise ValueError(f"malformed trace: {exc}") from exc
     for d in decisions:
         print(f"task {d['task']}: {d['decision']}")
     summary = {
@@ -168,13 +159,12 @@ def cmd_replay(args) -> int:
         "ssp": len(assignments),
     }
     print(_json_line(summary))
-    return 0
 
 
 def _report_metrics(path) -> dict:
-    """The ``metrics`` object of the report at ``path``; raises ValueError
-    when the file is not JSON, or not an object holding a ``metrics`` object
-    whose compared values are null or numbers that convert to a float."""
+    """The ``metrics`` object of the report at ``path``; raises when the file
+    is not JSON, or not an object holding a ``metrics`` object whose compared
+    values are null or numbers that convert to a float."""
     report = json.loads(Path(path).read_text())
     metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict):
@@ -185,24 +175,17 @@ def _report_metrics(path) -> dict:
             continue
         if not isinstance(value, (int, float)):
             raise ValueError(f"metric {key!r} is {value!r}, not a number or null")
-        try:
-            float(value)
-        except OverflowError as exc:
-            raise ValueError(f"metric {key!r} does not convert to a float: {exc}") from exc
+        float(value)  # an integer past the float range raises OverflowError
     return metrics
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     metrics = []
     for path in (args.report_a, args.report_b):
         try:
             metrics.append(_report_metrics(path))
-        except OSError as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:  # json.JSONDecodeError included
-            print(f"runtime error: bad report {path}: {exc}", file=sys.stderr)
-            return 2
+        except Exception as exc:
+            raise ValueError(f"bad report {path}: {exc}") from exc
     a, b = metrics
     diff = {}
     for key in COMPARED:
@@ -210,7 +193,6 @@ def cmd_compare(args) -> int:
         diff[f"delta_{key}"] = None if va is None or vb is None else round(vb - va, 12)
         print(f"{key:4s}: a={va} b={vb} delta={diff[f'delta_{key}']}")
     print(_json_line(diff))
-    return 0
 
 
 def main(argv=None) -> int:
@@ -236,7 +218,15 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - every other failure exits 2
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@ Unknown keys or sections are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-import hashlib
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 
 from growcl.encoder import EncoderConfig
 from growcl.stream import StreamSpec
@@ -92,30 +90,3 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return text, parse_config(text)
-
-
-def config_dict(spec: StreamSpec, enc: EncoderConfig, train: TrainConfig) -> dict:
-    def as_dict(obj):
-        out = {}
-        for f in fields(obj):
-            v = getattr(obj, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    return {"stream": as_dict(spec), "encoder": as_dict(enc), "train": as_dict(train)}
-
-
-def content_hash(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_hash: str
-    config: dict
-    outputs: dict
-    started_at: str
-    finished_at: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)

@@ -277,7 +277,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
         for seg in segments:
             name = f"old.{sid}.{seg}"
             # float32 storage drifts orthonormality past tolerance; clean it
-            spaces[seg] = orthonormalized(array(name, (d, None)), label=name)
+            spaces[seg] = orthonormalized(array(name, (d, None)))
     engine = Engine(
         enc_cfg, train_cfg, np.random.default_rng(np.random.SeedSequence(train_cfg.seed)),
         backbone, head, PromptPool(sets, assignments), memory, seen_classes, tasks_done,

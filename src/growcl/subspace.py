@@ -33,7 +33,6 @@ class Basis:
     """Orthonormal columns spanning a stored feature space."""
 
     matrix: np.ndarray  # shape (d, k), orthonormal columns
-    label: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -45,12 +44,12 @@ class Basis:
         if k:
             gram = m.T @ m
             if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
-                raise SubspaceError(f"basis columns not orthonormal ({self.label!r})")
+                raise SubspaceError("basis columns not orthonormal")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def empty(cls, dim: int, label: str = "") -> "Basis":
-        return cls(np.zeros((dim, 0)), label)
+    def empty(cls, dim: int) -> "Basis":
+        return cls(np.zeros((dim, 0)))
 
     @property
     def dim(self) -> int:
@@ -189,7 +188,7 @@ def _min_rank_for_energy(s: np.ndarray, eps: float, base: float = 0.0, total: fl
     return int(reached[0]) + 1
 
 
-def k_rank_basis(rows: np.ndarray, eps: float, label: str = "") -> Basis:
+def k_rank_basis(rows: np.ndarray, eps: float) -> Basis:
     """Extract the minimal basis whose singular energy reaches ``eps`` of total.
 
     SVDs the transposed representation rows (columns = samples) and keeps
@@ -205,7 +204,7 @@ def k_rank_basis(rows: np.ndarray, eps: float, label: str = "") -> Basis:
         raise SubspaceError("degenerate representation matrix (all zero)")
     k = _min_rank_for_energy(s, eps)
     k = max(k, 1)
-    return Basis(u[:, :k].copy(), label)
+    return Basis(u[:, :k].copy())
 
 
 def _orthonormalize_against(new_cols: np.ndarray, existing: np.ndarray) -> np.ndarray:
@@ -230,15 +229,15 @@ def _orthonormalize_against(new_cols: np.ndarray, existing: np.ndarray) -> np.nd
     return np.column_stack(kept)
 
 
-def orthonormalized(matrix: np.ndarray, label: str = "") -> Basis:
+def orthonormalized(matrix: np.ndarray) -> Basis:
     """Basis from nearly-orthonormal columns (e.g. after float32 storage),
     cleaned by a Gram-Schmidt pass. Degenerate columns are dropped."""
     m = np.asarray(matrix, dtype=np.float64)
     cols = _orthonormalize_against(m, np.zeros((m.shape[0], 0)))
-    return Basis(cols, label)
+    return Basis(cols)
 
 
-def extend_basis(old: Basis, rows: np.ndarray, eps: float, label: str = "") -> Basis:
+def extend_basis(old: Basis, rows: np.ndarray, eps: float) -> Basis:
     """Append the minimal set of new directions so the stored span keeps
     ``eps`` of the new representation's energy.
 
@@ -264,6 +263,6 @@ def extend_basis(old: Basis, rows: np.ndarray, eps: float, label: str = "") -> B
     u, s = u[:, real], s[real]
     h = _min_rank_for_energy(s, eps, base=base, total=total)
     if h == 0:
-        return Basis(old.matrix, label or old.label)
+        return old
     new_cols = _orthonormalize_against(u[:, :h], old.matrix)
-    return Basis(np.hstack([old.matrix, new_cols]), label or old.label)
+    return Basis(np.hstack([old.matrix, new_cols]))

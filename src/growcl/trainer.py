@@ -67,7 +67,7 @@ from growcl.encoder import (
 from growcl.metrics import AccuracyMatrix
 from growcl.pool import PromptPool
 from growcl.stream import StreamSpec, generate
-from growcl.subspace import extend_basis, k_rank_basis
+from growcl.subspace import extend_basis, k_rank_basis, project_rows
 
 MODES = ("lw2g", "grow_always", "single_set")
 
@@ -125,9 +125,7 @@ class TaskReport:
     set_id: int
     decision: GrowDecision
     trace: dict
-    final_loss: float
     drift_ratios: dict  # segment -> ||proj_old(delta)|| / ||delta|| (reuse only)
-    attached_sets: list
 
 
 # Backbone pretraining runs on a one-task synthetic stream of PRETRAIN_CLASSES
@@ -186,12 +184,12 @@ class Engine:
     # -- helpers ---------------------------------------------------------------
 
     @staticmethod
-    def _spaces_from_reps(reps: dict, eps: float, label: str, old: dict | None = None):
+    def _spaces_from_reps(reps: dict, eps: float, old: dict | None = None):
         """Per-segment basis build (or extension of ``old``'s, when given)."""
         spaces = {}
         for name, rows in reps.items():
             if old is None:
-                spaces[name] = k_rank_basis(rows, eps, f"{label}/{name}")
+                spaces[name] = k_rank_basis(rows, eps)
             else:
                 spaces[name] = extend_basis(old[name], rows, eps)
         return spaces
@@ -216,17 +214,14 @@ class Engine:
         pset.p -= self.cfg.lr * grad.p
         pset.k -= self.cfg.lr * grad.k
 
-    def finalize_task_space(self, set_id: int, task_id: int, dataset):
+    def finalize_task_space(self, set_id: int, dataset):
         """Collect a representation sample from the trained configuration and
         build the set's stored space, or extend the one it already has."""
         idx = self._subset(len(dataset.x_train), self.cfg.space_samples)
         x = dataset.x_train[idx]
         _, reps = prompted_with_layers(self.backbone, self.pool.sets[set_id], x)
         old = self.memory.old_spaces.get(set_id)
-        label = f"set {set_id} / task {task_id}"
-        self.memory.old_spaces[set_id] = self._spaces_from_reps(
-            reps, self.cfg.eps_task, label, old=old
-        )
+        self.memory.old_spaces[set_id] = self._spaces_from_reps(reps, self.cfg.eps_task, old=old)
 
     def train_task(self, task_id: int, dataset) -> TaskReport:
         """Run the full per-task pipeline and return its report."""
@@ -249,7 +244,7 @@ class Engine:
         # constraint).
         q_all, reps = query_with_layers(self.backbone, x)
         pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
-        pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre, f"pre / task {task_id}")
+        pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
         decision, probe_grads = self._decide(task_id, probe, pre_space)
 
@@ -264,20 +259,19 @@ class Engine:
         for key in [key for key in self.test_features if key[0] == sid]:
             del self.test_features[key]
 
-        attached = self._attach_transfer_prompts(pset, probe, probe_grads)
+        self._attach_transfer_prompts(pset, probe, probe_grads)
         # a set that has just grown has no stored space yet
         reuse_spaces = self.memory.old_spaces.get(sid)
 
         p_before = pset.p.copy()
         k_before = pset.k.copy()
-        final_loss = np.nan
         for epoch in range(cfg.epochs):
             order = self.rng.permutation(len(x))
             for lo in range(0, len(order), cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
                 q_bar = q_all[batch].mean(axis=0)
                 try:
-                    loss, grad, gw, gb = loss_and_grads(
+                    _, grad, gw, gb = loss_and_grads(
                         self.backbone, self.head, pset, x[batch], y[batch], tuple(classes), q_bar=q_bar
                     )
                 except NonFiniteError as exc:
@@ -286,14 +280,13 @@ class Engine:
                 self.orthogonal_step(pset, grad)
                 self.head.w -= cfg.lr * gw
                 self.head.b -= cfg.lr * gb
-                final_loss = loss
 
         drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
-        self.finalize_task_space(sid, task_id, dataset)
+        self.finalize_task_space(sid, dataset)
         self.seen_classes.extend(classes)
         self.tasks_done += 1
         row = trace_record(task_id, decision, self.pool.assignments)
-        report = TaskReport(task_id, sid, decision, row, float(final_loss), drift, attached)
+        report = TaskReport(task_id, sid, decision, row, drift)
         self.reports.append(report)
         return report
 
@@ -333,7 +326,6 @@ class Engine:
             chosen = select_transfer_sets(grads, spaces, self.cfg.n_fft)
         pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
         pset.sources = chosen
-        return chosen
 
     def _drift_ratios(self, pset, p_before, k_before, reuse_spaces):
         """Per-segment fraction of the parameter drift lying inside the old
@@ -349,8 +341,7 @@ class Engine:
                 # below accumulated float roundoff: the segment did not move
                 ratios[name] = 0.0
                 continue
-            proj = (delta @ basis.matrix) @ basis.matrix.T
-            ratios[name] = float(np.linalg.norm(proj) / total)
+            ratios[name] = float(np.linalg.norm(project_rows(delta, basis)) / total)
         return ratios
 
     # -- evaluation ------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_criterion_05_soft_constraint_behavior():
     _, probe_idx = eng._probe_batches(ds.x_train, ds.y_train)
     _, reps = query_with_layers(eng.backbone, ds.x_train)
     pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
-    pre_spaces = eng._spaces_from_reps(pre_reps, cfg.eps_pre, "pre / task 0")
+    pre_spaces = eng._spaces_from_reps(pre_reps, cfg.eps_pre)
 
     probe = GradientProbe(eng.backbone, eng.head, tuple(ds.class_ids),
                           [(ds.x_train[:24], ds.y_train[:24])])

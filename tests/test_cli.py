@@ -183,6 +183,13 @@ class TestRun:
         cfg.write_text("[train]\nmode = nonsense\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_rejected_seed_override_exits_1(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1

@@ -258,6 +258,7 @@ def mutated_trace(draw):
 @given(mutated_trace())
 @example([json.dumps(TRACE_ROWS[0]), '{"task": 2, "records": [{"set": 1e999, "hfc_old_deg": 9, "hfc_pre_deg": 8}]}'])
 @example([json.dumps(TRACE_ROWS[0]), '{"task": ' + "1" * 5000 + ', "records": []}'])
+@example(["[" * 100000 + "]" * 100000])
 def test_mutated_trace_replays_or_exits_2(scratch, lines):
     path = scratch / "trace.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -292,6 +293,7 @@ def mutated_report(draw):
 @PROPERTY_SETTINGS
 @given(mutated_report())
 @example('{"metrics": {"faa": ' + "9" * 400 + '}}')
+@example("[" * 100000 + "]" * 100000)
 def test_mutated_report_compares_or_exits_2(scratch, text):
     (scratch / "a.json").write_text(json.dumps(REPORT))
     (scratch / "b.json").write_text(text)

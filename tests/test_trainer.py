@@ -124,7 +124,7 @@ class TestTwinTaskReuse:
         from growcl.encoder import query_with_layers
 
         _, reps = query_with_layers(eng.backbone, ds.x_train[:48])
-        pre_spaces = eng._spaces_from_reps(reps, cfg.eps_pre, "pre check")
+        pre_spaces = eng._spaces_from_reps(reps, cfg.eps_pre)
         old_val, g = hindrance_for_old_set(probe, eng.pool.sets[0], eng.memory.old_spaces[0])
         pre_val = dynamic_threshold(g, pre_spaces)
         assert old_val.angle - pre_val.angle < 0  # direct computation
@@ -175,7 +175,7 @@ class TestSegmentMap:
         assert list(prompted_reps) == names
         assert list(grad.segments()) == names
         assert list(eng.memory.old_spaces[sid]) == names
-        assert list(eng._spaces_from_reps(query_reps, eng.cfg.eps_pre, "pre / task 0")) == names
+        assert list(eng._spaces_from_reps(query_reps, eng.cfg.eps_pre)) == names
         for j, b in enumerate(blocks):  # block{b} is prompt row block j
             assert np.shares_memory(grad.segments()[f"block{b}"], grad.p[j])
             np.testing.assert_array_equal(grad.segments()[f"block{b}"], grad.p[j])
@@ -247,7 +247,7 @@ class TestFinalizeSpace:
         eng.train_task(0, data[0])
         before = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         eng.cfg = quick_cfg(eps_task=0.5)  # easily satisfied by existing span
-        eng.finalize_task_space(0, 0, data[0])
+        eng.finalize_task_space(0, data[0])
         after = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         assert after == before
 
