@@ -46,7 +46,7 @@ def main():
             print(f"{seed:>4} {mode:<12} {ssp(res.engine.pool):>3} {faa(m):>7.3f} "
                   f"{pra(m):>7.3f} {ffm(m):>7.3f} {faa(m, oracle=True):>7.3f}")
             if mode == "lw2g":
-                decisions = ", ".join(r.decision.describe() for r in res.reports)
+                decisions = ", ".join(r.decision.describe() for r in res.engine.reports)
                 print(f"     decisions: {decisions}")
     print(f"total {time.time() - t0:.0f}s")
 

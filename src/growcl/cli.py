@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,7 +34,7 @@ from growcl.metrics import faa, ffm, per_task_summary, pra, ssp, write_csv
 from growcl.stream import generate
 from growcl.subspace import HfcValue
 from growcl import snapshot
-from growcl.trainer import run_stream
+from growcl.trainer import MODES, run_stream
 
 SCHEMA_VERSION = 1
 COMPARED = ("faa", "pra", "ffm", "ssp")  # report metrics that ``compare`` diffs
@@ -59,7 +60,7 @@ def build_report(spec, enc_cfg, train_cfg, result) -> dict:
             "per_task": per_task_summary(m),
         },
         "assignments": {str(sid): tasks for sid, tasks in sorted(pool.assignments.items())},
-        "decisions": [r.decision.describe() for r in result.reports],
+        "decisions": [r.decision.describe() for r in result.engine.reports],
     }
 
 
@@ -81,8 +82,8 @@ def cmd_run(args):
     report = build_report(spec, enc_cfg, train_cfg, result)
     (out / "report.json").write_text(_json_line(report) + "\n")
     with open(out / "trace.jsonl", "w") as fh:
-        for row in result.trace_rows:
-            fh.write(_json_line(row) + "\n")
+        for r in result.engine.reports:
+            fh.write(_json_line(r.trace) + "\n")
     write_csv(result.matrix, out / "metrics.csv")
     snapshot.save(out / "snapshot.bin", result.engine, result.matrix)
     manifest = {
@@ -164,7 +165,8 @@ def cmd_replay(args):
 def _report_metrics(path) -> dict:
     """The ``metrics`` object of the report at ``path``; raises when the file
     is not JSON, or not an object holding a ``metrics`` object whose compared
-    values are null or numbers that convert to a float."""
+    values are null or numbers that convert to a finite float (``json``
+    parses ``NaN`` and ``Infinity``, which no report holds)."""
     report = json.loads(Path(path).read_text())
     metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict):
@@ -175,7 +177,8 @@ def _report_metrics(path) -> dict:
             continue
         if not isinstance(value, (int, float)):
             raise ValueError(f"metric {key!r} is {value!r}, not a number or null")
-        float(value)  # an integer past the float range raises OverflowError
+        if not math.isfinite(value):  # an integer past the float range raises OverflowError
+            raise ValueError(f"metric {key!r} is {value!r}, not finite")
     return metrics
 
 
@@ -202,8 +205,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True, help="path to the experiment config")
-    p_run.add_argument("--mode", choices=("lw2g", "grow_always", "single_set"),
-                       help="override [train] mode")
+    p_run.add_argument("--mode", choices=MODES, help="override [train] mode")
     p_run.add_argument("--seed", type=int, help="override [train] seed")
     p_run.add_argument("--out", default="run_out", help="output directory")
     p_run.set_defaults(func=cmd_run)

@@ -65,10 +65,8 @@ def parse_config(text: str):
                 key = _ALIASES.get(section, {}).get(key, key)
                 if key not in by_name:
                     raise ConfigError(f"invalid [{section}] config: unknown key {key!r}")
-                f = by_name[key]
-                base = f.type if isinstance(f.type, type) else type(f.default)
                 try:
-                    kwargs[key] = _coerce(value, base, key)
+                    kwargs[key] = _coerce(value, type(by_name[key].default), key)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
         if section == "encoder":

@@ -119,11 +119,9 @@ class GradientProbe:
     backbone: object
     head: Head
     head_mask: tuple
-    batches: list  # [(x, y), ...]
+    batches: list  # [(x, y), ...], at least one
 
     def gradient(self, pset: PromptSet) -> GradientVector:
-        if not self.batches:
-            raise DecisionError("probe needs at least one batch")
         # the frozen rows a set trains with are chosen after the decision
         bare = PromptSet(pset.p, pset.k, pset.id)
         acc = None
@@ -134,13 +132,12 @@ class GradientProbe:
 
 
 def hindrance_for_old_set(probe: GradientProbe, pset: PromptSet, old_spaces: dict):
-    """Probe an existing set against its own stored space.
+    """Probe an existing set against its own stored space (every set that
+    has finished a task has one, for every segment).
 
     Returns (HfcValue, probe gradient); the gradient is reused for transfer
     ranking.
     """
-    if not old_spaces:
-        raise DecisionError(f"set {pset.id} has no stored feature space")
     g = probe.gradient(pset)
     return hindrance(g, old_spaces), g
 
@@ -175,20 +172,10 @@ def transfer_score(grad: GradientVector, spaces: dict) -> float:
 
 
 def select_transfer_sets(grads: dict, spaces_by_set: dict, n: int):
-    """Rank candidate sets by how much of the task gradient their stored
-    space captures and return the top ``n`` set ids."""
-    if n < 0:
-        raise DecisionError("n must be >= 0")
-    if n == 0:
-        return []
-    scored = []
-    for sid, g in grads.items():
-        spaces = spaces_by_set.get(sid)
-        if spaces is None:
-            continue
-        scored.append((-transfer_score(g, spaces), sid))
-    scored.sort()
-    return [sid for _, sid in scored[:n]]
+    """The ``n`` set ids whose stored space captures the largest fraction of
+    the task gradient, best first; ties go to the lower id. Every id in
+    ``grads`` has a space in ``spaces_by_set``."""
+    return sorted(grads, key=lambda sid: (-transfer_score(grads[sid], spaces_by_set[sid]), sid))[:n]
 
 
 # -- prompt composition ----------------------------------------------------------
@@ -199,11 +186,6 @@ def compose_prompts(active: PromptSet, reused) -> np.ndarray:
     into [n_prompted, m, d] (zero rows when nothing is reused). They sit
     behind ``active``'s tokens in each prefix and never receive gradient."""
     blocks, _, d = active.p.shape
-    for r in reused:
-        if r.p.shape[0] != blocks or r.p.shape[2] != d:
-            raise DecisionError(
-                f"incompatible prompt shape {r.p.shape} vs active {active.p.shape}"
-            )
     return np.concatenate([np.zeros((blocks, 0, d)), *(r.p for r in reused)], axis=1)
 
 

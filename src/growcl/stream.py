@@ -87,10 +87,6 @@ class TaskDataset:
     y_test: np.ndarray
     frame: np.ndarray  # [dim, classes_per_task] class-mean directions
 
-    @property
-    def n_train(self) -> int:
-        return len(self.y_train)
-
 
 def _random_frame(rng, dim, k):
     q, _ = np.linalg.qr(rng.standard_normal((dim, k)))

@@ -59,32 +59,27 @@ class Basis:
     def rank(self) -> int:
         return self.matrix.shape[1]
 
-    def __len__(self) -> int:
-        return self.rank
-
 
 @dataclass(frozen=True)
 class HfcValue:
-    """Hindrance angle between a gradient and one of its projections."""
+    """Hindrance angle between a gradient and one of its projections; the
+    constructor rejects one outside [0, pi/2], replayed angles included."""
 
     angle: float  # radians, in [0, pi/2]
-    grad_norm: float
 
     def __post_init__(self):
         half_pi = math.pi / 2.0
         if not -1e-12 <= self.angle <= half_pi + 1e-9:
             raise SubspaceError(f"angle {self.angle} outside [0, pi/2]")
         object.__setattr__(self, "angle", min(max(self.angle, 0.0), half_pi))
-        if not self.grad_norm > 0.0:
-            raise SubspaceError("gradient norm must be positive")
 
     @property
     def degrees(self) -> float:
         return math.degrees(self.angle)
 
     @classmethod
-    def from_degrees(cls, deg: float, grad_norm: float = 1.0) -> "HfcValue":
-        return cls(math.radians(deg), grad_norm)
+    def from_degrees(cls, deg: float) -> "HfcValue":
+        return cls(math.radians(deg))
 
 
 def _check_rows(rows: np.ndarray) -> np.ndarray:
@@ -109,8 +104,6 @@ def _check_vector(v: np.ndarray, basis: Basis) -> np.ndarray:
 def project(v: np.ndarray, basis: Basis) -> np.ndarray:
     """Project ``v`` onto span(basis): B B^T v."""
     v = _check_vector(v, basis)
-    if basis.rank == 0:
-        return np.zeros_like(v)
     b = basis.matrix
     return b @ (b.T @ v)
 
@@ -126,8 +119,6 @@ def project_rows(rows: np.ndarray, basis: Basis) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[-1] != basis.dim:
         raise SubspaceError(f"dimension mismatch: rows {rows.shape[-1]} vs basis {basis.dim}")
-    if basis.rank == 0:
-        return np.zeros_like(rows)
     b = basis.matrix
     return (rows @ b) @ b.T
 
@@ -149,10 +140,10 @@ def hfc(g: np.ndarray, g_proj: np.ndarray) -> HfcValue:
         raise SubspaceError("gradient has zero norm")
     pn = float(np.linalg.norm(g_proj))
     if pn == 0.0:
-        return HfcValue(math.pi / 2.0, gn)
+        return HfcValue(math.pi / 2.0)
     cosine = float(np.dot(g, g_proj)) / (gn * pn)
     cosine = min(1.0, max(-1.0, cosine))
-    return HfcValue(min(math.acos(cosine), math.pi / 2.0), gn)
+    return HfcValue(min(math.acos(cosine), math.pi / 2.0))
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:

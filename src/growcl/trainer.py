@@ -313,7 +313,8 @@ class Engine:
         """Pick the sets whose stored spaces capture most of the task gradient
         and freeze copies of their prompts behind ``pset``'s own, replacing
         any it held before."""
-        candidates = [p.id for p in self.pool.sets if p.id != pset.id and p.id in self.memory.old_spaces]
+        # every other set has finished a task, so it has a stored space
+        candidates = [p.id for p in self.pool.sets if p.id != pset.id]
         chosen = []
         if self.cfg.n_fft and candidates:
             grads = {}
@@ -322,8 +323,7 @@ class Engine:
                 if g is None:
                     g = probe.gradient(self.pool.sets[cid])
                 grads[cid] = g
-            spaces = {cid: self.memory.old_spaces[cid] for cid in candidates}
-            chosen = select_transfer_sets(grads, spaces, self.cfg.n_fft)
+            chosen = select_transfer_sets(grads, self.memory.old_spaces, self.cfg.n_fft)
         pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
         pset.sources = chosen
 
@@ -405,13 +405,8 @@ class Engine:
 
 @dataclass
 class RunResult:
-    engine: Engine
+    engine: Engine  # its ``reports`` hold one TaskReport per task
     matrix: AccuracyMatrix
-    reports: list
-
-    @property
-    def trace_rows(self):
-        return [r.trace for r in self.reports]
 
 
 def run_stream(enc_cfg: EncoderConfig, cfg: TrainConfig, datasets, n_classes: int | None = None) -> RunResult:
@@ -423,4 +418,4 @@ def run_stream(enc_cfg: EncoderConfig, cfg: TrainConfig, datasets, n_classes: in
     for t, ds in enumerate(datasets):
         engine.train_task(t, ds)
         engine.evaluate_after(t, datasets, matrix)
-    return RunResult(engine, matrix, engine.reports)
+    return RunResult(engine, matrix)

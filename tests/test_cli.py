@@ -224,7 +224,8 @@ class TestRun:
     @pytest.mark.parametrize("key, value", [
         ("probe_samples", "0"), ("probe_samples", "-2"), ("space_samples", "0"),
         ("space_samples", "-2"), ("pretrain_steps", "-1"), ("lr", "-0.3"), ("lr", "0"),
-        ("lr", "nan"), ("seed", "-3"),
+        ("lr", "nan"), ("seed", "-3"), ("n_fft", "-1"), ("epochs", "0"), ("batch_size", "0"),
+        ("eps_task", "0"), ("eps_pre", "1.5"), ("phi", "2"), ("mode", "bogus"),
     ])
     def test_invalid_train_option_exits_1(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "exp.cfg"
@@ -418,6 +419,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("text", [
         "[1]", "{}", '{"metrics": 3}', '{"metrics": {"faa": "high"}}', "not json",
+        '{"metrics": {"faa": NaN}}', '{"metrics": {"pra": Infinity}}', '{"metrics": {"ssp": -Infinity}}',
     ])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -43,7 +43,7 @@ class TestGenerate:
 
     def test_split_sizes_and_disjointness(self):
         for ds in generate(spec()):
-            assert ds.n_train == 3 * 32
+            assert len(ds.y_train) == 3 * 32
             assert len(ds.y_test) == 3 * 8
             # no identical row appears in both splits
             train_rows = {r.tobytes() for r in ds.x_train}

@@ -14,6 +14,7 @@ from growcl.subspace import (
     k_rank_basis,
     project,
     project_complement,
+    project_rows,
 )
 
 
@@ -43,6 +44,7 @@ class TestBasis:
         v = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(project(v, b), 0.0)
         assert np.allclose(project_complement(v, b), v)
+        assert np.array_equal(project_rows(np.stack([v, -v]), b), np.zeros((2, 4)))
 
 
 class TestProject:
@@ -125,10 +127,6 @@ class TestHfc:
             )
             want = math.acos(max(-1.0, min(1.0, cos)))
             assert got == pytest.approx(want, abs=1e-12)
-
-    def test_grad_norm_recorded(self):
-        g = np.array([3.0, 4.0])
-        assert hfc(g, g).grad_norm == pytest.approx(5.0)
 
     def test_degrees_roundtrip(self):
         v = HfcValue.from_degrees(30.0)

@@ -58,7 +58,7 @@ class TestModes:
         data = small_stream(3)
         res = run_stream(ENC, quick_cfg(mode="grow_always"), data)
         assert ssp(res.engine.pool) == 3
-        assert all(r.decision.is_grow for r in res.reports)
+        assert all(r.decision.is_grow for r in res.engine.reports)
 
     def test_single_set_keeps_one(self):
         data = small_stream(3)
@@ -78,7 +78,7 @@ class TestModes:
         data = small_stream(1)
         for mode in ("lw2g", "grow_always", "single_set"):
             res = run_stream(ENC, quick_cfg(mode=mode), data)
-            assert res.reports[0].decision.is_grow
+            assert res.engine.reports[0].decision.is_grow
 
 
 class TestTaskContracts:
@@ -256,7 +256,7 @@ class TestNoForgetting:
     def test_drift_ratios_tiny_under_forced_reuse(self):
         data = small_stream(3)
         res = run_stream(ENC, quick_cfg(mode="single_set", epochs=3), data)
-        reuse_reports = [r for r in res.reports if not r.decision.is_grow]
+        reuse_reports = [r for r in res.engine.reports if not r.decision.is_grow]
         assert reuse_reports
         for r in reuse_reports:
             assert r.drift_ratios
@@ -305,7 +305,8 @@ class TestDeterminism:
         cfg = quick_cfg(mode="lw2g")
         a = run_stream(ENC, cfg, data)
         b = run_stream(ENC, cfg, data)
-        assert json.dumps(a.trace_rows, sort_keys=True) == json.dumps(b.trace_rows, sort_keys=True)
+        assert json.dumps([r.trace for r in a.engine.reports], sort_keys=True) == json.dumps(
+            [r.trace for r in b.engine.reports], sort_keys=True)
         assert a.engine.pool.assignments == b.engine.pool.assignments
         assert np.array_equal(a.matrix.a, b.matrix.a, equal_nan=True)
         for x, y in zip(a.engine.pool.sets, b.engine.pool.sets):
