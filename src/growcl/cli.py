@@ -166,7 +166,8 @@ def _report_metrics(path) -> dict:
     """The ``metrics`` object of the report at ``path``; raises when the file
     is not JSON, or not an object holding a ``metrics`` object whose compared
     values are null or numbers that convert to a finite float (``json``
-    parses ``NaN`` and ``Infinity``, which no report holds)."""
+    parses ``NaN`` and ``Infinity``, which no report holds; ``true`` and
+    ``false`` are not numbers, though Python's ``bool`` is an ``int``)."""
     report = json.loads(Path(path).read_text())
     metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict):
@@ -175,7 +176,7 @@ def _report_metrics(path) -> dict:
         value = metrics.get(key)
         if value is None:
             continue
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"metric {key!r} is {value!r}, not a number or null")
         if not math.isfinite(value):  # an integer past the float range raises OverflowError
             raise ValueError(f"metric {key!r} is {value!r}, not finite")

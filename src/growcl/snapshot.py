@@ -3,38 +3,45 @@
 Layout (all little-endian):
 
     magic   4 bytes  b"LW2G"
-    version u32      currently 1
+    version u32      currently 2
     u32 fields: d_model, n_blocks, n_heads, prompt_len, input_dim,
-                n_feature_tokens, mlp_ratio (always ``encoder.MLP_RATIO``),
-                n_prompted, prompted_blocks[n_prompted], n_classes, n_tasks,
-                tasks_done, n_arrays
-    then n_arrays named float32 arrays in declaration order:
-        name_len u16, name utf-8, ndim u32, shape u32[ndim], data f32[...]
+                n_feature_tokens, n_prompted, prompted_blocks[n_prompted],
+                n_classes, n_tasks, tasks_done, n_arrays
+    then n_arrays named arrays in declaration order:
+        name_len u16, name utf-8, dtype code 1 byte, ndim u32,
+        shape u32[ndim], data[...]
 
-Arrays hold the backbone (declaration order), the head, every prompt set
-with its frozen transfer rows (``attached``, [n_prompted, m, d], zero rows
-when none), their source set ids and the set's task list, each set's stored
-bases (``old.<set>.<segment>``), the accuracy grids and the seen classes.
-Pre-trained spaces live only while their task trains and are not stored;
-``pre.<task>.<segment>`` arrays that older files hold are ignored. Weights
-are quantized to float32 on save; resuming from a snapshot therefore
-continues from the rounded state.
+The dtype code is ``f`` (``<f8``: weights, keys, bases, accuracy grids),
+``i`` (``<i8``: ``set<i>.attached_ids``, ``set<i>.tasks``, ``matrix.hits``,
+``matrix.totals``, ``seen_classes``) or ``u`` (``<u8``: ``rng``). Arrays
+hold the backbone (declaration order), the head, every prompt set with its
+frozen transfer rows (``attached``, [n_prompted, m, d], zero rows when
+none), their source set ids and the set's task list, each set's stored
+bases (``old.<set>.<segment>``), the accuracy grids, the seen classes and
+the RNG: six words, the PCG64 ``state`` and ``inc`` each split into its
+high and low 64 bits, then ``has_uint32`` and ``uinteger``. Every value is
+stored exactly, so ``restore_engine`` gives back the engine that was saved,
+and training on from it equals the run that was never interrupted; saving
+the restored engine reproduces the file byte for byte. Pre-trained spaces
+live only while their task trains and are not stored.
 
 Every check raises ``SnapshotError``. ``load`` checks every length field
 against the bytes left in the file before it reads, so a truncated or
 corrupt container (bytes after the last array included) fails without a
-large allocation; it rejects an array with more than ``MAX_NDIM`` axes,
-one whose element count exceeds the bytes left, and one that holds a NaN or
-an infinity (the grids store their gaps as -1). ``restore_engine`` checks
-the header against the encoder config, ``tasks_done <= n_tasks``, and every
-array it reads against the shape the engine expects, before it allocates
+large allocation; it rejects an unknown dtype code, an array with more
+than ``MAX_NDIM`` axes, one whose element count exceeds the bytes left, a
+repeated array name, and a float array that holds a NaN or an infinity
+(the grids store their gaps as -1). ``restore_engine`` checks the header
+against the encoder config, ``tasks_done <= n_tasks``, and every array it
+reads against the dtype and shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
 values: each ``set<i>.attached_ids`` entry names another restored set, the
 sets' ``tasks`` together hold each of ``0 .. tasks_done-1`` exactly once,
-and ``seen_classes`` are distinct and below the head's ``n_classes``. In
-the accuracy grids every ``matrix.a`` and ``matrix.a_oracle`` entry is -1
-or in [0, 1], every ``matrix.hits`` and ``matrix.totals`` entry is an
-integer in [0, ``MAX_COUNT``], and no hit count exceeds its total.
+``seen_classes`` are distinct and below the head's ``n_classes``, no
+``matrix.hits`` or ``matrix.totals`` entry is negative and no hit count
+exceeds its total. Every ``matrix.a`` and ``matrix.a_oracle`` entry is -1
+or in [0, 1], every stored basis has orthonormal columns, ``has_uint32`` is
+0 or 1, ``uinteger`` is below 2**32, and PCG64 must accept the state.
 """
 
 from __future__ import annotations
@@ -45,21 +52,21 @@ import struct
 
 import numpy as np
 
-from growcl.encoder import MLP_RATIO, FrozenBackbone, Head, PromptSet, segment_map
+from growcl.encoder import FrozenBackbone, Head, PromptSet, segment_map
 from growcl.metrics import AccuracyMatrix
 from growcl.pool import PromptPool
-from growcl.subspace import orthonormalized
+from growcl.subspace import Basis, SubspaceError
 from growcl.trainer import Engine, SubspaceMemory
 
 MAGIC = b"LW2G"
-VERSION = 1
-# the encoder config's fields in header order, before mlp_ratio and n_prompted
+VERSION = 2
+# the encoder config's fields in header order, before n_prompted
 ENCODER_FIELDS = ("d_model", "n_blocks", "n_heads", "prompt_len", "input_dim", "n_feature_tokens")
 # no array the engine stores has more axes
 MAX_NDIM = 3
-# float32 holds every integer up to 2**24 exactly; a stored count above it
-# cannot have been written exactly
-MAX_COUNT = 2**24
+# dtype code (the numpy kind) -> stored dtype
+DTYPES = {"f": np.dtype("<f8"), "i": np.dtype("<i8"), "u": np.dtype("<u8")}
+_WORD = 2**64 - 1
 
 
 class SnapshotError(ValueError):
@@ -67,10 +74,12 @@ class SnapshotError(ValueError):
 
 
 def _write_array(fh, name: str, arr: np.ndarray):
-    data = np.ascontiguousarray(arr, dtype="<f4")
+    kind = arr.dtype.kind
+    data = np.ascontiguousarray(arr, dtype=DTYPES[kind])
     raw = name.encode("utf-8")
     fh.write(struct.pack("<H", len(raw)))
     fh.write(raw)
+    fh.write(kind.encode("ascii"))
     fh.write(struct.pack("<I", data.ndim))
     fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
     fh.write(data.tobytes())
@@ -105,18 +114,46 @@ def _read_array(reader: _Reader):
         name = reader.read(name_len).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotError(f"corrupt snapshot: array name is not UTF-8: {exc}") from exc
+    code = reader.read(1).decode("latin-1")
+    dtype = DTYPES.get(code)
+    if dtype is None:
+        raise SnapshotError(f"corrupt snapshot: array {name} has unknown dtype code {code!r}")
     (ndim,) = reader.u32s(1)
     shape = reader.u32s(ndim)
     if ndim > MAX_NDIM:
         raise SnapshotError(f"corrupt snapshot: array {name} has {ndim} axes, at most {MAX_NDIM} allowed")
-    count = math.prod(shape)
-    if 4 * count > reader.left:
+    size = dtype.itemsize * math.prod(shape)
+    if size > reader.left:
         raise SnapshotError(f"truncated snapshot: array {name} of shape {shape} needs "
-                            f"{4 * count} bytes, only {reader.left} left")
-    data = np.frombuffer(reader.read(4 * count), dtype="<f4").reshape(shape)
-    if not np.isfinite(data).all():
+                            f"{size} bytes, only {reader.left} left")
+    data = np.frombuffer(reader.read(size), dtype=dtype).reshape(shape).copy()
+    if code == "f" and not np.isfinite(data).all():
         raise SnapshotError(f"array {name} holds non-finite values")
-    return name, data.astype(np.float64)
+    return name, data
+
+
+def _rng_words(rng: np.random.Generator) -> np.ndarray:
+    """The PCG64 state of ``rng`` as six 64-bit words."""
+    state = rng.bit_generator.state
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return np.array([s >> 64, s & _WORD, inc >> 64, inc & _WORD, state["has_uint32"], state["uinteger"]],
+                    dtype=np.uint64)
+
+
+def _rng_from_words(words: np.ndarray) -> np.random.Generator:
+    """A Generator in the PCG64 state that ``_rng_words`` stored."""
+    s_hi, s_lo, inc_hi, inc_lo, has_uint32, uinteger = (int(w) for w in words)
+    if has_uint32 > 1 or uinteger >= 2**32:
+        raise SnapshotError(f"array rng holds has_uint32 {has_uint32} and uinteger {uinteger}, "
+                            "expected 0 or 1 and a value below 2**32")
+    bit_generator = np.random.PCG64(0)
+    state = {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo}
+    try:
+        bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                               "has_uint32": has_uint32, "uinteger": uinteger}
+    except (ValueError, OverflowError) as exc:
+        raise SnapshotError(f"array rng holds a state PCG64 refuses: {exc}") from exc
+    return np.random.Generator(bit_generator)
 
 
 def collect_arrays(engine, matrix) -> list:
@@ -131,16 +168,17 @@ def collect_arrays(engine, matrix) -> list:
         out.append((f"set{sid}.p", pset.p))
         out.append((f"set{sid}.k", pset.k))
         out.append((f"set{sid}.attached", pset.extra))
-        out.append((f"set{sid}.attached_ids", np.asarray(pset.sources, dtype=float)))
-        out.append((f"set{sid}.tasks", np.asarray(engine.pool.assignments[sid], dtype=float)))
+        out.append((f"set{sid}.attached_ids", np.asarray(pset.sources, dtype=np.int64)))
+        out.append((f"set{sid}.tasks", np.asarray(engine.pool.assignments[sid], dtype=np.int64)))
     for sid, spaces in sorted(engine.memory.old_spaces.items()):
         for seg, basis in spaces.items():
             out.append((f"old.{sid}.{seg}", basis.matrix))
     out.append(("matrix.a", np.nan_to_num(matrix.a, nan=-1.0)))
     out.append(("matrix.a_oracle", np.nan_to_num(matrix.a_oracle, nan=-1.0)))
-    out.append(("matrix.hits", matrix.retrieval_hits.astype(float)))
-    out.append(("matrix.totals", matrix.retrieval_totals.astype(float)))
-    out.append(("seen_classes", np.asarray(engine.seen_classes, dtype=float)))
+    out.append(("matrix.hits", matrix.retrieval_hits))
+    out.append(("matrix.totals", matrix.retrieval_totals))
+    out.append(("seen_classes", np.asarray(engine.seen_classes, dtype=np.int64)))
+    out.append(("rng", _rng_words(engine.rng)))
     return out
 
 
@@ -150,7 +188,7 @@ def save(path, engine, matrix):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         header = [
-            VERSION, *(getattr(cfg, name) for name in ENCODER_FIELDS), MLP_RATIO, cfg.n_prompted,
+            VERSION, *(getattr(cfg, name) for name in ENCODER_FIELDS), cfg.n_prompted,
             *cfg.prompted_blocks, engine.head.n_classes, matrix.n_tasks,
             engine.tasks_done, len(arrays),
         ]
@@ -160,34 +198,32 @@ def save(path, engine, matrix):
 
 
 def load(path) -> dict:
-    """Read a container back into {header fields, arrays by name}."""
+    """Read a container back into {header fields, arrays by name in file order}."""
     with open(path, "rb") as fh:
         reader = _Reader(fh)
         if reader.read(4) != MAGIC:
             raise SnapshotError("bad magic: not a run snapshot")
-        version, *encoder, mlp_ratio, n_prompted = reader.u32s(len(ENCODER_FIELDS) + 3)
+        version, *encoder, n_prompted = reader.u32s(len(ENCODER_FIELDS) + 2)
         if version != VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
         prompted = reader.u32s(n_prompted)
         n_classes, n_tasks, tasks_done, n_arrays = reader.u32s(4)
         arrays = {}
-        order = []
         for _ in range(n_arrays):
             name, arr = _read_array(reader)
+            if name in arrays:
+                raise SnapshotError(f"duplicate array {name}")
             arrays[name] = arr
-            order.append(name)
         if reader.left:
             raise SnapshotError(f"corrupt snapshot: {reader.left} bytes after the last array")
     return {
         "version": version,
         **dict(zip(ENCODER_FIELDS, encoder)),
-        "mlp_ratio": mlp_ratio,
         "prompted_blocks": prompted,
         "n_classes": n_classes,
         "n_tasks": n_tasks,
         "tasks_done": tasks_done,
         "arrays": arrays,
-        "array_order": order,
     }
 
 
@@ -195,15 +231,13 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     """Rebuild an Engine and AccuracyMatrix from a loaded container.
 
     The encoder config must structurally match the snapshot header, every
-    array read must have the shape the engine gives it, and the integer
-    arrays must describe a pool some run could have built (see the module
-    docstring).
+    array read must have the dtype and shape the engine gives it, and the
+    integer arrays must describe a pool some run could have built (see the
+    module docstring).
     """
     for field_name in ENCODER_FIELDS:
         if getattr(enc_cfg, field_name) != snap[field_name]:
             raise SnapshotError(f"encoder config mismatch on {field_name}")
-    if snap["mlp_ratio"] != MLP_RATIO:
-        raise SnapshotError(f"mlp_ratio {snap['mlp_ratio']} differs from the encoder's {MLP_RATIO}")
     if tuple(enc_cfg.prompted_blocks) != tuple(snap["prompted_blocks"]):
         raise SnapshotError("encoder config mismatch on prompted_blocks")
     n_tasks, tasks_done = snap["n_tasks"], snap["tasks_done"]
@@ -212,35 +246,39 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
 
     arrays = snap["arrays"]
 
-    def array(name: str, shape: tuple) -> np.ndarray:
-        """Array ``name``, whose shape must match ``shape`` (None: any length)."""
+    def array(name: str, shape: tuple, kind: str = "f") -> np.ndarray:
+        """Array ``name`` of dtype kind ``kind``, whose shape must match
+        ``shape`` (None: any length)."""
         if name not in arrays:
             raise SnapshotError(f"missing array {name}")
         arr = arrays[name]
+        if arr.dtype.kind != kind:
+            raise SnapshotError(f"array {name} holds {arr.dtype}, expected {DTYPES[kind].name}")
         if arr.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, arr.shape)):
             raise SnapshotError(f"array {name} has shape {arr.shape}, expected {shape}")
         return arr
 
     def ids(name: str, below: int) -> list:
-        """1-D array ``name`` as ints, each an integer in [0, below)."""
-        arr = array(name, (None,))
-        if np.any((arr != np.floor(arr)) | (arr < 0) | (arr >= below)):
-            raise SnapshotError(f"array {name} holds values that are not integers in [0, {below})")
-        return [int(v) for v in arr]
+        """1-D integer array ``name`` as ints, each in [0, below)."""
+        arr = array(name, (None,), "i")
+        if np.any((arr < 0) | (arr >= below)):
+            raise SnapshotError(f"array {name} holds values outside [0, {below})")
+        return arr.tolist()
 
     # the grids are sized by the header's n_tasks: check them before the
     # AccuracyMatrix allocates its own
     grid = (n_tasks, n_tasks)
     a, oracle = array("matrix.a", grid), array("matrix.a_oracle", grid)
-    hits, totals = array("matrix.hits", grid), array("matrix.totals", grid)
+    hits, totals = array("matrix.hits", grid, "i"), array("matrix.totals", grid, "i")
     for name, acc in (("matrix.a", a), ("matrix.a_oracle", oracle)):
         if np.any((acc != -1) & ((acc < 0) | (acc > 1))):
             raise SnapshotError(f"array {name} holds values that are neither -1 nor in [0, 1]")
     for name, counts in (("matrix.hits", hits), ("matrix.totals", totals)):
-        if np.any((counts != np.floor(counts)) | (counts < 0) | (counts > MAX_COUNT)):
-            raise SnapshotError(f"array {name} holds values that are not integers in [0, {MAX_COUNT}]")
+        if np.any(counts < 0):
+            raise SnapshotError(f"array {name} holds negative counts")
     if np.any(hits > totals):
         raise SnapshotError("array matrix.hits exceeds matrix.totals")
+    rng = _rng_from_words(array("rng", (6,), "u"))
 
     d, n_prompted = enc_cfg.d_model, enc_cfg.n_prompted
     # a drawn backbone gives every weight's shape
@@ -276,16 +314,16 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
         spaces = memory.old_spaces[sid] = {}
         for seg in segments:
             name = f"old.{sid}.{seg}"
-            # float32 storage drifts orthonormality past tolerance; clean it
-            spaces[seg] = orthonormalized(array(name, (d, None)))
-    engine = Engine(
-        enc_cfg, train_cfg, np.random.default_rng(np.random.SeedSequence(train_cfg.seed)),
-        backbone, head, PromptPool(sets, assignments), memory, seen_classes, tasks_done,
-    )
+            try:
+                spaces[seg] = Basis(array(name, (d, None)))
+            except SubspaceError as exc:
+                raise SnapshotError(f"array {name}: {exc}") from exc
+    engine = Engine(enc_cfg, train_cfg, rng, backbone, head, PromptPool(sets, assignments), memory,
+                    seen_classes, tasks_done)
 
     matrix = AccuracyMatrix(n_tasks)
     matrix.a = np.where(a < 0, np.nan, a)
     matrix.a_oracle = np.where(oracle < 0, np.nan, oracle)
-    matrix.retrieval_hits = hits.astype(int)
-    matrix.retrieval_totals = totals.astype(int)
+    matrix.retrieval_hits = hits
+    matrix.retrieval_totals = totals
     return engine, matrix

@@ -220,14 +220,6 @@ def _orthonormalize_against(new_cols: np.ndarray, existing: np.ndarray) -> np.nd
     return np.column_stack(kept)
 
 
-def orthonormalized(matrix: np.ndarray) -> Basis:
-    """Basis from nearly-orthonormal columns (e.g. after float32 storage),
-    cleaned by a Gram-Schmidt pass. Degenerate columns are dropped."""
-    m = np.asarray(matrix, dtype=np.float64)
-    cols = _orthonormalize_against(m, np.zeros((m.shape[0], 0)))
-    return Basis(cols)
-
-
 def extend_basis(old: Basis, rows: np.ndarray, eps: float) -> Basis:
     """Append the minimal set of new directions so the stored span keeps
     ``eps`` of the new representation's energy.

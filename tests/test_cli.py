@@ -420,6 +420,7 @@ class TestCompare:
     @pytest.mark.parametrize("text", [
         "[1]", "{}", '{"metrics": 3}', '{"metrics": {"faa": "high"}}', "not json",
         '{"metrics": {"faa": NaN}}', '{"metrics": {"pra": Infinity}}', '{"metrics": {"ssp": -Infinity}}',
+        '{"metrics": {"faa": true}}', '{"metrics": {"pra": false}}',
     ])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,8 +6,9 @@ none makes the reader allocate more than a few MB. The snapshot comes from
 each with one frozen transfer source). Every single bit of its header and of
 its first array's descriptor is flipped in turn; hypothesis then draws bit
 flips and truncations anywhere in the file. The named cases pin the checks
-a sweep relies on: the value checks on the integer arrays and the accuracy
-grids, the axis bound, and the non-finite payload check.
+a sweep relies on: the dtype checks, the value checks on the integer arrays,
+the accuracy grids and the RNG words, the axis bound, and the non-finite
+payload check.
 
 Hypothesis also mutates trace rows (``replay`` must exit 0 or 2), reports
 (``compare`` must exit 0 or 2) and config values (parsing must succeed or
@@ -34,9 +35,9 @@ from growcl.config import load_config
 from trace_fixtures import TRACE_SIX_SETS
 
 ROOT = Path(__file__).resolve().parents[1]
-# quick.cfg's header: magic, version, 6 encoder fields, mlp_ratio,
-# n_prompted, 2 prompted blocks, n_classes, n_tasks, tasks_done, n_arrays
-HEADER_BYTES = 4 + 4 * 15
+# quick.cfg's header: magic, version, 6 encoder fields, n_prompted,
+# 2 prompted blocks, n_classes, n_tasks, tasks_done, n_arrays
+HEADER_BYTES = 4 + 4 * 14
 # no case may allocate more than this on top of what the test holds
 PEAK_BOUND = 4 * 2**20
 
@@ -53,9 +54,9 @@ def quick(tmp_path_factory):
 
 def _descriptor_end(raw: bytes) -> int:
     """Offset just past the first array's descriptor (name length, name,
-    ndim and shape), where its data starts."""
+    dtype code, ndim and shape), where its data starts."""
     (name_len,) = struct.unpack("<H", raw[HEADER_BYTES:HEADER_BYTES + 2])
-    at = HEADER_BYTES + 2 + name_len
+    at = HEADER_BYTES + 2 + name_len + 1
     (ndim,) = struct.unpack("<I", raw[at:at + 4])
     return at + 4 + 4 * ndim
 
@@ -100,7 +101,7 @@ def test_intact_snapshot_restores(quick, traced):
 
 def test_every_header_and_descriptor_bit_flip(quick, traced):
     raw = quick[0]
-    assert _descriptor_end(raw) == HEADER_BYTES + 2 + len("backbone.embed_w") + 4 + 8
+    assert _descriptor_end(raw) == HEADER_BYTES + 2 + len("backbone.embed_w") + 1 + 4 + 8
     for bit in range(8 * _descriptor_end(raw)):
         _restore(_flip(raw, bit), quick)
 
@@ -134,7 +135,7 @@ def test_non_finite_payload_rejected(quick, value):
     raw, enc, train, path = quick
     out = bytearray(raw)
     at = _descriptor_end(raw)  # backbone.embed_w[0, 0]
-    out[at:at + 4] = struct.pack("<f", value)
+    out[at:at + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(out))
     with pytest.raises(snapshot.SnapshotError, match="^array backbone.embed_w holds non-finite values$"):
         snapshot.load(path)
@@ -152,7 +153,7 @@ def _loaded(quick) -> dict:
     ({"set1.attached_ids": [9], "set2.tasks": [0, 7]}, "attached_ids"),
     ({"set1.attached_ids": [9]}, "set1.attached_ids"),
     ({"set1.attached_ids": [1]}, "lists itself"),
-    ({"set1.attached_ids": [0.5]}, "set1.attached_ids"),
+    ({"set1.attached_ids": [-1]}, "set1.attached_ids"),
     ({"set2.tasks": [0, 7]}, "set2.tasks"),
     ({"set2.tasks": [0]}, "exactly once"),
     ({"set2.tasks": []}, "exactly once"),
@@ -164,14 +165,81 @@ def test_integer_values_checked(quick, edits, match):
     _, enc, train, _ = quick
     snap = _loaded(quick)
     for name, values in edits.items():
-        snap["arrays"][name] = np.asarray(values, dtype=float)
+        snap["arrays"][name] = np.asarray(values, dtype=np.int64)
     with pytest.raises(snapshot.SnapshotError, match=match):
+        snapshot.restore_engine(snap, enc, train)
+
+
+DTYPE_CASES = {
+    # integer arrays written as floats, whole or not
+    "attached_ids-0.5": ("set1.attached_ids", np.array([0.5]), "float64, expected int64"),
+    "attached_ids-0.0": ("set1.attached_ids", np.array([0.0]), "float64, expected int64"),
+    "hits-1e+30": ("matrix.hits", np.full((3, 3), 1e30), "float64, expected int64"),
+    "totals-2.5": ("matrix.totals", np.full((3, 3), 2.5), "float64, expected int64"),
+    "totals-1e+30": ("matrix.totals", np.full((3, 3), 1e30), "float64, expected int64"),
+    "seen_classes-uint64": ("seen_classes", np.arange(6, dtype=np.uint64), "uint64, expected int64"),
+    # float arrays written as integers
+    "a-int64": ("matrix.a", np.zeros((3, 3), dtype=np.int64), "int64, expected float64"),
+    "head.b-int64": ("head.b", np.zeros(6, dtype=np.int64), "int64, expected float64"),
+    "rng-int64": ("rng", np.zeros(6, dtype=np.int64), "int64, expected uint64"),
+}
+
+
+@pytest.mark.parametrize("name, values, match", DTYPE_CASES.values(), ids=DTYPE_CASES)
+def test_dtypes_checked(quick, name, values, match):
+    _, enc, train, _ = quick
+    snap = _loaded(quick)
+    snap["arrays"][name] = values
+    with pytest.raises(snapshot.SnapshotError, match=f"^array {name} holds {match}$"):
+        snapshot.restore_engine(snap, enc, train)
+
+
+# the rng words: state (high, low), inc (high, low), has_uint32, uinteger
+RNG_CASES = {
+    "has_uint32-2": ({4: 2}, "has_uint32 2"),
+    # one flipped bit in a stored 1: the PCG64 setter would raise OverflowError
+    "has_uint32-bit-40": ({4: 1 | 2**40}, "has_uint32 1099511627777"),
+    "uinteger-2**32": ({5: 2**32}, "uinteger 4294967296"),
+    "shape": ({}, "shape"),
+}
+
+
+@pytest.mark.parametrize("words, match", RNG_CASES.values(), ids=RNG_CASES)
+def test_rng_words_checked(quick, words, match):
+    _, enc, train, _ = quick
+    snap = _loaded(quick)
+    rng = snap["arrays"]["rng"].copy()
+    for at, value in words.items():
+        rng[at] = value
+    snap["arrays"]["rng"] = rng if words else rng[:5]
+    with pytest.raises(snapshot.SnapshotError, match=match):
+        snapshot.restore_engine(snap, enc, train)
+
+
+class _RefusingPCG64(np.random.PCG64):
+    """A PCG64 whose state setter refuses every state."""
+
+    @property
+    def state(self):
+        return super().state
+
+    @state.setter
+    def state(self, value):
+        raise OverflowError("value too large to convert to uint32_t")
+
+
+def test_rng_state_the_setter_refuses(quick, monkeypatch):
+    # whatever the setter raises on a state the word checks let through is
+    # a SnapshotError
+    _, enc, train, _ = quick
+    snap = _loaded(quick)
+    monkeypatch.setattr(np.random, "PCG64", _RefusingPCG64)
+    with pytest.raises(snapshot.SnapshotError, match="PCG64 refuses: value too large"):
         snapshot.restore_engine(snap, enc, train)
 
 
 @pytest.mark.parametrize("field, value, match", [
     ("tasks_done", 4, "exceeds n_tasks"),
-    ("mlp_ratio", 3, "mlp_ratio"),
 ])
 def test_header_values_checked(quick, field, value, match):
     _, enc, train, _ = quick
@@ -182,12 +250,12 @@ def test_header_values_checked(quick, field, value, match):
 
 
 @pytest.mark.parametrize("name, index, value, match", [
-    ("matrix.hits", (0, 2), 1e30, "matrix.hits"),
+    ("matrix.hits", (0, 2), -1, "matrix.hits holds negative"),
     ("matrix.a", (0, 2), 7.5, "matrix.a "),
     ("matrix.a_oracle", (1, 1), -0.5, "matrix.a_oracle"),
-    ("matrix.totals", (0, 0), 2.5, "matrix.totals"),
+    ("matrix.a_oracle", (0, 0), 1.5, "matrix.a_oracle"),
     ("matrix.totals", (0, 0), -1.0, "matrix.totals"),
-    ("matrix.totals", (0, 0), 1e30, "matrix.totals"),
+    ("matrix.a", (1, 1), -2.0, "matrix.a "),
     ("matrix.hits", (0, 0), 1e6, "exceeds matrix.totals"),
 ])
 def test_grid_values_checked(quick, name, index, value, match):

@@ -1,15 +1,20 @@
+import dataclasses
 import os
 import re
 import struct
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from growcl import snapshot
-from growcl.encoder import EncoderConfig, forward_prompted, forward_query
-from growcl.metrics import AccuracyMatrix
+from growcl.config import load_config
+from growcl.encoder import EncoderConfig
 from growcl.stream import StreamSpec, generate
-from growcl.trainer import Engine, TrainConfig, run_stream
+from growcl.trainer import MODES, Engine, RunResult, TrainConfig, run_stream
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ENC = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=(0, 1),
                     input_dim=24, n_feature_tokens=3)
@@ -31,7 +36,17 @@ def test_header_layout(run, tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"LW2G"
     version, d_model, n_blocks = struct.unpack("<3I", raw[4:16])
-    assert (version, d_model, n_blocks) == (1, ENC.d_model, ENC.n_blocks)
+    assert (version, d_model, n_blocks) == (2, ENC.d_model, ENC.n_blocks)
+
+
+def test_version_1_rejected(run, tmp_path):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(snapshot.SnapshotError, match="^unsupported snapshot version 1$"):
+        snapshot.load(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -46,14 +61,14 @@ def test_truncated_file_rejected(run, tmp_path):
     path = tmp_path / "snap.bin"
     snapshot.save(path, res.engine, res.matrix)
     raw = path.read_bytes()
-    header = 4 + 4 * (9 + ENC.n_prompted + 4)
+    header = 4 + 4 * (8 + ENC.n_prompted + 4)
     (name_len,) = struct.unpack("<H", raw[header:header + 2])
-    data_start = header + 2 + name_len + 4 + 4 * 2  # first array is 2-D embed_w
+    data_start = header + 2 + name_len + 1 + 4 + 4 * 2  # first array is 2-D embed_w
     cuts = (
         20,                               # inside the fixed header
-        4 + 36 + 2,                       # inside the prompted block list
+        4 + 32 + 2,                       # inside the prompted block list
         header + 2 + name_len // 2,       # inside the first array name
-        header + 2 + name_len + 6,        # inside the first array shape
+        header + 2 + name_len + 7,        # inside the first array shape
         data_start + 10,                  # inside the first array data
         len(raw) - 1,                     # one byte short of the end
     )
@@ -64,45 +79,89 @@ def test_truncated_file_rejected(run, tmp_path):
 
 
 def test_roundtrip_restores_state(run, tmp_path):
-    data, res = run
+    _, res = run
     path = tmp_path / "snap.bin"
     snapshot.save(path, res.engine, res.matrix)
-    snap = snapshot.load(path)
-    engine, matrix = snapshot.restore_engine(snap, ENC, CFG)
+    engine, matrix = snapshot.restore_engine(snapshot.load(path), ENC, CFG)
 
     assert engine.pool.assignments == res.engine.pool.assignments
     assert engine.tasks_done == res.engine.tasks_done
     assert engine.seen_classes == res.engine.seen_classes
-    np.testing.assert_allclose(matrix.a, res.matrix.a, atol=1e-7)
-    np.testing.assert_array_equal(matrix.retrieval_totals, res.matrix.retrieval_totals)
-    for sid, spaces in res.engine.memory.old_spaces.items():
-        for seg, basis in spaces.items():
-            np.testing.assert_allclose(
-                engine.memory.old_spaces[sid][seg].matrix, basis.matrix, atol=1e-7)
-
-    # restored weights are float32-quantized but functionally equivalent
-    x = data[0].x_test[:8]
-    q_orig = forward_query(res.engine.backbone, x)
-    q_back = forward_query(engine.backbone, x)
-    np.testing.assert_allclose(q_back, q_orig, atol=1e-4)
-    logits_orig = forward_prompted(res.engine.backbone, res.engine.head,
-                                   res.engine.pool.sets[0], x, res.engine.seen_classes)
-    logits_back = forward_prompted(engine.backbone, engine.head,
-                                   engine.pool.sets[0], x, engine.seen_classes)
-    np.testing.assert_allclose(logits_back, logits_orig, atol=1e-3)
+    # every stored value, the grids and the RNG state included, comes back
+    # exactly, in the dtype it was saved from
+    for (name, arr), (_, want) in zip(snapshot.collect_arrays(engine, matrix),
+                                      snapshot.collect_arrays(res.engine, res.matrix), strict=True):
+        assert arr.dtype == want.dtype and np.array_equal(arr, want), name
 
 
-def test_restored_engine_can_continue(tmp_path):
-    # head provisioned for the full 3-task stream, snapshot taken after 2
-    more = generate(StreamSpec(n_tasks=3, classes_per_task=2, dim=24,
-                               samples_per_class=30, seed=5))
-    res = run_stream(ENC, CFG, more[:2], n_classes=6)
+# (config, mode) of the uninterrupted runs, and the task count k after which
+# a resumed run restarts from the snapshot
+RESUMES = [("quick", mode, k) for mode in MODES for k in (1, 2)] + [("comparison", "lw2g", 3)]
+
+
+@dataclasses.dataclass
+class Uninterrupted:
+    datasets: list
+    enc: EncoderConfig
+    train: TrainConfig
+    result: RunResult
+    snapshots: list  # the snapshot bytes after each task
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """(config, mode) -> the run ``growcl run`` makes, with the snapshot it
+    would write saved after every task too; each run is made once."""
+    runs = {}
+    path = tmp_path_factory.mktemp("uninterrupted") / "snap.bin"
+
+    def get(config: str, mode: str) -> Uninterrupted:
+        if (config, mode) not in runs:
+            _, (spec, enc, train) = load_config(ROOT / "configs" / f"{config}.cfg")
+            train = dataclasses.replace(train, mode=mode)
+            datasets = generate(spec)
+            snapshots = []
+            evaluate_after = Engine.evaluate_after
+
+            def evaluate_and_save(engine, after_task, datasets, matrix):
+                evaluate_after(engine, after_task, datasets, matrix)
+                snapshot.save(path, engine, matrix)
+                snapshots.append(path.read_bytes())
+
+            with mock.patch.object(Engine, "evaluate_after", evaluate_and_save):
+                result = run_stream(enc, train, datasets, n_classes=spec.n_classes)
+            runs[config, mode] = Uninterrupted(datasets, enc, train, result, snapshots)
+        return runs[config, mode]
+
+    return get
+
+
+@pytest.mark.parametrize("config, mode, k", RESUMES)
+def test_resumed_run_equals_uninterrupted(uninterrupted, tmp_path, config, mode, k):
+    run = uninterrupted(config, mode)
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
-    engine, matrix = snapshot.restore_engine(snapshot.load(path), ENC, CFG)
-    report = engine.train_task(2, more[2])
-    assert engine.tasks_done == 3
-    assert report.task == 2
+    path.write_bytes(run.snapshots[k - 1])
+    engine, matrix = snapshot.restore_engine(snapshot.load(path), run.enc, run.train)
+    assert engine.tasks_done == k
+    for t in range(k, len(run.datasets)):
+        engine.train_task(t, run.datasets[t])
+        engine.evaluate_after(t, run.datasets, matrix)
+
+    assert [r.trace for r in engine.reports] == [r.trace for r in run.result.engine.reports[k:]]
+    for name in ("a", "a_oracle", "retrieval_hits", "retrieval_totals"):
+        np.testing.assert_array_equal(getattr(matrix, name), getattr(run.result.matrix, name), err_msg=name)
+    snapshot.save(path, engine, matrix)
+    assert path.read_bytes() == run.snapshots[-1]
+
+
+@pytest.mark.parametrize("config, mode", sorted({(config, mode) for config, mode, _ in RESUMES}))
+def test_resaved_snapshot_is_byte_identical(uninterrupted, tmp_path, config, mode):
+    run = uninterrupted(config, mode)
+    path, again = tmp_path / "snap.bin", tmp_path / "again.bin"
+    for raw in run.snapshots:
+        path.write_bytes(raw)
+        snapshot.save(again, *snapshot.restore_engine(snapshot.load(path), run.enc, run.train))
+        assert again.read_bytes() == raw
 
 
 @pytest.mark.parametrize("name", ["backbone.embed_w", "set0.p", "set0.k", "seen_classes"])
@@ -182,24 +241,23 @@ def test_misshapen_array_rejected(run, tmp_path, name, shape):
         snapshot.restore_engine(snap, ENC, CFG)
 
 
-def test_older_file_with_pre_trained_bases_restores(run, tmp_path):
-    # files written before pre-trained spaces were dropped hold a basis
-    # pre.<task>.<segment> per finished task after the stored ones; restoring
-    # ignores them
+def test_repeated_array_name_rejected(run, tmp_path):
     _, res = run
-    plain, older = tmp_path / "plain.bin", tmp_path / "older.bin"
-    snapshot.save(plain, res.engine, res.matrix)
-    basis = np.eye(D)[:, :2]
-    pre = [(f"pre.{t}.{seg}", basis) for t in range(res.engine.tasks_done)
-           for seg in ("block0", "block1", "key")]
-    save_with(older, res, insert_before="matrix.a", insert=pre)
-    assert sum(name.startswith("pre.") for name in snapshot.load(older)["array_order"]) == len(pre)
-    engine, matrix = snapshot.restore_engine(snapshot.load(older), ENC, CFG)
-    expected, expected_matrix = snapshot.restore_engine(snapshot.load(plain), ENC, CFG)
-    assert not hasattr(engine.memory, "pre_spaces")
-    for (name, arr), (_, want) in zip(snapshot.collect_arrays(engine, matrix),
-                                      snapshot.collect_arrays(expected, expected_matrix), strict=True):
-        np.testing.assert_array_equal(arr, want, err_msg=name)
+    path = tmp_path / "snap.bin"
+    save_with(path, res, insert_before="matrix.a", insert=[("head.b", res.engine.head.b)])
+    with pytest.raises(snapshot.SnapshotError, match="^duplicate array head.b$"):
+        snapshot.load(path)
+
+
+def test_unknown_dtype_code_rejected(run, tmp_path):
+    _, res = run
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, res.engine, res.matrix)
+    raw = bytearray(path.read_bytes())
+    raw[_field_offsets(raw)["ndim"] - 1] = ord("d")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(snapshot.SnapshotError, match="array backbone.embed_w has unknown dtype code 'd'"):
+        snapshot.load(path)
 
 
 def test_restored_engine_has_the_attributes_of_a_fresh_one(run, tmp_path):
@@ -235,7 +293,7 @@ def test_attachments_roundtrip(tmp_path):
     engine, _ = snapshot.restore_engine(snapshot.load(path), ENC, cfg)
     back_frozen, back_sources = engine.pool.sets[1].extra, engine.pool.sets[1].sources
     assert back_sources == [0]
-    np.testing.assert_allclose(back_frozen, frozen, atol=1e-7)
+    np.testing.assert_array_equal(back_frozen, frozen)
     assert engine.pool.sets[0].extra.shape[1] == 0
 
 
@@ -266,12 +324,12 @@ class BoundedFile:
 def _field_offsets(raw):
     """Byte offsets of the length fields: n_prompted, n_arrays, and the
     first array's name length, name, ndim and first shape entry."""
-    n_prompted = 4 + 4 * 8
+    n_prompted = 4 + 4 * 7
     (count,) = struct.unpack("<I", raw[n_prompted:n_prompted + 4])
     n_arrays = n_prompted + 4 * (1 + count + 3)
     name_len = n_arrays + 4
     (length,) = struct.unpack("<H", raw[name_len:name_len + 2])
-    ndim = name_len + 2 + length
+    ndim = name_len + 2 + length + 1  # past the dtype code
     return {"n_prompted": n_prompted, "n_arrays": n_arrays, "name": name_len + 2,
             "ndim": ndim, "shape0": ndim + 4, "shape1": ndim + 8}
 
@@ -328,6 +386,6 @@ def test_bounded_file_loads_an_intact_snapshot(run, tmp_path, monkeypatch):
     expected = snapshot.load(path)
     monkeypatch.setattr(snapshot, "open", BoundedFile, raising=False)
     loaded = snapshot.load(path)
-    assert loaded["array_order"] == expected["array_order"]
+    assert list(loaded["arrays"]) == list(expected["arrays"])
     for name, arr in expected["arrays"].items():
         assert np.array_equal(loaded["arrays"][name], arr)
