@@ -26,13 +26,13 @@ def main():
                       seed=7, eps_task=0.999, eps_pre=0.999, pretrain_steps=300)
     spec = StreamSpec(n_tasks=4, classes_per_task=3, dim=48, samples_per_class=100,
                       seed=3, noise_scale=0.12, mean_scale=3.5)
-    res = run_stream(enc, cfg, generate(spec), n_classes=spec.n_classes)
-    for report in res.engine.reports:
+    engine = run_stream(enc, cfg, generate(spec))
+    for report in engine.reports:
         drift = {k: f"{v:.2e}" for k, v in report.drift_ratios.items()} or "(first task)"
         print(f"task {report.task}: {report.decision.describe():<9} drift into old span: {drift}")
-    row = [f"{res.matrix.a_oracle[0, t]:.4f}" for t in range(spec.n_tasks)]
+    row = [f"{engine.matrix.a_oracle[0, t]:.4f}" for t in range(spec.n_tasks)]
     print(f"task 0 accuracy (oracle selection) after each task: {row}")
-    ranks = {k: b.rank for k, b in res.engine.memory.old_spaces[0].items()}
+    ranks = {k: b.rank for k, b in engine.memory.old_spaces[0].items()}
     print(f"stored span ranks for the shared set: {ranks} (dim {enc.d_model})")
 
 

@@ -5,7 +5,7 @@ Runs the comparison stream (six tasks, the last four similar to earlier
 ones) under lw2g, grow_always and single_set for a few seeds and prints the
 pool size, accuracy, retrieval and forgetting figures side by side.
 
-Usage: python3 scripts/run_comparison.py [--seeds 1,3,5] [--out DIR]
+Usage: python3 scripts/run_comparison.py [--seeds 1,3,5] [--config CFG]
 """
 
 import argparse
@@ -41,12 +41,12 @@ def main():
     for seed in seeds:
         for mode in ("lw2g", "grow_always", "single_set"):
             cfg = dataclasses.replace(base_train, mode=mode, seed=seed)
-            res = run_stream(enc_cfg, cfg, data)
-            m = res.matrix
-            print(f"{seed:>4} {mode:<12} {ssp(res.engine.pool):>3} {faa(m):>7.3f} "
+            engine = run_stream(enc_cfg, cfg, data)
+            m = engine.matrix
+            print(f"{seed:>4} {mode:<12} {ssp(engine.pool):>3} {faa(m):>7.3f} "
                   f"{pra(m):>7.3f} {ffm(m):>7.3f} {faa(m, oracle=True):>7.3f}")
             if mode == "lw2g":
-                decisions = ", ".join(r.decision.describe() for r in res.engine.reports)
+                decisions = ", ".join(r.decision.describe() for r in engine.reports)
                 print(f"     decisions: {decisions}")
     print(f"total {time.time() - t0:.0f}s")
 

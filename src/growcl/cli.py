@@ -44,9 +44,9 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def build_report(spec, enc_cfg, train_cfg, result) -> dict:
-    m = result.matrix
-    pool = result.engine.pool
+def build_report(spec, enc_cfg, train_cfg, engine) -> dict:
+    m = engine.matrix
+    pool = engine.pool
     return {
         "schema": SCHEMA_VERSION,
         "config": {name: dataclasses.asdict(obj) for name, obj in
@@ -60,7 +60,7 @@ def build_report(spec, enc_cfg, train_cfg, result) -> dict:
             "per_task": per_task_summary(m),
         },
         "assignments": {str(sid): tasks for sid, tasks in sorted(pool.assignments.items())},
-        "decisions": [r.decision.describe() for r in result.engine.reports],
+        "decisions": [r.decision.describe() for r in engine.reports],
     }
 
 
@@ -78,14 +78,14 @@ def cmd_run(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datasets = generate(spec)
-    result = run_stream(enc_cfg, train_cfg, datasets, n_classes=spec.n_classes)
-    report = build_report(spec, enc_cfg, train_cfg, result)
+    engine = run_stream(enc_cfg, train_cfg, datasets)
+    report = build_report(spec, enc_cfg, train_cfg, engine)
     (out / "report.json").write_text(_json_line(report) + "\n")
     with open(out / "trace.jsonl", "w") as fh:
-        for r in result.engine.reports:
+        for r in engine.reports:
             fh.write(_json_line(r.trace) + "\n")
-    write_csv(result.matrix, out / "metrics.csv")
-    snapshot.save(out / "snapshot.bin", result.engine, result.matrix)
+    write_csv(engine.matrix, out / "metrics.csv")
+    snapshot.save(out / "snapshot.bin", engine)
     manifest = {
         "config_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "config": report["config"],

@@ -119,19 +119,26 @@ class EncoderConfig:
         return len(self.prompted_blocks)
 
 
-# Per-block weights, in declaration order; block i names them ``b{i}.<name>``.
-_BLOCK_WEIGHTS = (
-    "ln1_g", "ln1_b", "wq", "wk", "wv", "wo",
-    "ln2_g", "ln2_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-)
+# Per-block weights and their shapes, in declaration order; block i names
+# them ``b{i}.<name>``. ``d`` is d_model, ``h`` the MLP's hidden width.
+_BLOCK_WEIGHTS = {
+    "ln1_g": ("d",), "ln1_b": ("d",),
+    "wq": ("d", "d"), "wk": ("d", "d"), "wv": ("d", "d"), "wo": ("d", "d"),
+    "ln2_g": ("d",), "ln2_b": ("d",),
+    "mlp_w1": ("d", "h"), "mlp_b1": ("h",), "mlp_w2": ("h", "d"), "mlp_b2": ("d",),
+}
 
 
-def _backbone_names(cfg: EncoderConfig):
-    names = ["embed_w", "embed_b", "cls"]
+def backbone_shapes(cfg: EncoderConfig) -> dict:
+    """Every backbone weight's shape, by name in declaration order."""
+    d, ld = cfg.d_model, cfg.n_feature_tokens * cfg.d_model
+    dims = {"d": d, "h": MLP_RATIO * d}
+    block = {name: tuple(dims[s] for s in symbols) for name, symbols in _BLOCK_WEIGHTS.items()}
+    shapes = {"embed_w": (cfg.input_dim, ld), "embed_b": (ld,), "cls": (d,)}
     for i in range(cfg.n_blocks):
-        names += [f"b{i}.{name}" for name in _BLOCK_WEIGHTS]
-    names += ["ln_f_g", "ln_f_b"]
-    return names
+        shapes.update({f"b{i}.{name}": shape for name, shape in block.items()})
+    shapes.update(ln_f_g=(d,), ln_f_b=(d,))
+    return shapes
 
 
 @dataclass
@@ -143,33 +150,18 @@ class FrozenBackbone:
 
     @classmethod
     def init(cls, cfg: EncoderConfig, rng: np.random.Generator) -> "FrozenBackbone":
-        d, ld = cfg.d_model, cfg.n_feature_tokens * cfg.d_model
-        hidden = MLP_RATIO * d
-        w = {
-            "embed_w": rng.normal(0, 1.0 / np.sqrt(cfg.input_dim), (cfg.input_dim, ld)),
-            "embed_b": np.zeros(ld),
-            "cls": rng.normal(0, 0.5, d),
-        }
-        for i in range(cfg.n_blocks):
-            s = 1.0 / np.sqrt(d)
-            w[f"b{i}.ln1_g"] = np.ones(d)
-            w[f"b{i}.ln1_b"] = np.zeros(d)
-            w[f"b{i}.wq"] = rng.normal(0, s, (d, d))
-            w[f"b{i}.wk"] = rng.normal(0, s, (d, d))
-            w[f"b{i}.wv"] = rng.normal(0, s, (d, d))
-            w[f"b{i}.wo"] = rng.normal(0, s, (d, d))
-            w[f"b{i}.ln2_g"] = np.ones(d)
-            w[f"b{i}.ln2_b"] = np.zeros(d)
-            w[f"b{i}.mlp_w1"] = rng.normal(0, s, (d, hidden))
-            w[f"b{i}.mlp_b1"] = np.zeros(hidden)
-            w[f"b{i}.mlp_w2"] = rng.normal(0, 1.0 / np.sqrt(hidden), (hidden, d))
-            w[f"b{i}.mlp_b2"] = np.zeros(d)
-        w["ln_f_g"] = np.ones(d)
-        w["ln_f_b"] = np.zeros(d)
+        """Draw the weights in declaration order: every matrix from a normal
+        scaled by its fan-in, ``cls`` at scale 0.5, layer-norm gains at one
+        and biases at zero."""
+        w = {}
+        for name, shape in backbone_shapes(cfg).items():
+            if len(shape) == 2:
+                w[name] = rng.normal(0, 1.0 / np.sqrt(shape[0]), shape)
+            elif name == "cls":
+                w[name] = rng.normal(0, 0.5, shape)
+            else:
+                w[name] = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
         return cls(cfg, w)
-
-    def names(self):
-        return _backbone_names(self.config)
 
 
 @dataclass

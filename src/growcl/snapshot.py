@@ -19,11 +19,12 @@ frozen transfer rows (``attached``, [n_prompted, m, d], zero rows when
 none), their source set ids and the set's task list, each set's stored
 bases (``old.<set>.<segment>``), the accuracy grids, the seen classes and
 the RNG: six words, the PCG64 ``state`` and ``inc`` each split into its
-high and low 64 bits, then ``has_uint32`` and ``uinteger``. Every value is
-stored exactly, so ``restore_engine`` gives back the engine that was saved,
-and training on from it equals the run that was never interrupted; saving
-the restored engine reproduces the file byte for byte. Pre-trained spaces
-live only while their task trains and are not stored.
+high and low 64 bits, then ``has_uint32`` and ``uinteger``. The task stream
+is not stored: ``restore_engine`` takes it, regenerated from the run's
+config. Every value is stored exactly, so ``restore_engine`` gives back the
+engine that was saved, and training on from it equals the run that was never
+interrupted; saving the restored engine reproduces the file byte for byte.
+Pre-trained spaces live only while their task trains and are not stored.
 
 Every check raises ``SnapshotError``. ``load`` checks every length field
 against the bytes left in the file before it reads, so a truncated or
@@ -32,16 +33,19 @@ large allocation; it rejects an unknown dtype code, an array with more
 than ``MAX_NDIM`` axes, one whose element count exceeds the bytes left, a
 repeated array name, and a float array that holds a NaN or an infinity
 (the grids store their gaps as -1). ``restore_engine`` checks the header
-against the encoder config, ``tasks_done <= n_tasks``, and every array it
-reads against the dtype and shape the engine expects, before it allocates
+against the encoder config and the stream (``n_tasks`` tasks, no class
+outside the head; like ``Engine.fresh``, it raises ``TrainerError`` when two
+tasks share a class), ``tasks_done <= n_tasks``, and every array it reads
+against the dtype and shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
 values: each ``set<i>.attached_ids`` entry names another restored set, the
 sets' ``tasks`` together hold each of ``0 .. tasks_done-1`` exactly once,
-``seen_classes`` are distinct and below the head's ``n_classes``, no
-``matrix.hits`` or ``matrix.totals`` entry is negative and no hit count
-exceeds its total. Every ``matrix.a`` and ``matrix.a_oracle`` entry is -1
-or in [0, 1], every stored basis has orthonormal columns, ``has_uint32`` is
-0 or 1, ``uinteger`` is below 2**32, and PCG64 must accept the state.
+``seen_classes`` are the classes of the stream's first ``tasks_done``
+tasks, no ``matrix.hits`` or ``matrix.totals`` entry is negative and no hit
+count exceeds its total. Every ``matrix.a`` and ``matrix.a_oracle`` entry
+is -1 or in [0, 1], every stored basis has orthonormal columns,
+``has_uint32`` is 0 or 1, ``uinteger`` is below 2**32, and PCG64 must
+accept the state.
 """
 
 from __future__ import annotations
@@ -52,11 +56,11 @@ import struct
 
 import numpy as np
 
-from growcl.encoder import FrozenBackbone, Head, PromptSet, segment_map
+from growcl.encoder import FrozenBackbone, Head, PromptSet, backbone_shapes, segment_map
 from growcl.metrics import AccuracyMatrix
 from growcl.pool import PromptPool
 from growcl.subspace import Basis, SubspaceError
-from growcl.trainer import Engine, SubspaceMemory
+from growcl.trainer import Engine, SubspaceMemory, stream_classes
 
 MAGIC = b"LW2G"
 VERSION = 2
@@ -156,11 +160,10 @@ def _rng_from_words(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def collect_arrays(engine, matrix) -> list:
+def collect_arrays(engine) -> list:
     """Every persistent array of a run, named, in declaration order."""
-    out = []
-    for name in engine.backbone.names():
-        out.append((f"backbone.{name}", engine.backbone.weights[name]))
+    matrix = engine.matrix
+    out = [(f"backbone.{name}", w) for name, w in engine.backbone.weights.items()]
     out.append(("head.w", engine.head.w))
     out.append(("head.b", engine.head.b))
     for pset in engine.pool.sets:
@@ -182,14 +185,14 @@ def collect_arrays(engine, matrix) -> list:
     return out
 
 
-def save(path, engine, matrix):
+def save(path, engine):
     cfg = engine.enc_cfg
-    arrays = collect_arrays(engine, matrix)
+    arrays = collect_arrays(engine)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         header = [
             VERSION, *(getattr(cfg, name) for name in ENCODER_FIELDS), cfg.n_prompted,
-            *cfg.prompted_blocks, engine.head.n_classes, matrix.n_tasks,
+            *cfg.prompted_blocks, engine.head.n_classes, engine.matrix.n_tasks,
             engine.tasks_done, len(arrays),
         ]
         fh.write(struct.pack(f"<{len(header)}I", *header))
@@ -227,13 +230,13 @@ def load(path) -> dict:
     }
 
 
-def restore_engine(snap: dict, enc_cfg, train_cfg):
-    """Rebuild an Engine and AccuracyMatrix from a loaded container.
+def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
+    """Rebuild the Engine of a loaded container over its task stream ``datasets``.
 
-    The encoder config must structurally match the snapshot header, every
+    The encoder config and the stream must fit the snapshot header, every
     array read must have the dtype and shape the engine gives it, and the
     integer arrays must describe a pool some run could have built (see the
-    module docstring).
+    module docstring). The engine owns copies of the arrays.
     """
     for field_name in ENCODER_FIELDS:
         if getattr(enc_cfg, field_name) != snap[field_name]:
@@ -243,12 +246,16 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     n_tasks, tasks_done = snap["n_tasks"], snap["tasks_done"]
     if tasks_done > n_tasks:
         raise SnapshotError(f"tasks_done {tasks_done} exceeds n_tasks {n_tasks}")
+    if len(datasets) != n_tasks:
+        raise SnapshotError(f"the stream has {len(datasets)} tasks, the snapshot n_tasks {n_tasks}")
+    if any(not 0 <= c < snap["n_classes"] for c in stream_classes(datasets)):
+        raise SnapshotError(f"the stream holds a class outside the head's {snap['n_classes']}")
 
     arrays = snap["arrays"]
 
     def array(name: str, shape: tuple, kind: str = "f") -> np.ndarray:
-        """Array ``name`` of dtype kind ``kind``, whose shape must match
-        ``shape`` (None: any length)."""
+        """A copy of array ``name`` of dtype kind ``kind``, whose shape must
+        match ``shape`` (None: any length)."""
         if name not in arrays:
             raise SnapshotError(f"missing array {name}")
         arr = arrays[name]
@@ -256,7 +263,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
             raise SnapshotError(f"array {name} holds {arr.dtype}, expected {DTYPES[kind].name}")
         if arr.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, arr.shape)):
             raise SnapshotError(f"array {name} has shape {arr.shape}, expected {shape}")
-        return arr
+        return arr.copy()
 
     def ids(name: str, below: int) -> list:
         """1-D integer array ``name`` as ints, each in [0, below)."""
@@ -281,10 +288,8 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     rng = _rng_from_words(array("rng", (6,), "u"))
 
     d, n_prompted = enc_cfg.d_model, enc_cfg.n_prompted
-    # a drawn backbone gives every weight's shape
-    backbone = FrozenBackbone.init(enc_cfg, np.random.default_rng(0))
-    for name in backbone.names():
-        backbone.weights[name] = array(f"backbone.{name}", backbone.weights[name].shape)
+    backbone = FrozenBackbone(enc_cfg, {name: array(f"backbone.{name}", shape)
+                                        for name, shape in backbone_shapes(enc_cfg).items()})
     head = Head(array("head.w", (d, snap["n_classes"])), array("head.b", (snap["n_classes"],)))
     n_sets = 0
     while any(name.startswith(f"set{n_sets}.") for name in arrays):
@@ -304,9 +309,6 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
     if assigned != list(range(tasks_done)):
         raise SnapshotError(f"the sets' task lists hold {assigned}, expected each of "
                             f"0..{tasks_done - 1} exactly once")
-    seen_classes = ids("seen_classes", snap["n_classes"])
-    if len(set(seen_classes)) != len(seen_classes):
-        raise SnapshotError("array seen_classes repeats a class")
     # every restored set has a stored space, one basis per segment
     memory = SubspaceMemory()
     segments = list(segment_map(enc_cfg, range(n_prompted), None))
@@ -318,12 +320,13 @@ def restore_engine(snap: dict, enc_cfg, train_cfg):
                 spaces[seg] = Basis(array(name, (d, None)))
             except SubspaceError as exc:
                 raise SnapshotError(f"array {name}: {exc}") from exc
-    engine = Engine(enc_cfg, train_cfg, rng, backbone, head, PromptPool(sets, assignments), memory,
-                    seen_classes, tasks_done)
-
     matrix = AccuracyMatrix(n_tasks)
     matrix.a = np.where(a < 0, np.nan, a)
     matrix.a_oracle = np.where(oracle < 0, np.nan, oracle)
     matrix.retrieval_hits = hits
     matrix.retrieval_totals = totals
-    return engine, matrix
+    engine = Engine(enc_cfg, train_cfg, rng, backbone, head, PromptPool(sets, assignments), memory,
+                    datasets, matrix, tasks_done)
+    if array("seen_classes", (None,), "i").tolist() != engine.seen_classes:
+        raise SnapshotError(f"array seen_classes is not the classes of the stream's first {tasks_done} tasks")
+    return engine

@@ -68,10 +68,6 @@ class StreamSpec:
             raise StreamError("need dim >= classes_per_task for an orthonormal frame")
         object.__setattr__(self, "similarity_schedule", sched)
 
-    @property
-    def n_classes(self) -> int:
-        return self.n_tasks * self.classes_per_task
-
     def classes_of(self, task: int):
         lo = task * self.classes_per_task
         return list(range(lo, lo + self.classes_per_task))

@@ -1,12 +1,15 @@
 """Per-task orchestration: probe, decide, train under constraints, store spaces.
 
-One engine owns a frozen backbone, the unified head, the prompt pool (each
-set with its frozen transfer rows) and the stored spaces of the pool's sets;
-its constructor takes exactly that state. ``Engine.fresh`` starts a run: it
-seeds the RNG, draws the backbone, pretrains it on a
+One engine is one run: it owns its task stream and accuracy matrix, a
+frozen backbone, the unified head, the prompt pool (each set with its frozen
+transfer rows) and the stored spaces of the pool's sets; its constructor
+takes exactly that state. ``Engine.fresh`` starts a run: it checks that no
+two tasks share a class, seeds the RNG, draws the backbone, pretrains it on a
 ``PRETRAIN_CLASSES``-class synthetic task at step size ``PRETRAIN_LR`` and
-draws the head. ``snapshot.restore_engine`` calls the same constructor with
-the state read from a file.
+draws the head over the stream's classes. ``snapshot.restore_engine`` calls
+the same constructor with the state read from a file and the regenerated
+stream. ``train_task`` trains task ``tasks_done``, and ``evaluate_after``
+fills that task's column of ``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
 its frozen transfer rows, and decides grow-or-reuse (first task always grows;
@@ -128,6 +131,14 @@ class TaskReport:
     drift_ratios: dict  # segment -> ||proj_old(delta)|| / ||delta|| (reuse only)
 
 
+def stream_classes(datasets) -> list:
+    """Every class of the stream, in task order; raises when two tasks share one."""
+    classes = [c for ds in datasets for c in ds.class_ids]
+    if len(set(classes)) != len(classes):
+        raise TrainerError("two tasks of the stream share a class")
+    return classes
+
+
 # Backbone pretraining runs on a one-task synthetic stream of PRETRAIN_CLASSES
 # classes, stepped at PRETRAIN_LR for ``TrainConfig.pretrain_steps`` steps.
 PRETRAIN_CLASSES = 8
@@ -135,11 +146,11 @@ PRETRAIN_LR = 0.05
 
 
 class Engine:
-    """A single continual run over an ordered task stream."""
+    """A single continual run over its ordered task stream ``datasets``."""
 
     def __init__(self, enc_cfg: EncoderConfig, cfg: TrainConfig, rng: np.random.Generator,
                  backbone: FrozenBackbone, head: Head, pool: PromptPool, memory: SubspaceMemory,
-                 seen_classes: list, tasks_done: int):
+                 datasets: list, matrix: AccuracyMatrix, tasks_done: int):
         self.enc_cfg = enc_cfg
         self.cfg = cfg
         self.rng = rng
@@ -147,19 +158,22 @@ class Engine:
         self.head = head
         self.pool = pool
         self.memory = memory
-        self.seen_classes = seen_classes
+        self.datasets = datasets
+        self.matrix = matrix
         self.tasks_done = tasks_done
         self.reports = []
-        self.test_queries = {}  # task index -> (x_test, its promptless features)
-        # (set id, task index) -> (x_test, where, feats): test row r has not
-        # been encoded under the set while where[r] < 0; then its features are
+        self.test_queries = {}  # task index -> its test set's promptless features
+        # (set id, task index) -> (where, feats): test row r has not been
+        # encoded under the set while where[r] < 0; then its features are
         # feats[where[r]]
         self.test_features = {}
 
     @classmethod
-    def fresh(cls, enc_cfg: EncoderConfig, cfg: TrainConfig, n_classes: int) -> "Engine":
-        """A new run's engine: seed the RNG from ``cfg.seed``, draw and
-        pretrain the backbone, then draw the head over ``n_classes``."""
+    def fresh(cls, enc_cfg: EncoderConfig, cfg: TrainConfig, datasets: list) -> "Engine":
+        """A new run's engine over ``datasets``: check that no two tasks share
+        a class, seed the RNG from ``cfg.seed``, draw and pretrain the
+        backbone, then draw the head over every class of the stream."""
+        classes = stream_classes(datasets)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         backbone = FrozenBackbone.init(enc_cfg, rng)
         if cfg.pretrain_steps > 0:
@@ -178,8 +192,14 @@ class Engine:
                 )
             except NonFiniteError as exc:
                 raise TrainerError(f"pretraining, {exc}") from exc
-        head = Head.init(enc_cfg.d_model, n_classes, rng)
-        return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(), [], 0)
+        head = Head.init(enc_cfg.d_model, max(classes) + 1, rng)
+        return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(),
+                   datasets, AccuracyMatrix(len(datasets)), 0)
+
+    @property
+    def seen_classes(self) -> list:
+        """The classes of the trained tasks, in task order."""
+        return [c for ds in self.datasets[: self.tasks_done] for c in ds.class_ids]
 
     # -- helpers ---------------------------------------------------------------
 
@@ -223,20 +243,17 @@ class Engine:
         old = self.memory.old_spaces.get(set_id)
         self.memory.old_spaces[set_id] = self._spaces_from_reps(reps, self.cfg.eps_task, old=old)
 
-    def train_task(self, task_id: int, dataset) -> TaskReport:
-        """Run the full per-task pipeline and return its report."""
+    def train_task(self) -> TaskReport:
+        """Run the full per-task pipeline on the stream's next task and return
+        its report."""
         cfg = self.cfg
-        if task_id != self.tasks_done:
-            raise TrainerError(f"tasks must arrive in order: expected {self.tasks_done}, got {task_id}")
-        classes = sorted(set(int(c) for c in dataset.y_train))
-        if set(classes) & set(self.seen_classes):
-            raise TrainerError(f"task {task_id} overlaps previously seen classes")
-        if max(classes) >= self.head.n_classes:
-            raise TrainerError("class id outside the unified head")
+        task_id = self.tasks_done
+        dataset = self.datasets[task_id]
+        classes = tuple(dataset.class_ids)
 
         x, y = dataset.x_train, dataset.y_train
         probe_batches, probe_idx = self._probe_batches(x, y)
-        probe = GradientProbe(self.backbone, self.head, tuple(classes), probe_batches)
+        probe = GradientProbe(self.backbone, self.head, classes, probe_batches)
 
         # One promptless pass over the training rows gives the key-loss
         # queries and, at the probe subset, the reps of this task's
@@ -272,7 +289,7 @@ class Engine:
                 q_bar = q_all[batch].mean(axis=0)
                 try:
                     _, grad, gw, gb = loss_and_grads(
-                        self.backbone, self.head, pset, x[batch], y[batch], tuple(classes), q_bar=q_bar
+                        self.backbone, self.head, pset, x[batch], y[batch], classes, q_bar=q_bar
                     )
                 except NonFiniteError as exc:
                     raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
@@ -283,7 +300,6 @@ class Engine:
 
         drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
         self.finalize_task_space(sid, dataset)
-        self.seen_classes.extend(classes)
         self.tasks_done += 1
         row = trace_record(task_id, decision, self.pool.assignments)
         report = TaskReport(task_id, sid, decision, row, drift)
@@ -346,8 +362,8 @@ class Engine:
 
     # -- evaluation ------------------------------------------------------------------
 
-    def evaluate_after(self, after_task: int, datasets, matrix: AccuracyMatrix):
-        """Fill column ``after_task`` of the accuracy matrix.
+    def evaluate_after(self):
+        """Fill the last trained task's column of ``matrix``.
 
         The main grid follows the class-incremental protocol: retrieval picks
         the set, logits range over every class seen so far. The oracle grid is
@@ -356,66 +372,55 @@ class Engine:
         that read it (the one retrieval picks, and the task's own set for the
         oracle), once per set until ``train_task`` trains that set again.
         """
-        seen = [c for t in range(after_task + 1) for c in datasets[t].class_ids]
-        for i in range(after_task + 1):
-            ds = datasets[i]
-            cached = self.test_queries.get(i)
-            if cached is None or cached[0] is not ds.x_test:
+        seen = self.seen_classes
+        for i, ds in enumerate(self.datasets[: self.tasks_done]):
+            q = self.test_queries.get(i)
+            if q is None:
                 # the backbone is frozen, so a test set's queries never change
-                cached = self.test_queries[i] = (ds.x_test, forward_query(self.backbone, ds.x_test))
-            q = cached[1]
+                q = self.test_queries[i] = forward_query(self.backbone, ds.x_test)
             retrieved = self.pool.retrieve_batch(q)
             true_sid = self.pool.set_for_task(i)
             hits = int(np.sum(retrieved == true_sid))
             # the oracle reads every row under the task's own set, so it goes
             # first: one encoder call covers the rows the main grid reads there
-            oracle = self._accuracy(i, ds, np.full(len(ds.y_test), true_sid), ds.class_ids)
-            acc = self._accuracy(i, ds, retrieved, seen)
-            matrix.record(i, after_task, acc, oracle, hits, len(ds.y_test))
+            oracle = self._accuracy(i, np.full(len(ds.y_test), true_sid), ds.class_ids)
+            acc = self._accuracy(i, retrieved, seen)
+            self.matrix.record(i, self.tasks_done - 1, acc, oracle, hits, len(ds.y_test))
 
-    def _test_features(self, sid: int, task: int, x_test: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _test_features(self, sid: int, task: int, rows: np.ndarray) -> np.ndarray:
         """Features of rows ``rows`` of task ``task``'s test set under set
         ``sid``. Only rows not encoded before are encoded, in one call; the
         cache keeps the features of every encoded row until ``train_task``
         trains the set again."""
-        cached = self.test_features.get((sid, task))
-        if cached is None or cached[0] is not x_test:
-            cached = (x_test, np.full(len(x_test), -1), np.empty((0, self.enc_cfg.d_model)))
-        _, where, feats = cached
+        x_test = self.datasets[task].x_test
+        where, feats = self.test_features.get(
+            (sid, task), (np.full(len(x_test), -1), np.empty((0, self.enc_cfg.d_model))))
         missing = rows[where[rows] < 0]
         if len(missing):
             new = prompted_features(self.backbone, self.pool.sets[sid], x_test[missing])
             where[missing] = np.arange(len(feats), len(feats) + len(missing))
             feats = np.concatenate([feats, new])
-        self.test_features[(sid, task)] = (x_test, where, feats)
+        self.test_features[(sid, task)] = (where, feats)
         return feats[where[rows]]
 
-    def _accuracy(self, task: int, ds, set_ids: np.ndarray, seen_classes) -> float:
+    def _accuracy(self, task: int, set_ids: np.ndarray, seen_classes) -> float:
+        ds = self.datasets[task]
         bias = class_mask_bias(self.head.n_classes, seen_classes)
         correct = 0
         # sorted(set(...)), not np.unique: np.unique imports numpy.ma (numpy
         # >= 2), which nothing else in a run loads
         for sid in sorted(set(set_ids.tolist())):
             rows = np.flatnonzero(set_ids == sid)
-            feats = self._test_features(sid, task, ds.x_test, rows)
+            feats = self._test_features(sid, task, rows)
             logits = feats @ self.head.w + self.head.b + bias
             correct += int(np.sum(logits.argmax(axis=1) == ds.y_test[rows]))
         return correct / len(ds.y_test)
 
 
-@dataclass
-class RunResult:
-    engine: Engine  # its ``reports`` hold one TaskReport per task
-    matrix: AccuracyMatrix
-
-
-def run_stream(enc_cfg: EncoderConfig, cfg: TrainConfig, datasets, n_classes: int | None = None) -> RunResult:
+def run_stream(enc_cfg: EncoderConfig, cfg: TrainConfig, datasets) -> Engine:
     """Train every task in order, evaluating all seen tasks after each one."""
-    if n_classes is None:
-        n_classes = max(int(c) for ds in datasets for c in ds.class_ids) + 1
-    engine = Engine.fresh(enc_cfg, cfg, n_classes)
-    matrix = AccuracyMatrix(len(datasets))
-    for t, ds in enumerate(datasets):
-        engine.train_task(t, ds)
-        engine.evaluate_after(t, datasets, matrix)
-    return RunResult(engine, matrix)
+    engine = Engine.fresh(enc_cfg, cfg, datasets)
+    for _ in datasets:
+        engine.train_task()
+        engine.evaluate_after()
+    return engine

@@ -123,11 +123,11 @@ def test_criterion_04_no_forgetting_drift():
     spec = StreamSpec(n_tasks=4, classes_per_task=3, dim=48, samples_per_class=100,
                       seed=3, noise_scale=0.12, mean_scale=3.5)
     data = generate(spec)
-    eng = Engine.fresh(NOFORGET_ENC, NOFORGET_CFG, spec.n_classes)
-    matrix = AccuracyMatrix(4)
+    eng = Engine.fresh(NOFORGET_ENC, NOFORGET_CFG, data)
+    matrix = eng.matrix
     for t in range(4):
-        report = eng.train_task(t, data[t])
-        eng.evaluate_after(t, data, matrix)
+        report = eng.train_task()
+        eng.evaluate_after()
         if t > 0:
             assert not report.decision.is_grow
             assert report.drift_ratios, "reuse task must report drift"
@@ -146,12 +146,12 @@ def test_criterion_05_soft_constraint_behavior():
                       probe_samples=32, space_samples=48)
     data = generate(StreamSpec(n_tasks=1, classes_per_task=3, dim=24,
                                samples_per_class=40, seed=9))
-    eng = Engine.fresh(enc, cfg, 3)
+    eng = Engine.fresh(enc, cfg, data)
     ds = data[0]
     # task 0's pre-trained space as train_task builds it: promptless reps at
     # the probe subset, drawn from the RNG state the task starts from
     rng_at_start = copy.deepcopy(eng.rng)
-    eng.train_task(0, ds)
+    eng.train_task()
     eng.rng = rng_at_start
     _, probe_idx = eng._probe_batches(ds.x_train, ds.y_train)
     _, reps = query_with_layers(eng.backbone, ds.x_train)
@@ -225,10 +225,10 @@ def test_criterion_06_gradient_correctness_and_frozen_transfer():
                       probe_samples=24, space_samples=32, mode="grow_always")
     data = generate(StreamSpec(n_tasks=2, classes_per_task=2, dim=12,
                                samples_per_class=30, seed=21))
-    eng = Engine.fresh(enc, cfg, 4)
-    eng.train_task(0, data[0])
+    eng = Engine.fresh(enc, cfg, data)
+    eng.train_task()
     source_before = eng.pool.sets[0].p.copy()
-    eng.train_task(1, data[1])
+    eng.train_task()
     frozen, sources = eng.pool.sets[1].extra, eng.pool.sets[1].sources
     assert sources == [0]
     assert np.array_equal(eng.pool.sets[0].p, source_before)
@@ -289,10 +289,10 @@ def test_criterion_08_comparative_run():
         for mode in ("lw2g", "grow_always", "single_set"):
             res = run_stream(COMPARE_ENC, _compare_cfg(mode, seed), data)
             results[mode] = res
-        ssp_lw2g = ssp(results["lw2g"].engine.pool)
+        ssp_lw2g = ssp(results["lw2g"].pool)
         assert ssp_lw2g < 6, f"seed {seed}: pool did not shrink (ssp={ssp_lw2g})"
-        assert ssp(results["grow_always"].engine.pool) == 6
-        assert ssp(results["single_set"].engine.pool) == 1
+        assert ssp(results["grow_always"].pool) == 6
+        assert ssp(results["single_set"].pool) == 1
         pra_lw2g = pra(results["lw2g"].matrix)
         pra_grow = pra(results["grow_always"].matrix)
         assert pra_lw2g >= pra_grow, f"seed {seed}: retrieval {pra_lw2g:.3f} < {pra_grow:.3f}"

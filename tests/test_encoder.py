@@ -286,7 +286,7 @@ class TestFrozenExtras:
 
 
 def weight_copies(backbone):
-    return {name: backbone.weights[name].copy() for name in backbone.names()}
+    return {name: w.copy() for name, w in backbone.weights.items()}
 
 
 def same_weights(backbone, copies):

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from growcl import cli, snapshot
 from growcl.cli import main
 from growcl.config import load_config
+from growcl.stream import generate
 from trace_fixtures import TRACE_SIX_SETS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,12 +45,13 @@ PEAK_BOUND = 4 * 2**20
 
 @pytest.fixture(scope="module")
 def quick(tmp_path_factory):
-    """(snapshot bytes, encoder config, train config, scratch file path)."""
+    """(snapshot bytes, encoder config, train config, task stream, scratch
+    file path)."""
     out = tmp_path_factory.mktemp("quick")
     cfg_path = ROOT / "configs" / "quick.cfg"
     assert main(["run", "--config", str(cfg_path), "--mode", "grow_always", "--out", str(out)]) == 0
-    _, (_, enc, train) = load_config(cfg_path)
-    return (out / "snapshot.bin").read_bytes(), enc, train, out / "hostile.bin"
+    _, (spec, enc, train) = load_config(cfg_path)
+    return (out / "snapshot.bin").read_bytes(), enc, train, generate(spec), out / "hostile.bin"
 
 
 def _descriptor_end(raw: bytes) -> int:
@@ -64,12 +66,12 @@ def _descriptor_end(raw: bytes) -> int:
 def _restore(raw: bytes, quick) -> None:
     """Load and restore ``raw``; only ``SnapshotError`` may escape, and the
     attempt's allocation peak must stay under ``PEAK_BOUND``."""
-    _, enc, train, path = quick
+    _, enc, train, datasets, path = quick
     path.write_bytes(raw)
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        snapshot.restore_engine(snapshot.load(path), enc, train)
+        snapshot.restore_engine(snapshot.load(path), enc, train, datasets)
     except snapshot.SnapshotError:
         pass
     peak = tracemalloc.get_traced_memory()[1] - base
@@ -92,10 +94,10 @@ def _flip(raw: bytes, bit: int) -> bytes:
 
 
 def test_intact_snapshot_restores(quick, traced):
-    raw, enc, train, path = quick
+    raw, enc, train, datasets, path = quick
     path.write_bytes(raw)
-    engine, matrix = snapshot.restore_engine(snapshot.load(path), enc, train)
-    assert len(engine.pool) == 3 and engine.tasks_done == matrix.n_tasks == 3
+    engine = snapshot.restore_engine(snapshot.load(path), enc, train, datasets)
+    assert len(engine.pool) == 3 and engine.tasks_done == engine.matrix.n_tasks == 3
     _restore(raw, quick)
 
 
@@ -123,7 +125,7 @@ def test_random_flips_and_truncations(quick, data):
 
 
 def test_first_array_ndim_flip_rejected(quick):
-    raw, enc, train, path = quick
+    raw, _, _, _, path = quick
     at = _descriptor_end(raw) - 12  # ndim of the 2-D backbone.embed_w
     path.write_bytes(_flip(raw, 8 * at + 9))  # 2 -> 514 axes
     with pytest.raises(snapshot.SnapshotError, match="514 axes"):
@@ -132,7 +134,7 @@ def test_first_array_ndim_flip_rejected(quick):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_payload_rejected(quick, value):
-    raw, enc, train, path = quick
+    raw, _, _, _, path = quick
     out = bytearray(raw)
     at = _descriptor_end(raw)  # backbone.embed_w[0, 0]
     out[at:at + 8] = struct.pack("<d", value)
@@ -142,7 +144,7 @@ def test_non_finite_payload_rejected(quick, value):
 
 
 def _loaded(quick) -> dict:
-    raw, _, _, path = quick
+    raw, _, _, _, path = quick
     path.write_bytes(raw)
     return snapshot.load(path)
 
@@ -157,17 +159,17 @@ def _loaded(quick) -> dict:
     ({"set2.tasks": [0, 7]}, "set2.tasks"),
     ({"set2.tasks": [0]}, "exactly once"),
     ({"set2.tasks": []}, "exactly once"),
-    ({"seen_classes": [0, 1, 2, 3, 4, 4]}, "repeats"),
+    ({"seen_classes": [0, 1, 2, 3, 4, 4]}, "seen_classes"),
     ({"seen_classes": [0, 1, 2, 3, 4, 6]}, "seen_classes"),
     ({"seen_classes": [-1]}, "seen_classes"),
 ])
 def test_integer_values_checked(quick, edits, match):
-    _, enc, train, _ = quick
+    _, enc, train, datasets, _ = quick
     snap = _loaded(quick)
     for name, values in edits.items():
         snap["arrays"][name] = np.asarray(values, dtype=np.int64)
     with pytest.raises(snapshot.SnapshotError, match=match):
-        snapshot.restore_engine(snap, enc, train)
+        snapshot.restore_engine(snap, enc, train, datasets)
 
 
 DTYPE_CASES = {
@@ -187,11 +189,11 @@ DTYPE_CASES = {
 
 @pytest.mark.parametrize("name, values, match", DTYPE_CASES.values(), ids=DTYPE_CASES)
 def test_dtypes_checked(quick, name, values, match):
-    _, enc, train, _ = quick
+    _, enc, train, datasets, _ = quick
     snap = _loaded(quick)
     snap["arrays"][name] = values
     with pytest.raises(snapshot.SnapshotError, match=f"^array {name} holds {match}$"):
-        snapshot.restore_engine(snap, enc, train)
+        snapshot.restore_engine(snap, enc, train, datasets)
 
 
 # the rng words: state (high, low), inc (high, low), has_uint32, uinteger
@@ -206,14 +208,14 @@ RNG_CASES = {
 
 @pytest.mark.parametrize("words, match", RNG_CASES.values(), ids=RNG_CASES)
 def test_rng_words_checked(quick, words, match):
-    _, enc, train, _ = quick
+    _, enc, train, datasets, _ = quick
     snap = _loaded(quick)
     rng = snap["arrays"]["rng"].copy()
     for at, value in words.items():
         rng[at] = value
     snap["arrays"]["rng"] = rng if words else rng[:5]
     with pytest.raises(snapshot.SnapshotError, match=match):
-        snapshot.restore_engine(snap, enc, train)
+        snapshot.restore_engine(snap, enc, train, datasets)
 
 
 class _RefusingPCG64(np.random.PCG64):
@@ -231,22 +233,22 @@ class _RefusingPCG64(np.random.PCG64):
 def test_rng_state_the_setter_refuses(quick, monkeypatch):
     # whatever the setter raises on a state the word checks let through is
     # a SnapshotError
-    _, enc, train, _ = quick
+    _, enc, train, datasets, _ = quick
     snap = _loaded(quick)
     monkeypatch.setattr(np.random, "PCG64", _RefusingPCG64)
     with pytest.raises(snapshot.SnapshotError, match="PCG64 refuses: value too large"):
-        snapshot.restore_engine(snap, enc, train)
+        snapshot.restore_engine(snap, enc, train, datasets)
 
 
 @pytest.mark.parametrize("field, value, match", [
     ("tasks_done", 4, "exceeds n_tasks"),
 ])
 def test_header_values_checked(quick, field, value, match):
-    _, enc, train, _ = quick
+    _, enc, train, datasets, _ = quick
     snap = _loaded(quick)
     snap[field] = value
     with pytest.raises(snapshot.SnapshotError, match=match):
-        snapshot.restore_engine(snap, enc, train)
+        snapshot.restore_engine(snap, enc, train, datasets)
 
 
 @pytest.mark.parametrize("name, index, value, match", [
@@ -259,12 +261,12 @@ def test_header_values_checked(quick, field, value, match):
     ("matrix.hits", (0, 0), 1e6, "exceeds matrix.totals"),
 ])
 def test_grid_values_checked(quick, name, index, value, match):
-    _, enc, train, _ = quick
+    _, enc, train, datasets, _ = quick
     snap = _loaded(quick)
     snap["arrays"][name] = snap["arrays"][name].copy()
     snap["arrays"][name][index] = value
     with pytest.raises(snapshot.SnapshotError, match=match):
-        snapshot.restore_engine(snap, enc, train)
+        snapshot.restore_engine(snap, enc, train, datasets)
 
 
 # -- traces, reports and configs ---------------------------------------------

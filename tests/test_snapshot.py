@@ -10,9 +10,9 @@ import pytest
 
 from growcl import snapshot
 from growcl.config import load_config
-from growcl.encoder import EncoderConfig
+from growcl.encoder import EncoderConfig, FrozenBackbone
 from growcl.stream import StreamSpec, generate
-from growcl.trainer import MODES, Engine, RunResult, TrainConfig, run_stream
+from growcl.trainer import MODES, Engine, TrainConfig, TrainerError, run_stream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,26 +23,25 @@ CFG = TrainConfig(epochs=2, lr=0.3, batch_size=16, seed=3, pretrain_steps=10,
 
 
 @pytest.fixture(scope="module")
-def run():
+def finished():
+    """A finished two-task run's engine."""
     data = generate(StreamSpec(n_tasks=2, classes_per_task=2, dim=24,
                                samples_per_class=30, seed=5))
-    return data, run_stream(ENC, CFG, data)
+    return run_stream(ENC, CFG, data)
 
 
-def test_header_layout(run, tmp_path):
-    _, res = run
+def test_header_layout(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = path.read_bytes()
     assert raw[:4] == b"LW2G"
     version, d_model, n_blocks = struct.unpack("<3I", raw[4:16])
     assert (version, d_model, n_blocks) == (2, ENC.d_model, ENC.n_blocks)
 
 
-def test_version_1_rejected(run, tmp_path):
-    _, res = run
+def test_version_1_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = path.read_bytes()
     path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
     with pytest.raises(snapshot.SnapshotError, match="^unsupported snapshot version 1$"):
@@ -56,10 +55,9 @@ def test_bad_magic_rejected(tmp_path):
         snapshot.load(path)
 
 
-def test_truncated_file_rejected(run, tmp_path):
-    _, res = run
+def test_truncated_file_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = path.read_bytes()
     header = 4 + 4 * (8 + ENC.n_prompted + 4)
     (name_len,) = struct.unpack("<H", raw[header:header + 2])
@@ -78,19 +76,18 @@ def test_truncated_file_rejected(run, tmp_path):
             snapshot.load(path)
 
 
-def test_roundtrip_restores_state(run, tmp_path):
-    _, res = run
+def test_roundtrip_restores_state(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
-    engine, matrix = snapshot.restore_engine(snapshot.load(path), ENC, CFG)
+    snapshot.save(path, finished)
+    engine = snapshot.restore_engine(snapshot.load(path), ENC, CFG, finished.datasets)
 
-    assert engine.pool.assignments == res.engine.pool.assignments
-    assert engine.tasks_done == res.engine.tasks_done
-    assert engine.seen_classes == res.engine.seen_classes
+    assert engine.pool.assignments == finished.pool.assignments
+    assert engine.tasks_done == finished.tasks_done
+    assert engine.seen_classes == finished.seen_classes
     # every stored value, the grids and the RNG state included, comes back
     # exactly, in the dtype it was saved from
-    for (name, arr), (_, want) in zip(snapshot.collect_arrays(engine, matrix),
-                                      snapshot.collect_arrays(res.engine, res.matrix), strict=True):
+    for (name, arr), (_, want) in zip(snapshot.collect_arrays(engine),
+                                      snapshot.collect_arrays(finished), strict=True):
         assert arr.dtype == want.dtype and np.array_equal(arr, want), name
 
 
@@ -101,10 +98,10 @@ RESUMES = [("quick", mode, k) for mode in MODES for k in (1, 2)] + [("comparison
 
 @dataclasses.dataclass
 class Uninterrupted:
-    datasets: list
+    spec: StreamSpec
     enc: EncoderConfig
     train: TrainConfig
-    result: RunResult
+    result: Engine
     snapshots: list  # the snapshot bytes after each task
 
 
@@ -119,18 +116,17 @@ def uninterrupted(tmp_path_factory):
         if (config, mode) not in runs:
             _, (spec, enc, train) = load_config(ROOT / "configs" / f"{config}.cfg")
             train = dataclasses.replace(train, mode=mode)
-            datasets = generate(spec)
             snapshots = []
             evaluate_after = Engine.evaluate_after
 
-            def evaluate_and_save(engine, after_task, datasets, matrix):
-                evaluate_after(engine, after_task, datasets, matrix)
-                snapshot.save(path, engine, matrix)
+            def evaluate_and_save(engine):
+                evaluate_after(engine)
+                snapshot.save(path, engine)
                 snapshots.append(path.read_bytes())
 
             with mock.patch.object(Engine, "evaluate_after", evaluate_and_save):
-                result = run_stream(enc, train, datasets, n_classes=spec.n_classes)
-            runs[config, mode] = Uninterrupted(datasets, enc, train, result, snapshots)
+                result = run_stream(enc, train, generate(spec))
+            runs[config, mode] = Uninterrupted(spec, enc, train, result, snapshots)
         return runs[config, mode]
 
     return get
@@ -141,16 +137,18 @@ def test_resumed_run_equals_uninterrupted(uninterrupted, tmp_path, config, mode,
     run = uninterrupted(config, mode)
     path = tmp_path / "snap.bin"
     path.write_bytes(run.snapshots[k - 1])
-    engine, matrix = snapshot.restore_engine(snapshot.load(path), run.enc, run.train)
+    # restore with the regenerated stream, then train on
+    engine = snapshot.restore_engine(snapshot.load(path), run.enc, run.train, generate(run.spec))
     assert engine.tasks_done == k
-    for t in range(k, len(run.datasets)):
-        engine.train_task(t, run.datasets[t])
-        engine.evaluate_after(t, run.datasets, matrix)
+    while engine.tasks_done < len(engine.datasets):
+        engine.train_task()
+        engine.evaluate_after()
 
-    assert [r.trace for r in engine.reports] == [r.trace for r in run.result.engine.reports[k:]]
+    assert [r.trace for r in engine.reports] == [r.trace for r in run.result.reports[k:]]
     for name in ("a", "a_oracle", "retrieval_hits", "retrieval_totals"):
-        np.testing.assert_array_equal(getattr(matrix, name), getattr(run.result.matrix, name), err_msg=name)
-    snapshot.save(path, engine, matrix)
+        np.testing.assert_array_equal(getattr(engine.matrix, name), getattr(run.result.matrix, name),
+                                      err_msg=name)
+    snapshot.save(path, engine)
     assert path.read_bytes() == run.snapshots[-1]
 
 
@@ -160,23 +158,81 @@ def test_resaved_snapshot_is_byte_identical(uninterrupted, tmp_path, config, mod
     path, again = tmp_path / "snap.bin", tmp_path / "again.bin"
     for raw in run.snapshots:
         path.write_bytes(raw)
-        snapshot.save(again, *snapshot.restore_engine(snapshot.load(path), run.enc, run.train))
+        restored = snapshot.restore_engine(snapshot.load(path), run.enc, run.train, run.result.datasets)
+        snapshot.save(again, restored)
         assert again.read_bytes() == raw
 
 
-@pytest.mark.parametrize("name", ["backbone.embed_w", "set0.p", "set0.k", "seen_classes"])
-def test_missing_array_rejected(run, tmp_path, name):
-    # renamed in place: the container still loads, the engine lacks the array
-    _, res = run
+def test_restored_engines_share_no_array(uninterrupted, tmp_path):
+    # two engines restored from one load result: training one and bumping
+    # every array it stores leaves the other, and the loaded arrays, as saved
+    run = uninterrupted("quick", "lw2g")
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    path.write_bytes(run.snapshots[0])
+    snap = snapshot.load(path)
+
+    def restore():
+        return snapshot.restore_engine(snap, run.enc, run.train, run.result.datasets)
+
+    first, second = restore(), restore()
+    first.train_task()
+    first.evaluate_after()
+    for _, arr in snapshot.collect_arrays(first):
+        arr += 1
+    for engine in (second, restore()):
+        snapshot.save(path, engine)
+        assert path.read_bytes() == run.snapshots[0]
+
+
+def test_restore_draws_no_backbone(finished, tmp_path, monkeypatch):
+    # the weights' shapes come from the encoder's declaration, not a draw
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, finished)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("FrozenBackbone.init called")
+
+    monkeypatch.setattr(FrozenBackbone, "init", no_draw)
+    engine = snapshot.restore_engine(snapshot.load(path), ENC, CFG, finished.datasets)
+    assert list(engine.backbone.weights) == list(finished.backbone.weights)
+    for name, weight in finished.backbone.weights.items():
+        np.testing.assert_array_equal(engine.backbone.weights[name], weight, err_msg=name)
+
+
+# stream edits that no longer fit the two-task snapshot (classes 0-3)
+STREAM_MISFITS = {
+    "one-task-short": (lambda data: data[:1], snapshot.SnapshotError,
+                       "^the stream has 1 tasks, the snapshot n_tasks 2$"),
+    "class-beyond-head": (lambda data: [data[0], dataclasses.replace(data[1], class_ids=[2, 4])],
+                          snapshot.SnapshotError, "^the stream holds a class outside the head's 4$"),
+    "tasks-swapped": (lambda data: data[::-1], snapshot.SnapshotError,
+                      "^array seen_classes is not the classes of the stream's first 2 tasks$"),
+    # a stream no run could have: fresh would refuse it too
+    "classes-shared": (lambda data: [data[0], dataclasses.replace(data[1], class_ids=[1, 2])],
+                       TrainerError, "^two tasks of the stream share a class$"),
+}
+
+
+@pytest.mark.parametrize("edit, error, match", STREAM_MISFITS.values(), ids=STREAM_MISFITS)
+def test_stream_that_does_not_fit_rejected(finished, tmp_path, edit, error, match):
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, finished)
+    with pytest.raises(error, match=match):
+        snapshot.restore_engine(snapshot.load(path), ENC, CFG, edit(finished.datasets))
+
+
+@pytest.mark.parametrize("name", ["backbone.embed_w", "set0.p", "set0.k", "seen_classes"])
+def test_missing_array_rejected(finished, tmp_path, name):
+    # renamed in place: the container still loads, the engine lacks the array
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, finished)
     raw = path.read_bytes()
     old = name.encode()
     assert raw.count(old) == 1
     path.write_bytes(raw.replace(old, old[:-1] + b"x"))
     snap = snapshot.load(path)
     with pytest.raises(snapshot.SnapshotError, match=f"missing array {name}$"):
-        snapshot.restore_engine(snap, ENC, CFG)
+        snapshot.restore_engine(snap, ENC, CFG, finished.datasets)
 
 
 @pytest.mark.parametrize("name, corrupt", [
@@ -185,32 +241,31 @@ def test_missing_array_rejected(run, tmp_path, name):
     ("old.0.key", "old.9.key"),        # no such set
     ("old.0.key", "olx.0.key"),        # not a stored basis at all
 ])
-def test_misnamed_stored_basis_rejected(run, tmp_path, name, corrupt):
+def test_misnamed_stored_basis_rejected(finished, tmp_path, name, corrupt):
     # renamed in place: the container still loads, but a restored set lacks
     # one of its segments' bases
-    _, res = run
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = path.read_bytes()
     assert raw.count(name.encode()) == 1
     path.write_bytes(raw.replace(name.encode(), corrupt.encode()))
     snap = snapshot.load(path)
     with pytest.raises(snapshot.SnapshotError, match=f"missing array {name}$"):
-        snapshot.restore_engine(snap, ENC, CFG)
+        snapshot.restore_engine(snap, ENC, CFG, finished.datasets)
 
 
-def save_with(path, res, replace=None, insert_before=None, insert=()):
-    """Save ``res`` with ``replace`` ({name: array}) swapped in, and the
+def save_with(path, engine, replace=None, insert_before=None, insert=()):
+    """Save ``engine`` with ``replace`` ({name: array}) swapped in, and the
     named arrays ``insert`` placed before array ``insert_before``."""
     arrays = [(name, (replace or {}).get(name, arr))
-              for name, arr in snapshot.collect_arrays(res.engine, res.matrix)]
+              for name, arr in snapshot.collect_arrays(engine)]
     if insert:
         at = [name for name, _ in arrays].index(insert_before)
         arrays[at:at] = list(insert)
     original = snapshot.collect_arrays
-    snapshot.collect_arrays = lambda engine, matrix: arrays
+    snapshot.collect_arrays = lambda engine: arrays
     try:
-        snapshot.save(path, res.engine, res.matrix)
+        snapshot.save(path, engine)
     finally:
         snapshot.collect_arrays = original
 
@@ -232,27 +287,24 @@ MISSHAPEN = [
 
 
 @pytest.mark.parametrize("name, shape", MISSHAPEN, ids=[name for name, _ in MISSHAPEN])
-def test_misshapen_array_rejected(run, tmp_path, name, shape):
-    _, res = run
+def test_misshapen_array_rejected(finished, tmp_path, name, shape):
     path = tmp_path / "snap.bin"
-    save_with(path, res, replace={name: np.zeros(shape)})
+    save_with(path, finished, replace={name: np.zeros(shape)})
     snap = snapshot.load(path)
     with pytest.raises(snapshot.SnapshotError, match=re.escape(f"array {name} has shape {shape}, expected")):
-        snapshot.restore_engine(snap, ENC, CFG)
+        snapshot.restore_engine(snap, ENC, CFG, finished.datasets)
 
 
-def test_repeated_array_name_rejected(run, tmp_path):
-    _, res = run
+def test_repeated_array_name_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    save_with(path, res, insert_before="matrix.a", insert=[("head.b", res.engine.head.b)])
+    save_with(path, finished, insert_before="matrix.a", insert=[("head.b", finished.head.b)])
     with pytest.raises(snapshot.SnapshotError, match="^duplicate array head.b$"):
         snapshot.load(path)
 
 
-def test_unknown_dtype_code_rejected(run, tmp_path):
-    _, res = run
+def test_unknown_dtype_code_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = bytearray(path.read_bytes())
     raw[_field_offsets(raw)["ndim"] - 1] = ord("d")
     path.write_bytes(bytes(raw))
@@ -260,24 +312,22 @@ def test_unknown_dtype_code_rejected(run, tmp_path):
         snapshot.load(path)
 
 
-def test_restored_engine_has_the_attributes_of_a_fresh_one(run, tmp_path):
-    _, res = run
+def test_restored_engine_has_the_attributes_of_a_fresh_one(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
-    engine, _ = snapshot.restore_engine(snapshot.load(path), ENC, CFG)
-    fresh = Engine.fresh(ENC, CFG, res.engine.head.n_classes)
+    snapshot.save(path, finished)
+    engine = snapshot.restore_engine(snapshot.load(path), ENC, CFG, finished.datasets)
+    fresh = Engine.fresh(ENC, CFG, finished.datasets)
     assert sorted(vars(engine)) == sorted(vars(fresh))
 
 
-def test_config_mismatch_rejected(run, tmp_path):
-    _, res = run
+def test_config_mismatch_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     snap = snapshot.load(path)
     other = EncoderConfig(d_model=32, n_blocks=2, n_heads=4, prompt_len=3,
                           prompted_blocks=(0, 1), input_dim=24, n_feature_tokens=3)
     with pytest.raises(snapshot.SnapshotError):
-        snapshot.restore_engine(snap, other, CFG)
+        snapshot.restore_engine(snap, other, CFG, finished.datasets)
 
 
 def test_attachments_roundtrip(tmp_path):
@@ -285,12 +335,12 @@ def test_attachments_roundtrip(tmp_path):
                                samples_per_class=30, seed=7))
     cfg = TrainConfig(epochs=1, lr=0.3, batch_size=16, seed=3, pretrain_steps=0,
                       probe_samples=32, space_samples=48, mode="grow_always", n_fft=1)
-    res = run_stream(ENC, cfg, data)
-    frozen, sources = res.engine.pool.sets[1].extra, res.engine.pool.sets[1].sources
+    eng = run_stream(ENC, cfg, data)
+    frozen, sources = eng.pool.sets[1].extra, eng.pool.sets[1].sources
     assert frozen.shape[1] and sources == [0]
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
-    engine, _ = snapshot.restore_engine(snapshot.load(path), ENC, cfg)
+    snapshot.save(path, eng)
+    engine = snapshot.restore_engine(snapshot.load(path), ENC, cfg, data)
     back_frozen, back_sources = engine.pool.sets[1].extra, engine.pool.sets[1].sources
     assert back_sources == [0]
     np.testing.assert_array_equal(back_frozen, frozen)
@@ -335,10 +385,9 @@ def _field_offsets(raw):
 
 
 @pytest.mark.parametrize("edit", ["trailing_bytes", "fewer_arrays"])
-def test_bytes_after_the_last_array_rejected(run, tmp_path, edit):
-    _, res = run
+def test_bytes_after_the_last_array_rejected(finished, tmp_path, edit):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = bytearray(path.read_bytes())
     if edit == "trailing_bytes":
         raw += b"JUNKJUNK"
@@ -351,10 +400,9 @@ def test_bytes_after_the_last_array_rejected(run, tmp_path, edit):
         snapshot.load(path)
 
 
-def test_non_utf8_name_rejected(run, tmp_path):
-    _, res = run
+def test_non_utf8_name_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = bytearray(path.read_bytes())
     raw[_field_offsets(raw)["name"]] = 0xFF
     path.write_bytes(bytes(raw))
@@ -366,10 +414,9 @@ def test_non_utf8_name_rejected(run, tmp_path):
     ("n_prompted", 2**32 - 1), ("n_prompted", 2**28), ("n_arrays", 2**32 - 1),
     ("ndim", 2**32 - 1), ("ndim", 2**30), ("shape0", 2**32 - 1), ("shape1", 2**31),
 ])
-def test_corrupt_length_field_is_checked_before_reading(run, tmp_path, monkeypatch, field, value):
-    _, res = run
+def test_corrupt_length_field_is_checked_before_reading(finished, tmp_path, monkeypatch, field, value):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     raw = bytearray(path.read_bytes())
     at = _field_offsets(raw)[field]
     raw[at:at + 4] = struct.pack("<I", value)
@@ -379,10 +426,9 @@ def test_corrupt_length_field_is_checked_before_reading(run, tmp_path, monkeypat
         snapshot.load(path)
 
 
-def test_bounded_file_loads_an_intact_snapshot(run, tmp_path, monkeypatch):
-    _, res = run
+def test_bounded_file_loads_an_intact_snapshot(finished, tmp_path, monkeypatch):
     path = tmp_path / "snap.bin"
-    snapshot.save(path, res.engine, res.matrix)
+    snapshot.save(path, finished)
     expected = snapshot.load(path)
     monkeypatch.setattr(snapshot, "open", BoundedFile, raising=False)
     loaded = snapshot.load(path)

@@ -13,7 +13,7 @@ from growcl.encoder import (
     prompted_with_layers,
     query_with_layers,
 )
-from growcl.metrics import AccuracyMatrix, faa, pra, ssp
+from growcl.metrics import faa, pra, ssp
 from growcl.stream import StreamSpec, generate
 from growcl.subspace import Basis
 from growcl.trainer import Engine, TrainConfig, TrainerError, run_stream
@@ -56,53 +56,55 @@ class TestConfig:
 class TestModes:
     def test_grow_always_makes_one_set_per_task(self):
         data = small_stream(3)
-        res = run_stream(ENC, quick_cfg(mode="grow_always"), data)
-        assert ssp(res.engine.pool) == 3
-        assert all(r.decision.is_grow for r in res.engine.reports)
+        eng = run_stream(ENC, quick_cfg(mode="grow_always"), data)
+        assert ssp(eng.pool) == 3
+        assert all(r.decision.is_grow for r in eng.reports)
 
     def test_single_set_keeps_one(self):
         data = small_stream(3)
-        res = run_stream(ENC, quick_cfg(mode="single_set"), data)
-        assert ssp(res.engine.pool) == 1
-        assert res.engine.pool.assignments == {0: [0, 1, 2]}
+        eng = run_stream(ENC, quick_cfg(mode="single_set"), data)
+        assert ssp(eng.pool) == 1
+        assert eng.pool.assignments == {0: [0, 1, 2]}
 
     def test_mode_ordering(self):
         data = small_stream(4, similarity=(0, 0, 1, 1))
         sizes = {}
         for mode in ("single_set", "lw2g", "grow_always"):
-            res = run_stream(ENC, quick_cfg(mode=mode), data)
-            sizes[mode] = ssp(res.engine.pool)
+            eng = run_stream(ENC, quick_cfg(mode=mode), data)
+            sizes[mode] = ssp(eng.pool)
         assert sizes["single_set"] == 1 <= sizes["lw2g"] <= sizes["grow_always"] == 4
 
     def test_first_task_always_grows(self):
         data = small_stream(1)
         for mode in ("lw2g", "grow_always", "single_set"):
-            res = run_stream(ENC, quick_cfg(mode=mode), data)
-            assert res.engine.reports[0].decision.is_grow
+            eng = run_stream(ENC, quick_cfg(mode=mode), data)
+            assert eng.reports[0].decision.is_grow
 
 
 class TestTaskContracts:
-    def test_out_of_order_rejected(self):
-        data = small_stream(2)
-        eng = Engine.fresh(ENC, quick_cfg(), 4)
-        with pytest.raises(TrainerError):
-            eng.train_task(1, data[1])
+    def test_class_overlap_rejected(self, monkeypatch):
+        # checked once over the whole stream, before pretraining starts
+        import growcl.trainer
 
-    def test_class_overlap_rejected(self):
-        data = small_stream(2)
-        eng = Engine.fresh(ENC, quick_cfg(), 4)
-        eng.train_task(0, data[0])
-        with pytest.raises(TrainerError):
-            eng.train_task(1, data[0].__class__(
-                task_id=1, class_ids=data[0].class_ids,
-                x_train=data[0].x_train, y_train=data[0].y_train,
-                x_test=data[0].x_test, y_test=data[0].y_test, frame=data[0].frame,
-            ))
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(growcl.trainer, "pretrain_backbone", no_pretraining)
+        data = small_stream(3)
+        data[2] = dataclasses.replace(data[2], class_ids=[5, data[0].class_ids[1]])
+        with pytest.raises(TrainerError, match="^two tasks of the stream share a class$"):
+            Engine.fresh(ENC, quick_cfg(), data)
+
+    def test_head_spans_every_class_of_the_stream(self):
+        data = small_stream(3)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0), data)
+        assert eng.head.n_classes == 6
+        assert eng.seen_classes == [] and eng.matrix.n_tasks == 3
 
     def test_old_space_exists_after_first_task(self):
         data = small_stream(1)
-        eng = Engine.fresh(ENC, quick_cfg(), 2)
-        eng.train_task(0, data[0])
+        eng = Engine.fresh(ENC, quick_cfg(), data)
+        eng.train_task()
         assert 0 in eng.memory.old_spaces
 
 
@@ -114,8 +116,8 @@ class TestTwinTaskReuse:
         # engine's own decision.
         data = small_stream(2, similarity=(0.0, 1.0), seed=11, spc=40)
         cfg = quick_cfg(mode="lw2g", eps_task=0.95, eps_pre=0.95)
-        eng = Engine.fresh(ENC, cfg, 4)
-        eng.train_task(0, data[0])
+        eng = Engine.fresh(ENC, cfg, data)
+        eng.train_task()
 
         ds = data[1]
         classes = tuple(sorted(set(int(c) for c in ds.y_train)))
@@ -129,7 +131,7 @@ class TestTwinTaskReuse:
         pre_val = dynamic_threshold(g, pre_spaces)
         assert old_val.angle - pre_val.angle < 0  # direct computation
 
-        report = eng.train_task(1, ds)
+        report = eng.train_task()
         assert not report.decision.is_grow
         assert report.decision.reuse_id == 0
         assert report.decision.records[0].z < 0
@@ -148,11 +150,11 @@ class TestProbeCount:
 
         monkeypatch.setattr(GradientProbe, "gradient", counted)
         data = small_stream(3, similarity=(0, 0, 1))
-        eng = Engine.fresh(ENC, quick_cfg(mode="lw2g"), 6)
-        for t, ds in enumerate(data):
+        eng = Engine.fresh(ENC, quick_cfg(mode="lw2g"), data)
+        for t in range(len(data)):
             pool_before = [p.id for p in eng.pool.sets]
             calls.clear()
-            eng.train_task(t, ds)
+            eng.train_task()
             assert sorted(calls) == pool_before, t
 
 
@@ -162,9 +164,10 @@ class TestSegmentMap:
     @pytest.mark.parametrize("blocks", [(0, 1), (1,), (1, 0)])
     def test_reps_gradient_and_spaces_list_the_same_names(self, blocks):
         enc = dataclasses.replace(ENC, prompted_blocks=blocks)
-        ds = small_stream(1)[0]
-        eng = Engine.fresh(enc, quick_cfg(), 2)
-        sid = eng.train_task(0, ds).set_id
+        data = small_stream(1)
+        ds = data[0]
+        eng = Engine.fresh(enc, quick_cfg(), data)
+        sid = eng.train_task().set_id
         pset = eng.pool.sets[sid]
         x, y = ds.x_train[:8], ds.y_train[:8]
         _, query_reps = query_with_layers(eng.backbone, x)
@@ -186,7 +189,7 @@ class TestOrthogonalStep:
         return GradientVector(np.full(GRAD_SIZE, float(fill)), ENC)
 
     def test_gradient_inside_span_no_update(self):
-        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.5), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.5), small_stream(1))
         pset = PromptSet.init(ENC, np.random.default_rng(0), 0)
         before_p, before_k = pset.p.copy(), pset.k.copy()
         spaces = {name: Basis(np.eye(ENC.d_model)) for name in ("block0", "block1", "key")}
@@ -196,7 +199,7 @@ class TestOrthogonalStep:
         np.testing.assert_allclose(pset.k, before_k, atol=1e-12)
 
     def test_no_space_is_plain_sgd(self):
-        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.5), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.5), small_stream(1))
         pset = PromptSet.init(ENC, np.random.default_rng(0), 0)
         before = pset.p.copy()
         eng.orthogonal_step(pset, self.layout_gradient(1.0))
@@ -204,7 +207,7 @@ class TestOrthogonalStep:
 
     def test_accumulated_drift_stays_orthogonal(self):
         rng = np.random.default_rng(4)
-        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.1), 2)
+        eng = Engine.fresh(ENC, quick_cfg(pretrain_steps=0, lr=0.1), small_stream(1))
         pset = PromptSet.init(ENC, rng, 0)
         q, _ = np.linalg.qr(rng.standard_normal((ENC.d_model, 5)))
         eng.memory.old_spaces[pset.id] = {name: Basis(q) for name in ("block0", "block1", "key")}
@@ -220,8 +223,8 @@ class TestOrthogonalStep:
 class TestFinalizeSpace:
     def test_eps_one_captures_full_rank(self):
         data = small_stream(1, spc=40)
-        eng = Engine.fresh(ENC, quick_cfg(eps_task=1.0), 2)
-        eng.train_task(0, data[0])
+        eng = Engine.fresh(ENC, quick_cfg(eps_task=1.0), data)
+        eng.train_task()
         # the representation sample has many more generic rows than d, so
         # eps=1 requires every direction
         for seg, basis in eng.memory.old_spaces[0].items():
@@ -229,10 +232,10 @@ class TestFinalizeSpace:
 
     def test_basis_columns_non_decreasing_over_reuses(self):
         data = small_stream(3)
-        eng = Engine.fresh(ENC, quick_cfg(mode="single_set"), 6)
+        eng = Engine.fresh(ENC, quick_cfg(mode="single_set"), data)
         ranks = []
         for t in range(3):
-            eng.train_task(t, data[t])
+            eng.train_task()
             ranks.append({k: b.rank for k, b in eng.memory.old_spaces[0].items()})
         for seg in ranks[0]:
             values = [r[seg] for r in ranks]
@@ -243,8 +246,8 @@ class TestFinalizeSpace:
         # directions only if new energy appeared. With identical data and an
         # eps met by the stored span the basis must not grow.
         data = small_stream(1, spc=40)
-        eng = Engine.fresh(ENC, quick_cfg(eps_task=0.9), 4)
-        eng.train_task(0, data[0])
+        eng = Engine.fresh(ENC, quick_cfg(eps_task=0.9), data)
+        eng.train_task()
         before = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         eng.cfg = quick_cfg(eps_task=0.5)  # easily satisfied by existing span
         eng.finalize_task_space(0, data[0])
@@ -255,8 +258,8 @@ class TestFinalizeSpace:
 class TestNoForgetting:
     def test_drift_ratios_tiny_under_forced_reuse(self):
         data = small_stream(3)
-        res = run_stream(ENC, quick_cfg(mode="single_set", epochs=3), data)
-        reuse_reports = [r for r in res.engine.reports if not r.decision.is_grow]
+        eng = run_stream(ENC, quick_cfg(mode="single_set", epochs=3), data)
+        reuse_reports = [r for r in eng.reports if not r.decision.is_grow]
         assert reuse_reports
         for r in reuse_reports:
             assert r.drift_ratios
@@ -267,11 +270,11 @@ class TestNoForgetting:
         # As one set's stored span only gains columns, a frozen reference
         # gradient's survival under the orthogonal condition can only shrink.
         data = small_stream(3)
-        eng = Engine.fresh(ENC, quick_cfg(mode="single_set"), 6)
+        eng = Engine.fresh(ENC, quick_cfg(mode="single_set"), data)
         g_ref = GradientVector(np.random.default_rng(8).standard_normal(GRAD_SIZE), ENC)
         angles = []
         for t in range(3):
-            eng.train_task(t, data[t])
+            eng.train_task()
             angles.append(hindrance(g_ref, eng.memory.old_spaces[0]).angle)
         assert all(b >= a - 1e-9 for a, b in zip(angles, angles[1:]))
 
@@ -279,8 +282,7 @@ class TestNoForgetting:
 class TestTransferPrompts:
     def test_attachment_recorded_and_frozen(self):
         data = small_stream(3)
-        res = run_stream(ENC, quick_cfg(mode="grow_always", n_fft=1), data)
-        eng = res.engine
+        eng = run_stream(ENC, quick_cfg(mode="grow_always", n_fft=1), data)
         # task 1's set should have attached the only candidate (set 0)
         frozen, sources = eng.pool.sets[1].extra, eng.pool.sets[1].sources
         assert sources == [0]
@@ -290,13 +292,13 @@ class TestTransferPrompts:
 
     def test_n_fft_zero_attaches_nothing(self):
         data = small_stream(2)
-        res = run_stream(ENC, quick_cfg(mode="grow_always", n_fft=0), data)
-        assert all(res.engine.pool.sets[sid].extra.shape[1] == 0 for sid in (0, 1))
+        eng = run_stream(ENC, quick_cfg(mode="grow_always", n_fft=0), data)
+        assert all(eng.pool.sets[sid].extra.shape[1] == 0 for sid in (0, 1))
 
     def test_single_set_mode_never_attaches(self):
         data = small_stream(2)
-        res = run_stream(ENC, quick_cfg(mode="single_set", n_fft=2), data)
-        assert res.engine.pool.sets[0].extra.shape[1] == 0
+        eng = run_stream(ENC, quick_cfg(mode="single_set", n_fft=2), data)
+        assert eng.pool.sets[0].extra.shape[1] == 0
 
 
 class TestDeterminism:
@@ -305,25 +307,25 @@ class TestDeterminism:
         cfg = quick_cfg(mode="lw2g")
         a = run_stream(ENC, cfg, data)
         b = run_stream(ENC, cfg, data)
-        assert json.dumps([r.trace for r in a.engine.reports], sort_keys=True) == json.dumps(
-            [r.trace for r in b.engine.reports], sort_keys=True)
-        assert a.engine.pool.assignments == b.engine.pool.assignments
+        assert json.dumps([r.trace for r in a.reports], sort_keys=True) == json.dumps(
+            [r.trace for r in b.reports], sort_keys=True)
+        assert a.pool.assignments == b.pool.assignments
         assert np.array_equal(a.matrix.a, b.matrix.a, equal_nan=True)
-        for x, y in zip(a.engine.pool.sets, b.engine.pool.sets):
+        for x, y in zip(a.pool.sets, b.pool.sets):
             assert np.array_equal(x.p, y.p)
 
     def test_seed_changes_outcome(self):
         data = small_stream(2)
         a = run_stream(ENC, quick_cfg(seed=1), data)
         b = run_stream(ENC, quick_cfg(seed=2), data)
-        assert not np.array_equal(a.engine.pool.sets[0].p, b.engine.pool.sets[0].p)
+        assert not np.array_equal(a.pool.sets[0].p, b.pool.sets[0].p)
 
 
 class TestEvaluation:
     def test_matrix_filled_lower_triangle(self):
         data = small_stream(3)
-        res = run_stream(ENC, quick_cfg(), data)
-        m = res.matrix
+        eng = run_stream(ENC, quick_cfg(), data)
+        m = eng.matrix
         for t in range(3):
             for i in range(t + 1):
                 assert not np.isnan(m.a[i, t])
@@ -332,14 +334,14 @@ class TestEvaluation:
 
     def test_single_set_retrieval_is_perfect(self):
         data = small_stream(3)
-        res = run_stream(ENC, quick_cfg(mode="single_set"), data)
-        assert pra(res.matrix) == 1.0
+        eng = run_stream(ENC, quick_cfg(mode="single_set"), data)
+        assert pra(eng.matrix) == 1.0
 
     def test_metrics_computable(self):
         data = small_stream(2)
-        res = run_stream(ENC, quick_cfg(), data)
-        assert 0.0 <= faa(res.matrix) <= 1.0
-        assert 0.0 <= faa(res.matrix, oracle=True) <= 1.0
+        eng = run_stream(ENC, quick_cfg(), data)
+        assert 0.0 <= faa(eng.matrix) <= 1.0
+        assert 0.0 <= faa(eng.matrix, oracle=True) <= 1.0
 
     def test_hit_counters_match_pool_retrieval_rule(self):
         # a recorded hit is exactly: retrieve_batch() returned the set whose
@@ -347,8 +349,8 @@ class TestEvaluation:
         from growcl.encoder import forward_query
 
         data = small_stream(3, similarity=(0, 0, 1))
-        res = run_stream(ENC, quick_cfg(mode="grow_always"), data)
-        eng, m = res.engine, res.matrix
+        eng = run_stream(ENC, quick_cfg(mode="grow_always"), data)
+        m = eng.matrix
         for i, ds in enumerate(data):
             q = forward_query(eng.backbone, ds.x_test)
             want = sum(
@@ -388,11 +390,11 @@ class TestEvaluation:
             return original(backbone, batch, prompts, *args, **kwargs)
 
         data = small_stream(2)
-        eng = Engine.fresh(ENC, quick_cfg(), 4)  # pretraining passes are not counted
+        eng = Engine.fresh(ENC, quick_cfg(), data)  # pretraining passes are not counted
         monkeypatch.setattr(growcl.encoder, "encode", counted)
         for t, ds in enumerate(data):
             passes.clear()
-            eng.train_task(t, ds)
+            eng.train_task()
             assert passes == [len(ds.x_train)]
 
     @pytest.mark.parametrize("mode", ["grow_always", "single_set"])
@@ -412,13 +414,12 @@ class TestEvaluation:
             return original(backbone, pset, batch)
 
         monkeypatch.setattr(growcl.trainer, "prompted_features", counted)
-        eng = Engine.fresh(ENC, quick_cfg(mode=mode), 6)
-        matrix = AccuracyMatrix(3)
+        eng = Engine.fresh(ENC, quick_cfg(mode=mode), data)
         per_eval = []
-        for t, ds in enumerate(data):
-            eng.train_task(t, ds)
+        for _ in data:
+            eng.train_task()
             encoded.clear()
-            eng.evaluate_after(t, data, matrix)
+            eng.evaluate_after()
             per_eval.append(list(encoded))
         every_row = [(i, r) for i, ds in enumerate(data) for r in range(len(ds.x_test))]
         if mode == "grow_always":  # no set trains twice; set i is task i's own
@@ -437,12 +438,12 @@ class TestEvaluation:
         from growcl.encoder import forward_prompted, forward_query
 
         data = small_stream(3, similarity=(0, 0, 1))
-        eng = Engine.fresh(ENC, quick_cfg(mode=mode), 6)
-        matrix = AccuracyMatrix(3)
+        eng = Engine.fresh(ENC, quick_cfg(mode=mode), data)
+        matrix = eng.matrix
         most_sets = 0  # the most sets one test set's rows were routed to
-        for t, ds in enumerate(data):
-            eng.train_task(t, ds)
-            eng.evaluate_after(t, data, matrix)
+        for t in range(len(data)):
+            eng.train_task()
+            eng.evaluate_after()
             seen = [c for d in data[: t + 1] for c in d.class_ids]
 
             def predictions(sid, d, mask):
