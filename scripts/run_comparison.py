@@ -43,8 +43,9 @@ def main():
             cfg = dataclasses.replace(base_train, mode=mode, seed=seed)
             engine = run_stream(enc_cfg, cfg, data)
             m = engine.matrix
+            forgetting = f"{ffm(m):>7.3f}" if m.n_tasks > 1 else f"{'-':>7}"  # needs two tasks
             print(f"{seed:>4} {mode:<12} {ssp(engine.pool):>3} {faa(m):>7.3f} "
-                  f"{pra(m):>7.3f} {ffm(m):>7.3f} {faa(m, oracle=True):>7.3f}")
+                  f"{pra(m):>7.3f} {forgetting} {faa(m, oracle=True):>7.3f}")
             if mode == "lw2g":
                 decisions = ", ".join(r.decision.describe() for r in engine.reports)
                 print(f"     decisions: {decisions}")

@@ -66,10 +66,10 @@ class GrowDecision:
 
 
 def decide(records) -> GrowDecision:
-    """Grow iff every hindrance gap is positive, else reuse the min-gap set."""
+    """Grow iff every hindrance gap is positive, else reuse the min-gap set.
+    ``records`` holds at least one record: the first task grows without a
+    decision."""
     records = tuple(records)
-    if not records:
-        raise DecisionError("decide() needs at least one record; the first task grows unconditionally")
     best = min(records, key=lambda r: (r.z, r.set_id))
     if best.z > 0.0:
         return GrowDecision(None, records)

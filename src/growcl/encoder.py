@@ -220,13 +220,6 @@ class GradientVector:
     flat: np.ndarray
     cfg: EncoderConfig
 
-    def __post_init__(self):
-        size = (self.cfg.n_prompted * self.cfg.prompt_len + 1) * self.cfg.d_model
-        if self.flat.shape != (size,):
-            raise EncoderError(f"gradient length {self.flat.shape} != layout {size}")
-        if not np.all(np.isfinite(self.flat)):
-            raise NonFiniteError("non-finite gradient")
-
     @property
     def p(self) -> np.ndarray:
         """View [n_prompted, prompt_len, d] of the prompt part."""
@@ -286,7 +279,9 @@ def _attention_block(
     returns (input gradient, prompt gradient, {weight name: gradient}): the
     input gradient is None unless ``need_x`` or ``need_weights``, the prompt
     gradient None without a prompt, and the dict empty unless
-    ``need_weights``.
+    ``need_weights``. Weight gradients are wanted only while the backbone is
+    pretrained, which runs without prompts, so they leave out the prompt
+    rows' terms.
     """
     g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = w
     n, t, d = x.shape
@@ -372,12 +367,7 @@ def _attention_block(
             go_rows = go.transpose((1, 0, 2, 3)).reshape(n_heads, m, dh)
             gkp = (q_rows @ gs_p).transpose((2, 0, 1)).reshape(n_p, d)
             gvp = (a_p @ go_rows).transpose((1, 0, 2)).reshape(n_p, d)
-            ghp = gkp @ wk.T + gvp @ wv.T
-            gp = layer_norm_backward(ghp, xhatp, invp, g1)
-            if need_weights:
-                prompt_terms = (hp.T @ gkp, hp.T @ gvp, *layer_norm_param_grads(ghp, xhatp))
-                for name, term in zip(("wk", "wv", "ln1_g", "ln1_b"), prompt_terms):
-                    grads[name] = grads[name] + term if name in grads else term
+            gp = layer_norm_backward(gkp @ wk.T + gvp @ wv.T, xhatp, invp, g1)
         return gx, gp, grads
 
     return out, backward
@@ -447,8 +437,9 @@ def encode(
     collect_layers: bool = False,
     return_backward: bool = False,
 ):
-    """Run the encoder; returns (features [n, d], layer_reps), and a third
-    item, ``backward``, when ``return_backward``.
+    """Run the encoder over ``batch`` [n, input_dim], n >= 1 (the config
+    takes ``input_dim`` from the stream's ``dim``); returns (features [n, d],
+    layer_reps), and a third item, ``backward``, when ``return_backward``.
 
     ``prompts`` maps prompted block index -> [P, d] prefix rows that every
     sample's tokens attend to in that block (a set's prompt, then its frozen
@@ -465,11 +456,7 @@ def encode(
     """
     batch = np.asarray(batch, dtype=np.float64)
     cfg = backbone.config
-    if batch.ndim != 2 or batch.shape[1] != cfg.input_dim:
-        raise EncoderError(f"batch shape {batch.shape} incompatible with input_dim {cfg.input_dim}")
     n, d = batch.shape[0], cfg.d_model
-    if n == 0:
-        raise EncoderError("empty batch")
     prompts = prompts or {}
     cls_out = {b: np.empty((n, d)) for b in cfg.prompted_blocks} if collect_layers else {}
     if return_backward:
@@ -565,16 +552,13 @@ def loss_and_grads(
     Returns (loss value, GradientVector over the set's p and k, head weight
     grad, head bias grad). The set's frozen rows join the forward pass but
     receive no gradient; the head gradients are zero outside the
-    ``head_mask`` classes.
+    ``head_mask`` classes. ``labels`` holds one class of ``head_mask`` per
+    row of ``batch``. Raises ``NonFiniteError`` when the loss or the
+    gradient is not finite: every ``GradientVector`` of a step is this one
+    or a projection of it.
     """
     cfg = backbone.config
     labels = np.asarray(labels, dtype=int)
-    if len(labels) != len(batch):
-        raise EncoderError("labels/batch length mismatch")
-    allowed = set(int(c) for c in head_mask)
-    if not set(labels.tolist()) <= allowed:
-        raise EncoderError("labels outside head mask")
-
     feats, _, backward = encode(backbone, batch, _prompt_rows(cfg, pset), return_backward=True)
     logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
     loss, logp = cross_entropy_forward(logits, labels)
@@ -591,6 +575,8 @@ def loss_and_grads(
     for j, b in enumerate(cfg.prompted_blocks):
         p_grad[j] += prompt_grads[b][: cfg.prompt_len]
     flat = np.concatenate([p_grad.ravel(), k_grad])
+    if not np.all(np.isfinite(flat)):
+        raise NonFiniteError("non-finite gradient")
 
     rows = np.zeros(head.n_classes, dtype=bool)
     rows[np.asarray(list(head_mask), dtype=int)] = True

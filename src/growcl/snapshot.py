@@ -40,10 +40,13 @@ against the dtype and shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
 values: each ``set<i>.attached_ids`` entry names another restored set, the
 sets' ``tasks`` together hold each of ``0 .. tasks_done-1`` exactly once,
-``seen_classes`` are the classes of the stream's first ``tasks_done``
-tasks, no ``matrix.hits`` or ``matrix.totals`` entry is negative and no hit
-count exceeds its total. Every ``matrix.a`` and ``matrix.a_oracle`` entry
-is -1 or in [0, 1], every stored basis has orthonormal columns,
+and ``seen_classes`` are the classes of the stream's first ``tasks_done``
+tasks. It checks the grids against the stream: a snapshot is taken after
+``evaluate_after``, so cell (i, t) holds a value exactly when
+i <= t < ``tasks_done``. There ``matrix.a`` and ``matrix.a_oracle`` are in
+[0, 1], ``matrix.totals`` is task i's test size and ``matrix.hits`` is in
+[0, total]; every other cell holds -1 in the accuracy grids and 0 in the
+counts. Every stored basis has orthonormal columns,
 ``has_uint32`` is 0 or 1, ``uinteger`` is below 2**32, and PCG64 must
 accept the state.
 """
@@ -277,14 +280,19 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
     grid = (n_tasks, n_tasks)
     a, oracle = array("matrix.a", grid), array("matrix.a_oracle", grid)
     hits, totals = array("matrix.hits", grid, "i"), array("matrix.totals", grid, "i")
+    # a snapshot is taken after evaluate_after: cell (i, t) was evaluated
+    # exactly when i <= t < tasks_done
+    i, t = np.indices(grid)
+    evaluated = (i <= t) & (t < tasks_done)
+    test_sizes = np.array([len(ds.y_test) for ds in datasets])
+    if not np.array_equal(totals, np.where(evaluated, test_sizes[:, None], 0)):
+        raise SnapshotError("array matrix.totals does not hold each evaluated cell's test size and 0 elsewhere")
+    if np.any((hits < 0) | (hits > totals)):
+        raise SnapshotError("array matrix.hits holds negative counts or exceeds matrix.totals")
     for name, acc in (("matrix.a", a), ("matrix.a_oracle", oracle)):
-        if np.any((acc != -1) & ((acc < 0) | (acc > 1))):
-            raise SnapshotError(f"array {name} holds values that are neither -1 nor in [0, 1]")
-    for name, counts in (("matrix.hits", hits), ("matrix.totals", totals)):
-        if np.any(counts < 0):
-            raise SnapshotError(f"array {name} holds negative counts")
-    if np.any(hits > totals):
-        raise SnapshotError("array matrix.hits exceeds matrix.totals")
+        if not np.all(np.where(evaluated, (acc >= 0) & (acc <= 1), acc == -1)):
+            raise SnapshotError(f"array {name} holds a value outside [0, 1] in an evaluated cell "
+                                "or other than -1 elsewhere")
     rng = _rng_from_words(array("rng", (6,), "u"))
 
     d, n_prompted = enc_cfg.d_model, enc_cfg.n_prompted

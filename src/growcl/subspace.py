@@ -8,7 +8,10 @@ via SVD energy thresholds.
 
 Conventions: vectors are column vectors in R^d stored as 1-d arrays; a basis
 is a d x k matrix of orthonormal columns; representation matrices stack
-samples as rows (n x d).
+samples as rows (n x d). The engine's reps and bases are all ``d_model``
+wide and ``TrainConfig`` keeps every ``eps`` in (0, 1], so ``project_rows``,
+``hfc``, ``k_rank_basis`` and ``extend_basis`` take both as given;
+``Basis``, ``project`` and ``project_complement`` check what they are given.
 """
 
 from __future__ import annotations
@@ -116,9 +119,6 @@ def project_complement(v: np.ndarray, basis: Basis) -> np.ndarray:
 
 def project_rows(rows: np.ndarray, basis: Basis) -> np.ndarray:
     """Row-wise projection of an (n, d) array onto span(basis)."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[-1] != basis.dim:
-        raise SubspaceError(f"dimension mismatch: rows {rows.shape[-1]} vs basis {basis.dim}")
     b = basis.matrix
     return (rows @ b) @ b.T
 
@@ -131,10 +131,6 @@ def hfc(g: np.ndarray, g_proj: np.ndarray) -> HfcValue:
     vanishingly small projection whose float cosine dips negative lands on
     the same continuous limit.
     """
-    g = np.asarray(g, dtype=np.float64)
-    g_proj = np.asarray(g_proj, dtype=np.float64)
-    if g.shape != g_proj.shape:
-        raise SubspaceError(f"shape mismatch: {g.shape} vs {g_proj.shape}")
     gn = float(np.linalg.norm(g))
     if gn == 0.0:
         raise SubspaceError("gradient has zero norm")
@@ -187,8 +183,6 @@ def k_rank_basis(rows: np.ndarray, eps: float) -> Basis:
     squared singular values reach ``eps`` times the total.
     """
     rows = _check_rows(rows)
-    if not 0.0 < eps <= 1.0:
-        raise SubspaceError(f"eps must be in (0, 1], got {eps}")
     u, s = _left_singular(rows)
     total = float(np.sum(s * s))
     if total == 0.0:
@@ -230,10 +224,6 @@ def extend_basis(old: Basis, rows: np.ndarray, eps: float) -> Basis:
     Old columns are returned unchanged, ahead of the new ones.
     """
     rows = _check_rows(rows)
-    if not 0.0 < eps <= 1.0:
-        raise SubspaceError(f"eps must be in (0, 1], got {eps}")
-    if rows.shape[1] != old.dim:
-        raise SubspaceError(f"dimension mismatch: rows {rows.shape[1]} vs basis {old.dim}")
     total = float(np.sum(rows * rows))
     if total == 0.0:
         raise SubspaceError("degenerate representation matrix (all zero)")

@@ -8,8 +8,9 @@ two tasks share a class, seeds the RNG, draws the backbone, pretrains it on a
 ``PRETRAIN_CLASSES``-class synthetic task at step size ``PRETRAIN_LR`` and
 draws the head over the stream's classes. ``snapshot.restore_engine`` calls
 the same constructor with the state read from a file and the regenerated
-stream. ``train_task`` trains task ``tasks_done``, and ``evaluate_after``
-fills that task's column of ``matrix``.
+stream. ``train_task`` trains task ``tasks_done`` (``TrainerError`` once
+every task is trained), and ``evaluate_after`` fills that task's column of
+``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
 its frozen transfer rows, and decides grow-or-reuse (first task always grows;
@@ -17,8 +18,9 @@ the ``grow_always`` and ``single_set`` modes bypass the decision), (2) trains
 the chosen set with the soft pre-trained-knowledge constraint and, when the
 set has a stored space, the orthogonal-to-old-space condition, optionally
 with frozen transfer prompts joined behind the active ones in each block's
-attention prefix, and (3) builds the set's stored feature space, or extends
-the one it has. Every step reads the engine's own state: the step size from
+attention prefix (chosen once, when the set grows: a reused set keeps the
+frozen rows its earlier tasks were trained with), and (3) builds the set's
+stored feature space, or extends the one it has. Every step reads the engine's own state: the step size from
 ``cfg``, a set's stored space from ``memory`` and its frozen rows from the
 set itself.
 The task's pre-trained space lives only while ``train_task`` runs: the
@@ -248,6 +250,8 @@ class Engine:
         its report."""
         cfg = self.cfg
         task_id = self.tasks_done
+        if task_id == len(self.datasets):
+            raise TrainerError(f"all {task_id} tasks of the stream are trained")
         dataset = self.datasets[task_id]
         classes = tuple(dataset.class_ids)
 
@@ -268,15 +272,14 @@ class Engine:
         if decision.is_grow:
             pset = PromptSet.init(self.enc_cfg, self.rng)
             sid = self.pool.add_set(pset, task_id)
+            self._attach_transfer_prompts(pset, probe, probe_grads)
         else:
             sid = decision.reuse_id
             self.pool.assign_task(sid, task_id)
             pset = self.pool.sets[sid]
-        # the set's prompts and frozen rows change below
-        for key in [key for key in self.test_features if key[0] == sid]:
-            del self.test_features[key]
-
-        self._attach_transfer_prompts(pset, probe, probe_grads)
+            # the set's prompts change below
+            for key in [key for key in self.test_features if key[0] == sid]:
+                del self.test_features[key]
         # a set that has just grown has no stored space yet
         reuse_spaces = self.memory.old_spaces.get(sid)
 
@@ -327,8 +330,10 @@ class Engine:
 
     def _attach_transfer_prompts(self, pset: PromptSet, probe: GradientProbe, probe_grads: dict):
         """Pick the sets whose stored spaces capture most of the task gradient
-        and freeze copies of their prompts behind ``pset``'s own, replacing
-        any it held before."""
+        and freeze copies of their prompts behind ``pset``'s own. Runs once
+        per set, when it grows: a reused set keeps the frozen rows its
+        earlier tasks were trained with, which the orthogonal projection of
+        its own prompts cannot guard."""
         # every other set has finished a task, so it has a stored space
         candidates = [p.id for p in self.pool.sets if p.id != pset.id]
         chosen = []

@@ -90,10 +90,6 @@ class TestDecide:
         d = decide([record(2, 6.0, 7.0), record(1, 6.0, 7.0)])
         assert d.reuse_id == 1
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(DecisionError):
-            decide([])
-
     def test_shift_invariance(self):
         base = [record(1, 9.0, 8.0), record(2, 7.0, 7.5)]
         shifted = [record(1, 19.0, 18.0), record(2, 17.0, 17.5)]

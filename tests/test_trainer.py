@@ -1,15 +1,19 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from growcl import trainer
+from growcl.config import load_config
 from growcl.decisions import GradientProbe, dynamic_threshold, hindrance, hindrance_for_old_set
 from growcl.encoder import (
     EncoderConfig,
     GradientVector,
     PromptSet,
     loss_and_grads,
+    prompted_features,
     prompted_with_layers,
     query_with_layers,
 )
@@ -17,6 +21,8 @@ from growcl.metrics import faa, pra, ssp
 from growcl.stream import StreamSpec, generate
 from growcl.subspace import Basis
 from growcl.trainer import Engine, TrainConfig, TrainerError, run_stream
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ENC = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=(0, 1),
                     input_dim=24, n_feature_tokens=3)
@@ -299,6 +305,70 @@ class TestTransferPrompts:
         data = small_stream(2)
         eng = run_stream(ENC, quick_cfg(mode="single_set", n_fft=2), data)
         assert eng.pool.sets[0].extra.shape[1] == 0
+
+
+@dataclasses.dataclass
+class TrainedTask:
+    set_id: int
+    is_reuse: bool
+    rows_before: tuple  # the set's (extra, sources) before train_task; None on a grow
+    rows_after: tuple  # the same after train_task
+    first_step: dict  # earlier task -> the set's features on its test rows at the first step
+    end: dict  # task -> the set's features on its test rows after train_task
+
+
+@pytest.fixture(scope="module")
+def reuses_at_seed_8():
+    """comparison.cfg in lw2g at train seed 8, whose reuses of set 0 once
+    swapped its frozen rows for copies of set 1's trained prompt."""
+    _, (spec, enc, train) = load_config(ROOT / "configs" / "comparison.cfg")
+    engine = Engine.fresh(enc, dataclasses.replace(train, mode="lw2g", seed=8), generate(spec))
+    first_step = {}
+
+    def features(pset, tasks):
+        return {i: prompted_features(engine.backbone, pset, engine.datasets[i].x_test) for i in tasks}
+
+    def spy(backbone, head, pset, *args, **kwargs):
+        # the trainer's own name: probes call loss_and_grads from decisions
+        if engine.tasks_done not in first_step:
+            first_step[engine.tasks_done] = features(pset, engine.pool.assignments[pset.id][:-1])
+        return loss_and_grads(backbone, head, pset, *args, **kwargs)
+
+    tasks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "loss_and_grads", spy)
+        while engine.tasks_done < len(engine.datasets):
+            before = {p.id: (p.extra.copy(), list(p.sources)) for p in engine.pool.sets}
+            report = engine.train_task()
+            pset = engine.pool.sets[report.set_id]
+            tasks.append(TrainedTask(
+                report.set_id, not report.decision.is_grow, before.get(report.set_id),
+                (pset.extra.copy(), list(pset.sources)), first_step[report.task],
+                features(pset, engine.pool.assignments[report.set_id]),
+            ))
+    return tasks
+
+
+class TestReuseKeepsFrozenRows:
+    def test_a_reused_sets_frozen_rows_are_unchanged_by_train_task(self, reuses_at_seed_8):
+        reused = [t for t in reuses_at_seed_8 if t.is_reuse]
+        assert reused and any(t.rows_before[1] for t in reused)
+        for t in reused:
+            (extra, sources), (extra_after, sources_after) = t.rows_before, t.rows_after
+            assert sources_after == sources
+            assert np.array_equal(extra_after, extra)
+
+    def test_a_reused_sets_features_are_unchanged_before_the_first_step(self, reuses_at_seed_8):
+        last_end = {}  # set id -> its features after the last task it trained
+        checked = 0
+        for t in reuses_at_seed_8:
+            if t.is_reuse:
+                assert t.first_step.keys() == last_end[t.set_id].keys()
+                for i, feats in t.first_step.items():
+                    assert np.array_equal(feats, last_end[t.set_id][i]), (t.set_id, i)
+                    checked += 1
+            last_end[t.set_id] = t.end
+        assert checked
 
 
 class TestDeterminism:
