@@ -242,20 +242,22 @@ def concat(tensors, axis=0) -> Tensor:
 # the plain expressions in the comments, so results do not change bitwise.
 
 
-def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax_forward(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over ``axis``, into ``out`` when given (``x`` itself may be)."""
     # e = exp(x - max(x)); e / sum(e)
-    e = x - x.max(axis=axis, keepdims=True)
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
-def softmax_backward(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Input gradient, given the output gradient ``g`` and the output ``p``."""
+def softmax_backward(g: np.ndarray, p: np.ndarray, axis: int = -1,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Input gradient, given the output gradient ``g`` and the output ``p``;
+    into ``out`` when given (``g`` itself may be)."""
     # p * (g - sum(g * p))
-    gp = g * p
-    s = gp.sum(axis=axis, keepdims=True)
-    np.subtract(g, s, out=gp)
+    s = (g * p).sum(axis=axis, keepdims=True)
+    gp = np.subtract(g, s, out=out)
     gp *= p
     return gp
 
@@ -315,10 +317,13 @@ def gelu_forward(x: np.ndarray):
     return out, x2, t
 
 
-def gelu_backward(g: np.ndarray, x: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Input gradient of ``gelu_forward``; exact for the tanh form."""
-    # g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2))
-    du = x2 * (3 * 0.044715)
+def gelu_derivative(x: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of ``gelu_forward`` at ``x``, from the ``x2`` and ``t`` it
+    returned, which this overwrites (the result is ``t``); exact for the
+    tanh form. An input gradient is the output gradient times this."""
+    # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)
+    du = x2
+    du *= 3 * 0.044715
     du += 1.0
     du *= _SQRT_2_OVER_PI
     s = t * t
@@ -326,11 +331,10 @@ def gelu_backward(g: np.ndarray, x: np.ndarray, x2: np.ndarray, t: np.ndarray) -
     r = 0.5 * x
     r *= s
     r *= du
-    np.add(t, 1.0, out=s)
-    s *= 0.5
-    s += r
-    s *= g
-    return s
+    t += 1.0
+    t *= 0.5
+    t += r
+    return t
 
 
 def cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
@@ -388,7 +392,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(gelu_backward(g, x.data, x2, t))
+            x._accumulate(g * gelu_derivative(x.data, x2, t))
 
     return Tensor._result(data, (x,), backward)
 

@@ -10,6 +10,14 @@ z = hindrance_old - hindrance_floor drives the decision: grow a new set when
 every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
+A task's ``GradientProbe`` probes in packs: the sets it measures on one
+batch share one encoder pass, as many as ``ROW_BLOCK`` rows hold (two at a
+batch of 32, four at 16), and that pass's prompt-independent first-block
+work. Each set's gradient sums its batches in batch order, so it is the
+bits a one-set probe gives. The probe records every gradient it measures:
+the decision asks once for every pool set, and transfer then asks only for
+the sets the decision did not probe.
+
 Stored spaces are per segment, keyed by the encoder's segment names
 (``block{b}`` per prompted block, then ``key``), and every projection here
 walks a gradient's ``segments()``: each segment's rows are projected onto
@@ -23,11 +31,19 @@ composition of active + frozen prompt tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from growcl.encoder import GradientVector, Head, PromptSet, loss_and_grads
+from growcl.encoder import (
+    ROW_BLOCK,
+    GradientVector,
+    Head,
+    NonFiniteError,
+    PromptSet,
+    cross_entropy_pass,
+    prefixes,
+)
 from growcl.subspace import HfcValue, hfc, project_rows
 
 
@@ -113,32 +129,70 @@ class GradientProbe:
 
     Probing uses cross-entropy only; the retrieval-key pull plays no part in
     the decision, so the key segment of probe gradients is zero. A probe
-    measures a set's own prompts without its frozen transfer rows.
+    measures a set's own prompts without its frozen transfer rows. One probe
+    serves one task, before any set trains on it, and ``grads`` records
+    every gradient it has measured, by set id.
     """
 
     backbone: object
     head: Head
     head_mask: tuple
     batches: list  # [(x, y), ...], at least one
+    grads: dict = field(default_factory=dict)  # set id -> GradientVector
+
+    def gradients(self, psets) -> list:
+        """The probe gradients of ``psets``, in order, each recorded in ``grads``.
+
+        Each batch runs once per pack of ``ROW_BLOCK // rows`` sets (at
+        least one), where ``rows`` is the first batch's: the pack shares the
+        pass and its first prompted block's data-token work. A set's
+        gradient sums its batches in batch order, so it is the same bits
+        whatever sets share its passes. Raises ``NonFiniteError`` naming the
+        first set of a pack whose loss or gradient is not finite.
+        """
+        cfg = self.backbone.config
+        psets = list(psets)
+        per_pass = max(1, ROW_BLOCK // len(self.batches[0][0]))
+        out = []
+        for lo in range(0, len(psets), per_pass):
+            # the frozen rows a set trains with are chosen after the decision
+            bare = [PromptSet(p.p, p.k, p.id) for p in psets[lo : lo + per_pass]]
+            prompts = prefixes(cfg, bare)
+            acc = None
+            for x, y in self.batches:
+                _, losses, backward = cross_entropy_pass(self.backbone, self.head, prompts, x, y,
+                                                         self.head_mask)
+                _check_finite(bare, losses, "loss")
+                p_grad = backward()[1]
+                _check_finite(bare, p_grad, "gradient")
+                acc = p_grad if acc is None else acc + p_grad
+            for pset, g in zip(bare, acc):
+                flat = np.concatenate([g.ravel(), np.zeros(cfg.d_model)]) / len(self.batches)
+                self.grads[pset.id] = GradientVector(flat, cfg)
+                out.append(self.grads[pset.id])
+        return out
 
     def gradient(self, pset: PromptSet) -> GradientVector:
-        # the frozen rows a set trains with are chosen after the decision
-        bare = PromptSet(pset.p, pset.k, pset.id)
-        acc = None
-        for x, y in self.batches:
-            _, g, _, _ = loss_and_grads(self.backbone, self.head, bare, x, y, self.head_mask)
-            acc = g.flat if acc is None else acc + g.flat
-        return GradientVector(acc / len(self.batches), g.cfg)
+        return self.gradients([pset])[0]
+
+
+def _check_finite(psets, values, what: str):
+    for pset, value in zip(psets, values):
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"set {pset.id}: non-finite {what}")
 
 
 def hindrance_for_old_set(probe: GradientProbe, pset: PromptSet, old_spaces: dict):
     """Probe an existing set against its own stored space (every set that
-    has finished a task has one, for every segment).
+    has finished a task has one, for every segment). The probe gradient is
+    the one ``probe`` recorded for the set, or is measured now.
 
     Returns (HfcValue, probe gradient); the gradient is reused for transfer
     ranking.
     """
-    g = probe.gradient(pset)
+    g = probe.grads.get(pset.id)
+    if g is None:
+        g = probe.gradient(pset)
     return hindrance(g, old_spaces), g
 
 

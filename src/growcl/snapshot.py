@@ -26,7 +26,8 @@ engine that was saved, and training on from it equals the run that was never
 interrupted; saving the restored engine reproduces the file byte for byte.
 Pre-trained spaces live only while their task trains and are not stored.
 
-Every check raises ``SnapshotError``. ``load`` checks every length field
+Every check raises ``SnapshotError``. ``save`` refuses an engine whose
+last trained task is not evaluated. ``load`` checks every length field
 against the bytes left in the file before it reads, so a truncated or
 corrupt container (bytes after the last array included) fails without a
 large allocation; it rejects an unknown dtype code, an array with more
@@ -189,6 +190,13 @@ def collect_arrays(engine) -> list:
 
 
 def save(path, engine):
+    """Write ``engine`` to ``path``. A snapshot is taken after
+    ``evaluate_after``: an engine whose last trained task is not evaluated
+    raises ``SnapshotError`` before the file is opened, since
+    ``restore_engine`` would reject its grids."""
+    last = engine.tasks_done - 1
+    if last >= 0 and np.isnan(engine.matrix.a[last, last]):
+        raise SnapshotError(f"task {last} is trained but not evaluated: save after evaluate_after")
     cfg = engine.enc_cfg
     arrays = collect_arrays(engine)
     with open(path, "wb") as fh:

@@ -143,12 +143,12 @@ def hfc(g: np.ndarray, g_proj: np.ndarray) -> HfcValue:
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of every column positive (in place)."""
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
+    """Make the first component above 1e-12 in magnitude of every column
+    positive (in place); a column without one is left as it is."""
+    big = np.abs(u) > 1e-12
+    first = big.argmax(axis=0)  # 0 for a column without one
+    flip = big.any(axis=0) & (u[first, np.arange(u.shape[1])] < 0)
+    u[:, flip] = -u[:, flip]
     return u
 
 

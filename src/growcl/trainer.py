@@ -13,8 +13,10 @@ every task is trained), and ``evaluate_after`` fills that task's column of
 ``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
-its frozen transfer rows, and decides grow-or-reuse (first task always grows;
-the ``grow_always`` and ``single_set`` modes bypass the decision), (2) trains
+its frozen transfer rows, in one packed probe call, and decides grow-or-reuse
+(first task always grows; the ``grow_always`` and ``single_set`` modes bypass
+the decision; a probe that meets a non-finite loss or gradient, or a zero
+gradient, raises ``TrainerError`` naming the task and the set), (2) trains
 the chosen set with the soft pre-trained-knowledge constraint and, when the
 set has a stored space, the orthogonal-to-old-space condition, optionally
 with frozen transfer prompts joined behind the active ones in each block's
@@ -267,12 +269,12 @@ class Engine:
         pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
         pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
-        decision, probe_grads = self._decide(task_id, probe, pre_space)
+        decision = self._decide(task_id, probe, pre_space)
 
         if decision.is_grow:
             pset = PromptSet.init(self.enc_cfg, self.rng)
             sid = self.pool.add_set(pset, task_id)
-            self._attach_transfer_prompts(pset, probe, probe_grads)
+            self._attach_transfer_prompts(task_id, pset, probe)
         else:
             sid = decision.reuse_id
             self.pool.assign_task(sid, task_id)
@@ -311,12 +313,20 @@ class Engine:
 
     # -- decision plumbing ---------------------------------------------------------
 
-    def _decide(self, task_id: int, probe: GradientProbe, pre_space: dict):
-        probe_grads = {}
+    def _probe(self, task_id: int, probe: GradientProbe, psets: list):
+        """Record the probe gradients of ``psets`` in ``probe.grads``, in
+        one packed call."""
+        try:
+            probe.gradients(psets)
+        except NonFiniteError as exc:
+            raise TrainerError(f"task {task_id}, {exc}") from exc
+
+    def _decide(self, task_id: int, probe: GradientProbe, pre_space: dict) -> GrowDecision:
         if self.tasks_done == 0 or self.cfg.mode == "grow_always":
-            return GrowDecision(None, ()), probe_grads
+            return GrowDecision(None, ())
         if self.cfg.mode == "single_set":
-            return GrowDecision(0, ()), probe_grads
+            return GrowDecision(0, ())
+        self._probe(task_id, probe, self.pool.sets)
         records = []
         for pset in self.pool.sets:
             try:
@@ -324,26 +334,22 @@ class Engine:
                 pre_val = dynamic_threshold(g, pre_space)
             except DecisionError as exc:
                 raise TrainerError(f"task {task_id}, set {pset.id}: {exc}") from exc
-            probe_grads[pset.id] = g
             records.append(HindranceRecord(pset.id, old_val, pre_val))
-        return decide(records), probe_grads
+        return decide(records)
 
-    def _attach_transfer_prompts(self, pset: PromptSet, probe: GradientProbe, probe_grads: dict):
+    def _attach_transfer_prompts(self, task_id: int, pset: PromptSet, probe: GradientProbe):
         """Pick the sets whose stored spaces capture most of the task gradient
         and freeze copies of their prompts behind ``pset``'s own. Runs once
         per set, when it grows: a reused set keeps the frozen rows its
         earlier tasks were trained with, which the orthogonal projection of
-        its own prompts cannot guard."""
+        its own prompts cannot guard. Sets the decision has probed are not
+        probed again."""
         # every other set has finished a task, so it has a stored space
-        candidates = [p.id for p in self.pool.sets if p.id != pset.id]
+        candidates = [p for p in self.pool.sets if p.id != pset.id]
         chosen = []
         if self.cfg.n_fft and candidates:
-            grads = {}
-            for cid in candidates:
-                g = probe_grads.get(cid)
-                if g is None:
-                    g = probe.gradient(self.pool.sets[cid])
-                grads[cid] = g
+            self._probe(task_id, probe, [p for p in candidates if p.id not in probe.grads])
+            grads = {p.id: probe.grads[p.id] for p in candidates}
             chosen = select_transfer_sets(grads, self.memory.old_spaces, self.cfg.n_fft)
         pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
         pset.sources = chosen

@@ -211,6 +211,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert "runtime error: task 0, epoch 0, set 0: non-finite" in err
 
+    @pytest.mark.parametrize("mode", ["lw2g", "grow_always"])
+    def test_non_finite_probe_exits_2_naming_task_and_set(self, tmp_path, capsys, monkeypatch, mode):
+        # a NaN in set 0's prompt after task 0 reaches the probe of task 1
+        evaluate_after = trainer.Engine.evaluate_after
+
+        def poison(engine):
+            evaluate_after(engine)
+            engine.pool.sets[0].p[0, 0, 0] = np.nan
+
+        monkeypatch.setattr(trainer.Engine, "evaluate_after", poison)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_with("train", "mode", mode))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "runtime error: task 1, set 0: non-finite loss\n"
+
     def test_non_finite_pretraining_exits_2_naming_the_step(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(trainer, "PRETRAIN_LR", 1e6)
         cfg = tmp_path / "exp.cfg"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growcl import encoder as encoder_module
 from growcl.decisions import (
     DecisionError,
     GradientProbe,
@@ -22,11 +23,14 @@ from growcl.decisions import (
     transfer_score,
 )
 from growcl.encoder import (
+    ROW_BLOCK,
     EncoderConfig,
     FrozenBackbone,
     GradientVector,
     Head,
+    NonFiniteError,
     PromptSet,
+    loss_and_grads,
 )
 from growcl.subspace import Basis, HfcValue, hfc, project, project_complement
 from trace_fixtures import (
@@ -256,6 +260,93 @@ class TestProbe:
             pieces.append((rows - np.outer(rows @ u, u)).ravel())
         want = hfc(g.flat, np.concatenate(pieces)).angle
         assert thr.angle == pytest.approx(want, abs=1e-12)
+
+
+def one_set_at_a_time(probe, pset):
+    """Reference probe gradient: one training pass per batch over the bare
+    set, summed in batch order, then averaged."""
+    bare = PromptSet(pset.p, pset.k, pset.id)
+    acc = None
+    for x, y in probe.batches:
+        g = loss_and_grads(probe.backbone, probe.head, bare, x, y, probe.head_mask)[1]
+        acc = g.flat if acc is None else acc + g.flat
+    return acc / len(probe.batches)
+
+
+def packed_probe(n_rows, batch_size, seed=21):
+    """A probe over ``n_rows`` rows cut into batches the way the engine cuts
+    them, and six sets whose prompts differ."""
+    rng = np.random.default_rng(seed)
+    backbone = FrozenBackbone.init(CFG, rng)
+    head = Head.init(CFG.d_model, 6, rng)
+    x = rng.standard_normal((n_rows, CFG.input_dim))
+    y = rng.integers(0, 3, size=n_rows)
+    batches = [(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, n_rows, batch_size)]
+    sets = [PromptSet.init(CFG, rng, sid) for sid in range(6)]
+    return GradientProbe(backbone, head, (0, 1, 2), batches), sets
+
+
+class TestPackedProbe:
+    """``gradients`` packs sets into shared passes; every gradient keeps the
+    bits of the one-set probe."""
+
+    # 144 rows leave a last batch of 16, 33 rows a one-row last batch (the
+    # gemv case), and batches of 16 pack four sets per pass
+    @pytest.mark.parametrize("n_rows, batch_size", [(144, 32), (33, 32), (48, 16)])
+    @pytest.mark.parametrize("n_sets", [1, 2, 3])
+    def test_packed_equals_one_set_at_a_time_bit_for_bit(self, n_rows, batch_size, n_sets):
+        probe, sets = packed_probe(n_rows, batch_size)
+        sets = sets[:n_sets]
+        packed = probe.gradients(sets)
+        assert [g.flat.shape for g in packed] == [(SIZE,)] * n_sets
+        for pset, g in zip(sets, packed):
+            assert np.array_equal(g.flat, one_set_at_a_time(probe, pset)), pset.id
+            assert np.array_equal(g.flat, probe.gradient(pset).flat), pset.id
+            assert probe.grads[pset.id] is not None
+        assert sorted(probe.grads) == [p.id for p in sets]
+
+    @pytest.mark.parametrize("batch_size, per_pass", [(32, 2), (16, 4), (64, 1), (100, 1)])
+    def test_pack_size_follows_the_row_block(self, monkeypatch, batch_size, per_pass):
+        probe, sets = packed_probe(2 * batch_size, batch_size)
+        groups = []
+        cross_entropy_pass = encoder_module.cross_entropy_pass
+
+        def spy(backbone, head, prompts, batch, *args):
+            groups.append(len(prompts[0]))
+            return cross_entropy_pass(backbone, head, prompts, batch, *args)
+
+        monkeypatch.setattr("growcl.decisions.cross_entropy_pass", spy)
+        probe.gradients(sets[:5])
+        assert per_pass == max(1, ROW_BLOCK // batch_size)
+        full, rest = divmod(5, per_pass)
+        packs = [per_pass] * full + ([rest] if rest else [])
+        assert groups == [g for g in packs for _ in probe.batches]
+
+    def test_a_set_with_frozen_rows_is_probed_bare(self):
+        probe, sets = packed_probe(144, 32)
+        bare = [g.flat for g in probe.gradients(sets[:3])]
+        rng = np.random.default_rng(4)
+        sets[1].extra = rng.standard_normal((CFG.n_prompted, 3, CFG.d_model))
+        with_rows = probe.gradients(sets[:3])
+        for before, after in zip(bare, with_rows):
+            assert np.array_equal(before, after.flat)
+
+    def test_no_sets_no_pass(self, monkeypatch):
+        probe, _ = packed_probe(48, 16)
+        monkeypatch.setattr("growcl.decisions.cross_entropy_pass", None)
+        assert probe.gradients([]) == []
+
+    @pytest.mark.parametrize("what", ["loss", "gradient"])
+    def test_non_finite_names_the_set(self, monkeypatch, what):
+        probe, sets = packed_probe(64, 32)
+        if what == "loss":
+            sets[3].p[0, 0, 0] = np.nan
+        else:
+            monkeypatch.setattr(encoder_module, "cross_entropy_backward",
+                                lambda logp, labels: np.full(logp.shape, np.inf))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
+                                                      match=f"^set {3 if what == 'loss' else 0}: non-finite {what}$"):
+            probe.gradients(sets[:4])
 
 
 class TestSoftConstraint:

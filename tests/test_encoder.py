@@ -18,12 +18,13 @@ from growcl.encoder import (
     PromptSet,
     _attention_block,
     _block_weights,
-    _prompt_rows,
     class_mask_bias,
+    cross_entropy_pass,
     encode,
     forward_prompted,
     forward_query,
     loss_and_grads,
+    prefixes,
     pretrain_backbone,
     prompted_with_layers,
     query_with_layers,
@@ -127,7 +128,7 @@ class TestRowBlocks:
         if prompted:
             pset = PromptSet.init(CFG, rng)
             pset.extra = rng.normal(0, 0.5, (CFG.n_prompted, 2, CFG.d_model))
-            prompts = _prompt_rows(CFG, pset)
+            prompts = prefixes(CFG, [pset])
         batch = rng.standard_normal((200, CFG.input_dim))
         one_shot, one_shot_reps, _ = encode(backbone, batch, prompts, collect_layers=True,
                                             return_backward=True)
@@ -145,7 +146,7 @@ class TestRowBlocks:
         assert feats.tobytes() == one_shot.tobytes()
         assert list(reps) == list(one_shot_reps) == ["block0", "block1", "key"]
         for name, rows in reps.items():
-            assert rows.shape == (200, CFG.d_model)
+            assert rows.shape == (1, 200, CFG.d_model)
             assert rows.tobytes() == one_shot_reps[name].tobytes(), name
         assert not np.shares_memory(reps["key"], feats)
 
@@ -155,13 +156,13 @@ class TestRowBlocks:
         # whether it is a whole pass or the last row block of one
         rng = np.random.default_rng(13)
         backbone = FrozenBackbone.init(CFG, rng)
-        prompts = _prompt_rows(CFG, PromptSet.init(CFG, rng))
+        prompts = prefixes(CFG, [PromptSet.init(CFG, rng)])
         batch = rng.standard_normal((ROW_BLOCK + 1, CFG.input_dim))
         one_shot, _, _ = encode(backbone, batch, prompts, return_backward=True)
         blocked, _ = encode(backbone, batch, prompts)
         alone, _ = encode(backbone, batch[-1:], prompts)
         assert blocked.tobytes() == one_shot.tobytes()
-        assert alone.tobytes() == one_shot[-1:].tobytes()
+        assert alone.tobytes() == one_shot[:, -1:].tobytes()
 
     @pytest.mark.parametrize("pass_name", ["query_with_layers", "prompted_with_layers"])
     def test_peak_memory_does_not_grow_with_rows(self, pass_name):
@@ -188,6 +189,49 @@ class TestRowBlocks:
         one_block, _ = peak_and_output(ROW_BLOCK)
         many_blocks, out_bytes = peak_and_output(40 * ROW_BLOCK)
         assert many_blocks < 2 * one_block + out_bytes, (many_blocks, one_block, out_bytes)
+
+
+class TestGroupedPass:
+    """G prefixes over shared rows give each group the bits of its own pass."""
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1,), (0,)])
+    @pytest.mark.parametrize("n_rows", [7, 1])
+    def test_each_group_equals_its_one_group_pass(self, blocks, n_rows):
+        cfg = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=blocks,
+                            input_dim=10, n_feature_tokens=3)
+        rng = np.random.default_rng(31)
+        backbone = FrozenBackbone.init(cfg, rng)
+        head = Head.init(cfg.d_model, 8, rng)
+        sets = [PromptSet.init(cfg, rng, sid) for sid in range(3)]
+        batch = rng.standard_normal((n_rows, cfg.input_dim))
+        labels = rng.integers(0, 4, size=n_rows)
+
+        feats, reps = encode(backbone, batch, prefixes(cfg, sets), collect_layers=True)
+        assert feats.shape == (3, n_rows, cfg.d_model)
+        out, losses, backward = cross_entropy_pass(backbone, head, prefixes(cfg, sets), batch, labels,
+                                                   range(8))
+        g_logits, p_grad = backward()
+        assert p_grad.shape == (3, cfg.n_prompted, cfg.prompt_len, cfg.d_model)
+        for g, pset in enumerate(sets):
+            one, one_reps = encode(backbone, batch, prefixes(cfg, [pset]), collect_layers=True)
+            assert feats[g].tobytes() == one[0].tobytes()
+            for name, rows in reps.items():
+                assert rows[g].tobytes() == one_reps[name][0].tobytes(), name
+            one_out, (one_loss,), one_backward = cross_entropy_pass(
+                backbone, head, prefixes(cfg, [pset]), batch, labels, range(8))
+            one_g_logits, one_p_grad = one_backward()
+            assert out[g].tobytes() == one_out[0].tobytes()
+            assert losses[g] == one_loss
+            assert g_logits[g].tobytes() == one_g_logits[0].tobytes()
+            assert p_grad[g].tobytes() == one_p_grad[0].tobytes()
+
+    def test_one_group_gradient_is_the_training_gradient(self, setup):
+        backbone, head, pset, batch, labels = setup
+        _, (loss,), backward = cross_entropy_pass(backbone, head, prefixes(CFG, [pset]), batch, labels,
+                                                  range(8))
+        ref_loss, grad, _, _ = loss_and_grads(backbone, head, pset, batch, labels, range(8))
+        assert float(loss) == ref_loss
+        assert np.array_equal(backward()[1][0], grad.p)
 
 
 def finite_difference_entry(build_loss, arr, idx, h=1e-4):
@@ -345,12 +389,13 @@ class TestFusedBlock:
         keep = x0.shape[1] if n_out is None else n_out
         upstream = rng.standard_normal((5, keep, CFG.d_model))
 
-        out, backward = _attention_block(x0, _block_weights(backbone.weights, 1), CFG.n_heads, p0,
-                                         n_out, keep=True)
-        gx, gp, weight_grads = backward(upstream, True, trainable)
-        grads = {"x": gx, **{name: weight_grads.get(name) for name in _BLOCK_WEIGHTS}}
+        out, backward = _attention_block(x0[None], _block_weights(backbone.weights, 1), CFG.n_heads,
+                                         p0[None] if with_prompt else None, n_out, keep=True)
+        gx, gp, weight_grads = backward(upstream[None], True, trainable)
+        out = out[0]
+        grads = {"x": gx[0], **{name: weight_grads.get(name) for name in _BLOCK_WEIGHTS}}
         if with_prompt:
-            grads["prompt"] = gp
+            grads["prompt"] = gp[0]
         else:
             assert gp is None
 
@@ -375,7 +420,7 @@ class TestFusedBlock:
     def test_forward_only_keeps_no_backward(self):
         rng = np.random.default_rng(4)
         backbone = FrozenBackbone.init(CFG, rng)
-        x0 = rng.standard_normal((3, CFG.n_feature_tokens + 1, CFG.d_model))
+        x0 = rng.standard_normal((1, 3, CFG.n_feature_tokens + 1, CFG.d_model))
         out, backward = _attention_block(x0, _block_weights(backbone.weights, 0), CFG.n_heads)
         assert backward is None
         kept, _ = _attention_block(x0, _block_weights(backbone.weights, 0), CFG.n_heads, keep=True)
@@ -416,7 +461,7 @@ class TestPrefixEquivalence:
         extra = rng.standard_normal((cfg.n_prompted, 2 * cfg.prompt_len, cfg.d_model)) if with_extra else None
         pset = PromptSet(pset.p, pset.k, extra=extra)
 
-        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset))
+        feats = encode(backbone, batch, prefixes(cfg, [pset]))[0][0]
         ref = appended_encode(backbone, batch, tape_prompt_tensors(cfg, Tensor(pset.p), extra))
         assert _rel_err(feats, ref.data) <= 1e-12
 
@@ -454,7 +499,7 @@ class TestTapeReference:
         extra = rng.standard_normal((cfg.n_prompted, 2, cfg.d_model)) if with_extra else None
         pset = PromptSet(pset.p, pset.k, extra=extra)
 
-        feats, _ = encode(backbone, batch, _prompt_rows(cfg, pset))
+        feats = encode(backbone, batch, prefixes(cfg, [pset]))[0][0]
         ref = tape_encode(backbone, batch, tape_prompt_tensors(cfg, Tensor(pset.p), extra))
         assert _rel_err(feats, ref.data) <= 1e-12
         assert _rel_err(forward_query(backbone, batch), tape_encode(backbone, batch).data) <= 1e-12

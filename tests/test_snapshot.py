@@ -252,6 +252,22 @@ def test_training_a_finished_engine_rejected(uninterrupted, tmp_path):
         engine.train_task()
 
 
+def test_unevaluated_task_refused_before_the_file_is_opened(tmp_path):
+    # restore_engine would reject the grids of such a file
+    _, (spec, enc, train) = load_config(ROOT / "configs" / "quick.cfg")
+    engine = Engine.fresh(enc, train, generate(spec))
+    engine.train_task()
+    path = tmp_path / "snap.bin"
+    with pytest.raises(snapshot.SnapshotError,
+                       match="^task 0 is trained but not evaluated: save after evaluate_after$"):
+        snapshot.save(path, engine)
+    assert not path.exists()
+    engine.evaluate_after()
+    snapshot.save(path, engine)
+    restored = snapshot.restore_engine(snapshot.load(path), enc, train, generate(spec))
+    assert restored.tasks_done == 1
+
+
 @pytest.mark.parametrize("name", ["backbone.embed_w", "set0.p", "set0.k", "seen_classes"])
 def test_missing_array_rejected(finished, tmp_path, name):
     # renamed in place: the container still loads, the engine lacks the array

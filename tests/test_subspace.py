@@ -9,6 +9,7 @@ from growcl.subspace import (
     Basis,
     HfcValue,
     SubspaceError,
+    _fix_signs,
     extend_basis,
     hfc,
     k_rank_basis,
@@ -271,3 +272,32 @@ class TestInvariants:
         if min(np.linalg.norm(p), np.linalg.norm(c)) < 1e-9:
             return
         assert hfc(v, p).angle + hfc(v, c).angle == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def fix_signs_column_loop(u):
+    """Reference for ``_fix_signs``, one column at a time: flip a column
+    whose first component above 1e-12 in magnitude is negative."""
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            u[:, j] = -col
+    return u
+
+
+class TestFixSigns:
+    def test_equals_the_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for trial in range(600):
+            rows, cols = rng.integers(1, 40), rng.integers(0, 40)
+            u = rng.standard_normal((rows, cols))
+            # zero columns, leading entries at or below 1e-12, and -0.0
+            u[:, rng.random(cols) < 0.15] = 0.0
+            lead = rng.integers(0, rows, size=cols)
+            for j in np.flatnonzero(rng.random(cols) < 0.4):
+                u[: lead[j], j] = rng.choice([0.0, -0.0, 1e-12, -1e-12, 3e-13, -5e-13])
+            u[rng.random(u.shape) < 0.05] = -0.0
+            want = fix_signs_column_loop(u.copy())
+            got = _fix_signs(u)
+            assert got is u
+            assert got.tobytes() == want.tobytes(), trial

@@ -144,24 +144,59 @@ class TestTwinTaskReuse:
 
 
 class TestProbeCount:
+    """Probes are counted at ``GradientProbe.gradients``, where every probe
+    of an engine is made."""
+
+    @staticmethod
+    def counted_probes(monkeypatch) -> list:
+        calls = []
+        original = GradientProbe.gradients
+
+        def counted(self, psets):
+            psets = list(psets)
+            calls.append([p.id for p in psets])
+            return original(self, psets)
+
+        monkeypatch.setattr(GradientProbe, "gradients", counted)
+        return calls
+
     def test_each_decided_task_probes_each_set_once(self, monkeypatch):
         # The old-space hindrance and the pre-space floor share one probe
-        # gradient, so deciding a task costs one probe per pool set.
-        calls = []
-        original = GradientProbe.gradient
-
-        def counted(self, pset):
-            calls.append(pset.id)
-            return original(self, pset)
-
-        monkeypatch.setattr(GradientProbe, "gradient", counted)
+        # gradient, and transfer reuses it, so deciding a task costs one
+        # probe per pool set, all asked for in one call.
+        calls = self.counted_probes(monkeypatch)
         data = small_stream(3, similarity=(0, 0, 1))
         eng = Engine.fresh(ENC, quick_cfg(mode="lw2g"), data)
         for t in range(len(data)):
             pool_before = [p.id for p in eng.pool.sets]
             calls.clear()
             eng.train_task()
-            assert sorted(calls) == pool_before, t
+            assert sorted(sid for call in calls for sid in call) == pool_before, t
+            assert [call for call in calls if call] == ([pool_before] if t else []), t
+
+    def test_grow_always_probes_each_earlier_set_once(self, monkeypatch):
+        # no decision: transfer probes every earlier set, in one call
+        calls = self.counted_probes(monkeypatch)
+        data = small_stream(4)
+        eng = Engine.fresh(ENC, quick_cfg(mode="grow_always"), data)
+        for t in range(len(data)):
+            calls.clear()
+            eng.train_task()
+            assert calls == ([list(range(t))] if t else []), t
+
+
+class TestProbeFailures:
+    @pytest.mark.parametrize("mode", ["lw2g", "grow_always"])
+    def test_non_finite_probe_names_task_and_set(self, mode):
+        # lw2g meets the poisoned set in the decision, grow_always in transfer
+        data = small_stream(2)
+        eng = Engine.fresh(ENC, quick_cfg(mode=mode), data)
+        eng.train_task()
+        eng.evaluate_after()
+        eng.pool.sets[0].p[0, 0, 0] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(TrainerError,
+                                                      match="^task 1, set 0: non-finite loss$"):
+            eng.train_task()
 
 
 class TestSegmentMap:
