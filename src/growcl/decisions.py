@@ -14,9 +14,9 @@ A task's ``GradientProbe`` probes in packs: the sets it measures on one
 batch share one encoder pass, as many as ``ROW_BLOCK`` rows hold (two at a
 batch of 32, four at 16), and that pass's prompt-independent first-block
 work. Each set's gradient sums its batches in batch order, so it is the
-bits a one-set probe gives. The probe records every gradient it measures:
-the decision asks once for every pool set, and transfer then asks only for
-the sets the decision did not probe.
+bits a one-set probe gives. The engine asks once per task, for every pool
+set, and hands the gradients to both readers: the decision and transfer
+ranking.
 
 Stored spaces are per segment, keyed by the encoder's segment names
 (``block{b}`` per prompted block, then ``key``), and every projection here
@@ -31,7 +31,7 @@ composition of active + frozen prompt tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,18 +130,16 @@ class GradientProbe:
     Probing uses cross-entropy only; the retrieval-key pull plays no part in
     the decision, so the key segment of probe gradients is zero. A probe
     measures a set's own prompts without its frozen transfer rows. One probe
-    serves one task, before any set trains on it, and ``grads`` records
-    every gradient it has measured, by set id.
+    serves one task, before any set trains on it.
     """
 
     backbone: object
     head: Head
     head_mask: tuple
     batches: list  # [(x, y), ...], at least one
-    grads: dict = field(default_factory=dict)  # set id -> GradientVector
 
     def gradients(self, psets) -> list:
-        """The probe gradients of ``psets``, in order, each recorded in ``grads``.
+        """The probe gradients of ``psets``, in order.
 
         Each batch runs once per pack of ``ROW_BLOCK // rows`` sets (at
         least one), where ``rows`` is the first batch's: the pack shares the
@@ -155,7 +153,8 @@ class GradientProbe:
         per_pass = max(1, ROW_BLOCK // len(self.batches[0][0]))
         out = []
         for lo in range(0, len(psets), per_pass):
-            # the frozen rows a set trains with are chosen after the decision
+            # probes measure bare sets: a method choice, open until runs
+            # record each set's angles with its frozen rows as well (ROADMAP)
             bare = [PromptSet(p.p, p.k, p.id) for p in psets[lo : lo + per_pass]]
             prompts = prefixes(cfg, bare)
             acc = None
@@ -166,10 +165,9 @@ class GradientProbe:
                 p_grad = backward()[1]
                 _check_finite(bare, p_grad, "gradient")
                 acc = p_grad if acc is None else acc + p_grad
-            for pset, g in zip(bare, acc):
+            for g in acc:
                 flat = np.concatenate([g.ravel(), np.zeros(cfg.d_model)]) / len(self.batches)
-                self.grads[pset.id] = GradientVector(flat, cfg)
-                out.append(self.grads[pset.id])
+                out.append(GradientVector(flat, cfg))
         return out
 
     def gradient(self, pset: PromptSet) -> GradientVector:
@@ -182,18 +180,10 @@ def _check_finite(psets, values, what: str):
             raise NonFiniteError(f"set {pset.id}: non-finite {what}")
 
 
-def hindrance_for_old_set(probe: GradientProbe, pset: PromptSet, old_spaces: dict):
-    """Probe an existing set against its own stored space (every set that
-    has finished a task has one, for every segment). The probe gradient is
-    the one ``probe`` recorded for the set, or is measured now.
-
-    Returns (HfcValue, probe gradient); the gradient is reused for transfer
-    ranking.
-    """
-    g = probe.grads.get(pset.id)
-    if g is None:
-        g = probe.gradient(pset)
-    return hindrance(g, old_spaces), g
+def hindrance_for_old_set(grad: GradientVector, old_spaces: dict) -> HfcValue:
+    """A set's probe gradient measured against the set's own stored space
+    (every set that has finished a task has one, for every segment)."""
+    return hindrance(grad, old_spaces)
 
 
 def dynamic_threshold(grad: GradientVector, pre_space: dict) -> HfcValue:

@@ -39,9 +39,10 @@ outside the head; like ``Engine.fresh``, it raises ``TrainerError`` when two
 tasks share a class), ``tasks_done <= n_tasks``, and every array it reads
 against the dtype and shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
-values: each ``set<i>.attached_ids`` entry names another restored set, the
-sets' ``tasks`` together hold each of ``0 .. tasks_done-1`` exactly once,
-and ``seen_classes`` are the classes of the stream's first ``tasks_done``
+values: the entries of ``set<i>.attached_ids`` are distinct and each below
+i (a set attaches only sets that existed when it grew), the sets' ``tasks``
+together hold each of ``0 .. tasks_done-1`` exactly once, and
+``seen_classes`` are the classes of the stream's first ``tasks_done``
 tasks. It checks the grids against the stream: a snapshot is taken after
 ``evaluate_after``, so cell (i, t) holds a value exactly when
 i <= t < ``tasks_done``. There ``matrix.a`` and ``matrix.a_oracle`` are in
@@ -49,7 +50,9 @@ i <= t < ``tasks_done``. There ``matrix.a`` and ``matrix.a_oracle`` are in
 [0, total]; every other cell holds -1 in the accuracy grids and 0 in the
 counts. Every stored basis has orthonormal columns,
 ``has_uint32`` is 0 or 1, ``uinteger`` is below 2**32, and PCG64 must
-accept the state.
+accept the state. Last, the file must hold exactly the arrays ``save``
+writes, in its order: any other raises ``unexpected array NAME``, so saving
+the restored engine gives back the file.
 """
 
 from __future__ import annotations
@@ -313,8 +316,11 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
     sets, assignments = [], {}
     for sid in range(n_sets):
         sources = ids(f"set{sid}.attached_ids", n_sets)
-        if sid in sources:
-            raise SnapshotError(f"set {sid} lists itself in set{sid}.attached_ids")
+        # a set attaches sets that existed when it grew, each once
+        if any(source >= sid for source in sources):
+            raise SnapshotError(f"set {sid} lists itself or a later set in set{sid}.attached_ids")
+        if len(set(sources)) != len(sources):
+            raise SnapshotError(f"set {sid} lists a set twice in set{sid}.attached_ids")
         sets.append(PromptSet(
             array(f"set{sid}.p", (n_prompted, enc_cfg.prompt_len, d)), array(f"set{sid}.k", (d,)), sid,
             extra=array(f"set{sid}.attached", (n_prompted, enc_cfg.prompt_len * len(sources), d)),
@@ -345,4 +351,11 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
                     datasets, matrix, tasks_done)
     if array("seen_classes", (None,), "i").tolist() != engine.seen_classes:
         raise SnapshotError(f"array seen_classes is not the classes of the stream's first {tasks_done} tasks")
+    # save writes exactly these arrays, in this order
+    written = [name for name, _ in collect_arrays(engine)]
+    for name in arrays:
+        if name not in written:
+            raise SnapshotError(f"unexpected array {name}")
+    if list(arrays) != written:
+        raise SnapshotError("arrays out of declaration order")
     return engine

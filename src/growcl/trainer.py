@@ -13,20 +13,22 @@ every task is trained), and ``evaluate_after`` fills that task's column of
 ``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
-its frozen transfer rows, in one packed probe call, and decides grow-or-reuse
-(first task always grows; the ``grow_always`` and ``single_set`` modes bypass
-the decision; a probe that meets a non-finite loss or gradient, or a zero
-gradient, raises ``TrainerError`` naming the task and the set), (2) trains
-the chosen set with the soft pre-trained-knowledge constraint and, when the
-set has a stored space, the orthogonal-to-old-space condition, optionally
-with frozen transfer prompts joined behind the active ones in each block's
-attention prefix (chosen once, when the set grows: a reused set keeps the
-frozen rows its earlier tasks were trained with), and (3) builds the set's
-stored feature space, or extends the one it has. Every step reads the engine's own state: the step size from
-``cfg``, a set's stored space from ``memory`` and its frozen rows from the
-set itself.
-The task's pre-trained space lives only while ``train_task`` runs: the
-decision floor and the soft constraint read it, and nothing after.
+its frozen transfer rows, in one packed call made before anything changes
+the pool, and only when the decision (``lw2g``) or transfer ranking
+(``grow_always`` with ``n_fft > 0``) reads the gradients (a non-finite loss
+or gradient, or a zero gradient, raises ``TrainerError`` naming the task and
+the set, and leaves the pool as it was), (2) decides grow-or-reuse (the
+first task always grows; ``grow_always`` and ``single_set`` bypass the
+decision), (3) trains the chosen set with the soft pre-trained-knowledge
+constraint and, when the set has a stored space, the orthogonal-to-old-space
+condition, with frozen transfer prompts joined behind its own in each
+block's attention prefix (chosen once, when the set grows: a reused set
+keeps the frozen rows its earlier tasks were trained with), and (4) builds
+the set's stored feature space, or extends the one it has. Every step reads
+the engine's own state: the step size from ``cfg``, a set's stored space
+from ``memory`` and its frozen rows from the set itself. The task's
+pre-trained space lives only while ``train_task`` runs: the decision floor
+and the soft constraint read it, and nothing after.
 
 Every per-segment quantity follows the encoder's segment map (``block{b}``
 per prompted block, then ``key``): layer reps become stored spaces under
@@ -269,12 +271,13 @@ class Engine:
         pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
         pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
-        decision = self._decide(task_id, probe, pre_space)
+        grads = self._probe(task_id, probe)
+        decision = self._decide(task_id, grads, pre_space)
 
         if decision.is_grow:
             pset = PromptSet.init(self.enc_cfg, self.rng)
             sid = self.pool.add_set(pset, task_id)
-            self._attach_transfer_prompts(task_id, pset, probe)
+            self._attach_transfer_prompts(pset, grads)
         else:
             sid = decision.reuse_id
             self.pool.assign_task(sid, task_id)
@@ -313,43 +316,44 @@ class Engine:
 
     # -- decision plumbing ---------------------------------------------------------
 
-    def _probe(self, task_id: int, probe: GradientProbe, psets: list):
-        """Record the probe gradients of ``psets`` in ``probe.grads``, in
-        one packed call."""
+    def _probe(self, task_id: int, probe: GradientProbe) -> dict:
+        """Every pool set's probe gradient by set id, in one packed call made
+        before the pool changes, or none when nothing reads them: the
+        decision reads them in ``lw2g``, transfer in ``grow_always`` when
+        ``n_fft > 0``."""
+        read = self.cfg.mode == "lw2g" or (self.cfg.mode == "grow_always" and self.cfg.n_fft > 0)
+        if not (read and self.pool.sets):
+            return {}
         try:
-            probe.gradients(psets)
+            grads = probe.gradients(self.pool.sets)
         except NonFiniteError as exc:
             raise TrainerError(f"task {task_id}, {exc}") from exc
+        return {pset.id: g for pset, g in zip(self.pool.sets, grads)}
 
-    def _decide(self, task_id: int, probe: GradientProbe, pre_space: dict) -> GrowDecision:
+    def _decide(self, task_id: int, grads: dict, pre_space: dict) -> GrowDecision:
         if self.tasks_done == 0 or self.cfg.mode == "grow_always":
             return GrowDecision(None, ())
         if self.cfg.mode == "single_set":
             return GrowDecision(0, ())
-        self._probe(task_id, probe, self.pool.sets)
         records = []
-        for pset in self.pool.sets:
+        for sid, g in grads.items():
             try:
-                old_val, g = hindrance_for_old_set(probe, pset, self.memory.old_spaces[pset.id])
+                old_val = hindrance_for_old_set(g, self.memory.old_spaces[sid])
                 pre_val = dynamic_threshold(g, pre_space)
             except DecisionError as exc:
-                raise TrainerError(f"task {task_id}, set {pset.id}: {exc}") from exc
-            records.append(HindranceRecord(pset.id, old_val, pre_val))
+                raise TrainerError(f"task {task_id}, set {sid}: {exc}") from exc
+            records.append(HindranceRecord(sid, old_val, pre_val))
         return decide(records)
 
-    def _attach_transfer_prompts(self, task_id: int, pset: PromptSet, probe: GradientProbe):
+    def _attach_transfer_prompts(self, pset: PromptSet, grads: dict):
         """Pick the sets whose stored spaces capture most of the task gradient
-        and freeze copies of their prompts behind ``pset``'s own. Runs once
-        per set, when it grows: a reused set keeps the frozen rows its
+        and freeze copies of their prompts behind ``pset``'s own, ranking the
+        probe gradients ``grads`` of the sets that existed before it. Runs
+        once per set, when it grows: a reused set keeps the frozen rows its
         earlier tasks were trained with, which the orthogonal projection of
-        its own prompts cannot guard. Sets the decision has probed are not
-        probed again."""
-        # every other set has finished a task, so it has a stored space
-        candidates = [p for p in self.pool.sets if p.id != pset.id]
+        its own prompts cannot guard."""
         chosen = []
-        if self.cfg.n_fft and candidates:
-            self._probe(task_id, probe, [p for p in candidates if p.id not in probe.grads])
-            grads = {p.id: probe.grads[p.id] for p in candidates}
+        if self.cfg.n_fft:
             chosen = select_transfer_sets(grads, self.memory.old_spaces, self.cfg.n_fft)
         pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
         pset.sources = chosen

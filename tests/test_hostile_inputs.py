@@ -6,9 +6,10 @@ none makes the reader allocate more than a few MB. The snapshot comes from
 each with one frozen transfer source). Every single bit of its header and of
 its first array's descriptor is flipped in turn; hypothesis then draws bit
 flips and truncations anywhere in the file. The named cases pin the checks
-a sweep relies on: the dtype checks, the value checks on the integer arrays,
-the accuracy grids and the RNG words, the axis bound, and the non-finite
-payload check.
+a sweep relies on: the dtype checks, the value checks on the integer arrays
+(transfer sources included), the accuracy grids and the RNG words, the axis
+bound, the non-finite payload check, and the refusal of an array that
+``restore_engine`` never reads or of arrays out of ``save``'s order.
 
 Hypothesis also mutates trace rows (``replay`` must exit 0 or 2), reports
 (``compare`` must exit 0 or 2) and config values (parsing must succeed or
@@ -162,6 +163,8 @@ def _loaded(quick) -> dict:
     ({"seen_classes": [0, 1, 2, 3, 4, 4]}, "seen_classes"),
     ({"seen_classes": [0, 1, 2, 3, 4, 6]}, "seen_classes"),
     ({"seen_classes": [-1]}, "seen_classes"),
+    # set 1 grew before set 2 existed
+    ({"set1.attached_ids": [2]}, "set 1 lists itself or a later set"),
 ])
 def test_integer_values_checked(quick, edits, match):
     _, enc, train, datasets, _ = quick
@@ -169,6 +172,34 @@ def test_integer_values_checked(quick, edits, match):
     for name, values in edits.items():
         snap["arrays"][name] = np.asarray(values, dtype=np.int64)
     with pytest.raises(snapshot.SnapshotError, match=match):
+        snapshot.restore_engine(snap, enc, train, datasets)
+
+
+def test_repeated_transfer_source_rejected(quick):
+    _, enc, train, datasets, _ = quick
+    snap = _loaded(quick)
+    arrays = snap["arrays"]
+    arrays["set2.attached_ids"] = np.array([0, 0])
+    arrays["set2.attached"] = np.concatenate([arrays["set2.attached"]] * 2, axis=1)
+    with pytest.raises(snapshot.SnapshotError, match="^set 2 lists a set twice in set2.attached_ids$"):
+        snapshot.restore_engine(snap, enc, train, datasets)
+
+
+@pytest.mark.parametrize("name", ["junk", "old.7.key", "set5.p"])
+def test_array_restore_never_reads_rejected(quick, name):
+    # saving the restored engine would drop it: the bytes would differ
+    _, enc, train, datasets, _ = quick
+    snap = _loaded(quick)
+    snap["arrays"][name] = np.zeros(3)
+    with pytest.raises(snapshot.SnapshotError, match=f"^unexpected array {name}$"):
+        snapshot.restore_engine(snap, enc, train, datasets)
+
+
+def test_arrays_out_of_order_rejected(quick):
+    _, enc, train, datasets, _ = quick
+    snap = _loaded(quick)
+    snap["arrays"] = dict(reversed(snap["arrays"].items()))
+    with pytest.raises(snapshot.SnapshotError, match="^arrays out of declaration order$"):
         snapshot.restore_engine(snap, enc, train, datasets)
 
 
