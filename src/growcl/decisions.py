@@ -10,13 +10,10 @@ z = hindrance_old - hindrance_floor drives the decision: grow a new set when
 every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
-A task's ``GradientProbe`` probes in packs: the sets it measures on one
-batch share one encoder pass, as many as ``ROW_BLOCK`` rows hold (two at a
-batch of 32, four at 16), and that pass's prompt-independent first-block
-work. Each set's gradient sums its batches in batch order, so it is the
-bits a one-set probe gives. The engine asks once per task, for every pool
-set, and hands the gradients to both readers: the decision and transfer
-ranking.
+A task's ``GradientProbe`` runs one encoder pass per set and batch, and a
+set's gradient is the mean of its batches' gradients. The engine asks once
+per task, for every pool set, and hands the gradients to both readers: the
+decision and transfer ranking.
 
 Stored spaces are per segment, keyed by the encoder's segment names
 (``block{b}`` per prompted block, then ``key``), and every projection here
@@ -35,15 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from growcl.encoder import (
-    ROW_BLOCK,
-    GradientVector,
-    Head,
-    NonFiniteError,
-    PromptSet,
-    cross_entropy_pass,
-    prefixes,
-)
+from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, cross_entropy_pass
 from growcl.subspace import HfcValue, hfc, project_rows
 
 
@@ -139,45 +128,29 @@ class GradientProbe:
     batches: list  # [(x, y), ...], at least one
 
     def gradients(self, psets) -> list:
-        """The probe gradients of ``psets``, in order.
-
-        Each batch runs once per pack of ``ROW_BLOCK // rows`` sets (at
-        least one), where ``rows`` is the first batch's: the pack shares the
-        pass and its first prompted block's data-token work. A set's
-        gradient sums its batches in batch order, so it is the same bits
-        whatever sets share its passes. Raises ``NonFiniteError`` naming the
-        first set of a pack whose loss or gradient is not finite.
-        """
-        cfg = self.backbone.config
-        psets = list(psets)
-        per_pass = max(1, ROW_BLOCK // len(self.batches[0][0]))
-        out = []
-        for lo in range(0, len(psets), per_pass):
-            # probes measure bare sets: a method choice, open until runs
-            # record each set's angles with its frozen rows as well (ROADMAP)
-            bare = [PromptSet(p.p, p.k, p.id) for p in psets[lo : lo + per_pass]]
-            prompts = prefixes(cfg, bare)
-            acc = None
-            for x, y in self.batches:
-                _, losses, backward = cross_entropy_pass(self.backbone, self.head, prompts, x, y,
-                                                         self.head_mask)
-                _check_finite(bare, losses, "loss")
-                p_grad = backward()[1]
-                _check_finite(bare, p_grad, "gradient")
-                acc = p_grad if acc is None else acc + p_grad
-            for g in acc:
-                flat = np.concatenate([g.ravel(), np.zeros(cfg.d_model)]) / len(self.batches)
-                out.append(GradientVector(flat, cfg))
-        return out
+        """The probe gradients of ``psets``, in order."""
+        return [self.gradient(pset) for pset in psets]
 
     def gradient(self, pset: PromptSet) -> GradientVector:
-        return self.gradients([pset])[0]
-
-
-def _check_finite(psets, values, what: str):
-    for pset, value in zip(psets, values):
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"set {pset.id}: non-finite {what}")
+        """``pset``'s probe gradient: one pass per batch, the batches' prompt
+        gradients summed in batch order and divided by the batch count.
+        Raises ``NonFiniteError`` naming the set when a loss or gradient is
+        not finite."""
+        cfg = self.backbone.config
+        # probes measure bare sets: a method choice, open until runs record
+        # each set's angles with its frozen rows as well (ROADMAP)
+        bare = PromptSet(pset.p, pset.k, pset.id)
+        acc = None
+        for x, y in self.batches:
+            _, loss, backward = cross_entropy_pass(self.backbone, self.head, bare, x, y, self.head_mask)
+            if not np.isfinite(loss):
+                raise NonFiniteError(f"set {pset.id}: non-finite loss")
+            p_grad = backward()[1]
+            if not np.all(np.isfinite(p_grad)):
+                raise NonFiniteError(f"set {pset.id}: non-finite gradient")
+            acc = p_grad if acc is None else acc + p_grad
+        flat = np.concatenate([acc.ravel(), np.zeros(cfg.d_model)]) / len(self.batches)
+        return GradientVector(flat, cfg)
 
 
 def hindrance_for_old_set(grad: GradientVector, old_spaces: dict) -> HfcValue:

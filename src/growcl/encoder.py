@@ -11,15 +11,6 @@ prompted pass reads both from the set it is given. The promptless pass
 ("query" mode) yields the vanilla feature used for key matching and for
 pre-trained subspaces.
 
-A pass can run G prefixes at once. Every pass carries a leading group axis:
-prefixes are [G, P, d] per prompted block, and features come out [G, n, d],
-one copy of the rows per prefix. The rows are shared by every group up to
-the lowest prompted block, so the embedding and that block's LN1, Q/K/V and
-data-to-data scores, which the prefix form leaves independent of the prompt,
-run once for all G. A group's results are the bits its own one-group pass
-gives. ``GradientProbe.gradients`` packs probes this way; training,
-evaluation, retrieval queries and pretraining run with G = 1.
-
 The encoder runs forward and backward on plain arrays. A block's forward
 returns its output and, when a gradient is wanted, a backward over its cached
 intermediates that returns the input, prompt and (while the backbone is
@@ -28,14 +19,14 @@ reads and releases each temporary once it is used. ``encode`` chains the
 blocks, and its backward walks ``ln_f``, the blocks in reverse (releasing
 each one's intermediates once it has run) and, for pretraining, the
 embedding and class token. ``cross_entropy_pass`` puts the masked head and
-cross-entropy in front of every group; ``loss_and_grads`` runs it for one
-set, adds the key's cosine pull in closed form, and returns the head
-gradients on the masked-in classes. The LN, GELU, softmax and cross-entropy
-derivatives are the ``autodiff`` kernels; the ``autodiff`` tape is not used
-here, and the tests compose the same model from it as an independent
-reference. Only the class token is read after the last block, so that block
-builds keys and values from every token and the prompt but computes the
-query, attention row, residual and MLP for the class token alone.
+cross-entropy in front of one set's pass; ``loss_and_grads`` runs it, adds
+the key's cosine pull in closed form, and returns the head gradients on the
+masked-in classes. The LN, GELU, softmax and cross-entropy derivatives are
+the ``autodiff`` kernels; the ``autodiff`` tape is not used here, and the
+tests compose the same model from it as an independent reference. Only the
+class token is read after the last block, so that block builds keys and
+values from every token and the prompt but computes the query, attention
+row, residual and MLP for the class token alone.
 
 A forward-only pass (no backward wanted: queries, features for evaluation,
 the reps of stored and pre-trained spaces) runs ``ROW_BLOCK`` rows at a time
@@ -79,12 +70,10 @@ from growcl.autodiff import (
 
 MASK_BIAS = -1e30
 
-# Forward-only passes run this many rows at a time, and a probe packs as
-# many sets into one pass as this many rows hold. At the benchmark's encoder
-# shape 64 forward rows peak near 1.5 MB, a two-set probe pass over 32 rows
-# near 1.3 MB and a 32-row training step near 0.8 MB; the working set of a
-# pass over a whole task then stops growing with its rows, and only the
-# outputs do.
+# Forward-only passes run this many rows at a time. At the benchmark's
+# encoder shape 64 forward rows peak near 1.5 MB and a 32-row training step
+# near 0.8 MB; the working set of a pass over a whole task then stops
+# growing with its rows, and only the outputs do.
 ROW_BLOCK = 64
 
 # Weight of the retrieval key's cosine pull toward the batch's mean query,
@@ -278,30 +267,27 @@ def _attention_block(
     n_out: int | None = None,
     keep: bool = False,
 ):
-    """Forward of one pre-norm block over the data tokens ``x`` [G, n, t, d]
-    of G row groups, or [1, n, t, d] for rows every group shares.
+    """Forward of one pre-norm block over the data tokens ``x`` [n, t, d].
 
     ``w`` holds the block's weights in ``_BLOCK_WEIGHTS`` order. A ``prompt``
-    [G, P, d] holds one prefix per group: its LN1 keys and values, computed
-    once for the group's rows, join the data tokens' keys and values, so
-    every query of the group also attends to the prefix rows. Nothing is
-    computed at prompt positions beyond that. Shared rows go through LN1,
-    Q/K/V and the data-to-data scores once, and the output has G groups.
-    With ``n_out`` set, keys and values still come from every token, but the
-    queries, attention, residual and MLP run for the first ``n_out`` tokens
-    only, and the output is [G, n, n_out, d].
+    [P, d] is a prefix: its LN1 keys and values, computed once for the whole
+    batch, join the data tokens' keys and values, so every query also
+    attends to the prompt rows. Nothing is computed at prompt positions
+    beyond that. With ``n_out`` set, keys and values still come from every
+    token, but the queries, attention, residual and MLP run for the first
+    ``n_out`` tokens only, and the output is [n, n_out, d].
 
     Returns (out, backward); ``backward`` is None unless ``keep``.
     ``backward(g, need_x, need_weights)`` takes the output gradient and
-    returns (input gradient, prompt gradient [G, P, d], {weight name:
-    gradient}): the input gradient (one per group) is None unless ``need_x``
-    or ``need_weights``, the prompt gradient None without a prompt, and the
-    dict empty unless ``need_weights``. Weight gradients are wanted only
-    while the backbone is pretrained, which runs without prompts, so a
-    prompted block gives none and keeps nothing only they read.
+    returns (input gradient, prompt gradient, {weight name: gradient}): the
+    input gradient is None unless ``need_x`` or ``need_weights``, the prompt
+    gradient None without a prompt, and the dict empty unless
+    ``need_weights``. Weight gradients are wanted only while the backbone is
+    pretrained, which runs without prompts, so a prompted block gives none
+    and keeps nothing only they read.
     """
     g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = w
-    _, n, t, d = x.shape
+    n, t, d = x.shape
     to = t if n_out is None else n_out
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
@@ -311,20 +297,18 @@ def _attention_block(
     drop = not keep or prompt is not None
 
     h, xhat1, inv1 = layer_norm_forward(x, g1, c_ln1)
-    hq = h[:, :, :to]
-    q = (hq @ wq).reshape(-1, n, to, n_heads, dh).transpose((0, 1, 3, 2, 4))  # [., n, H, to, dh]
-    k = (h @ wk).reshape(-1, n, t, n_heads, dh).transpose((0, 1, 3, 4, 2))  # [., n, H, dh, t]
-    v = (h @ wv).reshape(-1, n, t, n_heads, dh).transpose((0, 1, 3, 2, 4))  # [., n, H, t, dh]
+    hq = h[:, :to]
+    q = (hq @ wq).reshape(n, to, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, to, dh]
+    k = (h @ wk).reshape(n, t, n_heads, dh).transpose((0, 2, 3, 1))  # [n, H, dh, t]
+    v = (h @ wv).reshape(n, t, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, t, dh]
     if drop:
         h = hq = None
     scores = q @ k
     if prompt is not None:
-        n_g, n_p = prompt.shape[:2]
+        n_p = prompt.shape[0]
         hp, xhatp, invp = layer_norm_forward(prompt, g1, c_ln1)
-        kp = (hp @ wk).reshape(n_g, 1, n_p, n_heads, dh).transpose((0, 1, 3, 4, 2))  # [G, 1, H, dh, P]
-        vp = (hp @ wv).reshape(n_g, 1, n_p, n_heads, dh).transpose((0, 1, 3, 2, 4))  # [G, 1, H, P, dh]
-        if len(scores) < n_g:  # rows every group shares
-            scores = np.broadcast_to(scores, (n_g,) + scores.shape[1:])
+        kp = (hp @ wk).reshape(n_p, n_heads, dh).transpose((1, 2, 0))  # [H, dh, P]
+        vp = (hp @ wv).reshape(n_p, n_heads, dh).transpose((1, 0, 2))  # [H, P, dh]
         scores = np.concatenate([scores, q @ kp], axis=-1)
     # the updates below run in place, in the order of the plain expressions
     scores *= scale
@@ -334,9 +318,9 @@ def _attention_block(
     else:
         o = attn[..., :t] @ v  # attn[..., :t] @ v + attn[..., t:] @ vp
         o += attn[..., t:] @ vp
-    o = o.transpose((0, 1, 3, 2, 4)).reshape(-1, n, to, d)
+    o = o.transpose((0, 2, 1, 3)).reshape(n, to, d)
     x1 = o @ wo  # x + o @ wo
-    x1 += x[:, :, :to]
+    x1 += x[:, :to]
     if drop:
         o = None
     h2, xhat2, inv2 = layer_norm_forward(x1, g2, c_ln2)
@@ -373,24 +357,24 @@ def _attention_block(
             grads["wo"] = _rows(o).T @ _rows(gx1)
         del gz, gh2
 
-        go = (gx1 @ wo.T).reshape(-1, n, to, n_heads, dh).transpose((0, 1, 3, 2, 4))  # [G, n, H, to, dh]
-        ga = go @ v.transpose((0, 1, 2, 4, 3))
+        go = (gx1 @ wo.T).reshape(n, to, n_heads, dh).transpose((0, 2, 1, 3))  # [n, H, to, dh]
+        ga = go @ v.transpose((0, 1, 3, 2))
         if prompt is not None:
-            ga = np.concatenate([ga, go @ vp.transpose((0, 1, 2, 4, 3))], axis=-1)
-        gs = softmax_backward(ga, attn, out=ga)  # [G, n, H, to, t + P]
+            ga = np.concatenate([ga, go @ vp.transpose((0, 2, 1))], axis=-1)
+        gs = softmax_backward(ga, attn, out=ga)  # [n, H, to, t + P]
         gs *= scale
 
         gx = None
         if need_x or need_weights:
-            gq = gs[..., :t] @ k.transpose((0, 1, 2, 4, 3))
+            gq = gs[..., :t] @ k.transpose((0, 1, 3, 2))
             if prompt is not None:
-                gq += gs[..., t:] @ kp.transpose((0, 1, 2, 4, 3))
-            gq = gq.transpose((0, 1, 3, 2, 4)).reshape(-1, n, to, d)
-            gk = (q.transpose((0, 1, 2, 4, 3)) @ gs[..., :t]).transpose((0, 1, 4, 2, 3)).reshape(-1, n, t, d)
-            gv = (attn[..., :t].transpose((0, 1, 2, 4, 3)) @ go).transpose((0, 1, 3, 2, 4)).reshape(-1, n, t, d)
+                gq += gs[..., t:] @ kp.transpose((0, 2, 1))
+            gq = gq.transpose((0, 2, 1, 3)).reshape(n, to, d)
+            gk = (q.transpose((0, 1, 3, 2)) @ gs[..., :t]).transpose((0, 3, 1, 2)).reshape(n, t, d)
+            gv = (attn[..., :t].transpose((0, 1, 3, 2)) @ go).transpose((0, 2, 1, 3)).reshape(n, t, d)
             gh = gk @ wk.T  # gk @ wk.T + gv @ wv.T
             gh += gv @ wv.T
-            gh[:, :, :to] += gq @ wq.T
+            gh[:, :to] += gq @ wq.T
             if need_weights:
                 grads["wq"] = _rows(hq).T @ _rows(gq)
                 grads["wk"] = _rows(h).T @ _rows(gk)
@@ -399,20 +383,20 @@ def _attention_block(
             del gq, gk, gv
             gx = layer_norm_backward(gh, xhat1, inv1, g1)
             del gh
-            gx[:, :, :to] += gx1
+            gx[:, :to] += gx1
         del gx1
 
         gp = None
         if prompt is not None:
-            # A group's prompt keys and values are shared by its rows: sum
-            # over every (sample, query) row in one product per head.
+            # Prompt keys and values are shared by the batch: sum over every
+            # (sample, query) row in one product per head.
             m = n * to
-            q_rows = q.transpose((0, 2, 4, 1, 3)).reshape(-1, n_heads, dh, m)
-            gs_p = gs[..., t:].transpose((0, 2, 1, 3, 4)).reshape(n_g, n_heads, m, n_p)
-            a_p = attn[..., t:].transpose((0, 2, 4, 1, 3)).reshape(n_g, n_heads, n_p, m)
-            go_rows = go.transpose((0, 2, 1, 3, 4)).reshape(n_g, n_heads, m, dh)
-            gkp = (q_rows @ gs_p).transpose((0, 3, 1, 2)).reshape(n_g, n_p, d)
-            gvp = (a_p @ go_rows).transpose((0, 2, 1, 3)).reshape(n_g, n_p, d)
+            q_rows = q.transpose((1, 3, 0, 2)).reshape(n_heads, dh, m)
+            gs_p = gs[..., t:].transpose((1, 0, 2, 3)).reshape(n_heads, m, n_p)
+            a_p = attn[..., t:].transpose((1, 3, 0, 2)).reshape(n_heads, n_p, m)
+            go_rows = go.transpose((1, 0, 2, 3)).reshape(n_heads, m, dh)
+            gkp = (q_rows @ gs_p).transpose((2, 0, 1)).reshape(n_p, d)
+            gvp = (a_p @ go_rows).transpose((1, 0, 2)).reshape(n_p, d)
             gp = layer_norm_backward(gkp @ wk.T + gvp @ wv.T, xhatp, invp, g1)
         return gx, gp, grads
 
@@ -422,21 +406,20 @@ def _attention_block(
 def _encode_rows(
     backbone: FrozenBackbone, batch: np.ndarray, prompts: dict, cls_out: dict, keep: bool
 ):
-    """One pass over every row of ``batch``: returns (features [G, n, d],
+    """One pass over every row of ``batch``: returns (features [n, d],
     backward or None); block ``b``'s class-token output is written into
     ``cls_out[b]`` for each block it names. ``backward`` is built only when
     ``keep``; see ``encode``."""
     cfg = backbone.config
     n, d = batch.shape[0], cfg.d_model
     w = backbone.weights
-    # one row group, shared by every prefix until the lowest prompted block
-    tok = np.empty((1, n, cfg.n_feature_tokens + 1, d))
-    tok[0, :, 0] = w["cls"]
+    tok = np.empty((n, cfg.n_feature_tokens + 1, d))
+    tok[:, 0] = w["cls"]
     # numpy computes a one-row product with gemv, which rounds differently
     # from gemm: a lone row is embedded as two copies, so a row's features
     # never depend on the rows that share its pass
     rows = batch if n > 1 else np.repeat(batch, 2, axis=0)
-    tok[0, :, 1:] = ((rows @ w["embed_w"])[:n] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
+    tok[:, 1:] = ((rows @ w["embed_w"])[:n] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
     blocks = []
     for i in range(cfg.n_blocks):
         # Only the class token is read after the last block.
@@ -446,15 +429,15 @@ def _encode_rows(
         )
         blocks.append(block_backward)
         if i in cls_out:
-            cls_out[i][...] = tok[:, :, 0]
+            cls_out[i][...] = tok[:, 0]
     out, xhat, inv = layer_norm_forward(tok, w["ln_f_g"], w["ln_f_b"])
-    feats = out[:, :, 0]
+    feats = out[:, 0]
     if not keep:
         return feats, None
 
     def backward(g_feats, weight_grads=False):
         grads = {}
-        g = g_feats[:, :, None]
+        g = g_feats[:, None]
         if weight_grads:
             grads["ln_f_g"], grads["ln_f_b"] = layer_norm_param_grads(g, xhat)
         g = layer_norm_backward(g, xhat, inv, w["ln_f_g"])
@@ -469,8 +452,8 @@ def _encode_rows(
                 prompt_grads[i] = gp
             grads.update((f"b{i}.{name}", grad) for name, grad in block_grads.items())
         if weight_grads:
-            grads["cls"] = g[0, :, 0].sum(axis=0)
-            g_embed = g[0, :, 1:].reshape(n, -1)
+            grads["cls"] = g[:, 0].sum(axis=0)
+            g_embed = g[:, 1:].reshape(n, -1)
             grads["embed_w"] = batch.T @ g_embed
             grads["embed_b"] = g_embed.sum(axis=0)
         return prompt_grads, grads
@@ -486,22 +469,19 @@ def encode(
     return_backward: bool = False,
 ):
     """Run the encoder over ``batch`` [n, input_dim], n >= 1 (the config
-    takes ``input_dim`` from the stream's ``dim``) under G prefixes; returns
-    (features [G, n, d], layer_reps), and a third item, ``backward``, when
-    ``return_backward``.
+    takes ``input_dim`` from the stream's ``dim``); returns (features [n, d],
+    layer_reps), and a third item, ``backward``, when ``return_backward``.
 
-    ``prompts`` maps prompted block index -> [G, P, d]: G prefixes (a set's
-    prompt, then its frozen rows; see ``prefixes``), each read by its own
-    copy of the rows; without prompts G is 1. The rows are shared by every
-    prefix up to the lowest prompted block, whose prompt-independent work
-    runs once for all G.
+    ``prompts`` maps prompted block index -> [P, d] prefix rows that every
+    sample's tokens attend to in that block (a set's prompt, then its frozen
+    rows; see ``prefixes``).
     ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
     class-token output of each prompted block, then the final feature under
-    ``key`` (copies), each [G, n, d].
+    ``key`` (copies), each [n, d].
     ``backward(g_feats, weight_grads=False)`` takes the features' gradient
-    and returns ({block: prompt gradient [G, P, d]}, {weight name:
-    gradient}); the weight gradients (pretraining, without prompts) are
-    filled only when ``weight_grads``.
+    and returns ({block: prompt gradient [P, d]}, {weight name: gradient});
+    the weight gradients (pretraining, without prompts) are filled only when
+    ``weight_grads``.
 
     Without ``return_backward`` the rows run ``ROW_BLOCK`` at a time into
     preallocated outputs; every row's arithmetic is the same as in one pass.
@@ -510,16 +490,15 @@ def encode(
     cfg = backbone.config
     n, d = batch.shape[0], cfg.d_model
     prompts = prompts or {}
-    n_groups = len(next(iter(prompts.values()))) if prompts else 1
-    cls_out = {b: np.empty((n_groups, n, d)) for b in cfg.prompted_blocks} if collect_layers else {}
+    cls_out = {b: np.empty((n, d)) for b in cfg.prompted_blocks} if collect_layers else {}
     if return_backward:
         feats, backward = _encode_rows(backbone, batch, prompts, cls_out, keep=True)
     else:
-        feats = np.empty((n_groups, n, d))
+        feats = np.empty((n, d))
         for lo in range(0, n, ROW_BLOCK):
             rows = slice(lo, lo + ROW_BLOCK)
-            block_out = {b: out[:, rows] for b, out in cls_out.items()}
-            feats[:, rows], _ = _encode_rows(backbone, batch[rows], prompts, block_out, keep=False)
+            block_out = {b: out[rows] for b, out in cls_out.items()}
+            feats[rows], _ = _encode_rows(backbone, batch[rows], prompts, block_out, keep=False)
     reps = {}
     if collect_layers:
         reps = segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.copy())
@@ -528,20 +507,16 @@ def encode(
     return feats, reps
 
 
-def prefixes(cfg: EncoderConfig, psets) -> dict:
-    """Prefix rows per prompted block, [G, P, d] for G = ``len(psets)``: each
-    set's prompt, then its frozen rows (every set must have as many)."""
-    prompts = {}
-    for j, b in enumerate(cfg.prompted_blocks):
-        prompts[b] = np.stack([np.concatenate([p.p[j], p.extra[j]]) if p.extra.shape[1] else p.p[j]
-                               for p in psets])
-    return prompts
+def prefixes(cfg: EncoderConfig, pset: PromptSet) -> dict:
+    """Prefix rows per prompted block: the set's prompt, then its frozen rows."""
+    return {b: np.concatenate([pset.p[j], pset.extra[j]]) if pset.extra.shape[1] else pset.p[j]
+            for j, b in enumerate(cfg.prompted_blocks)}
 
 
 def prompted_features(backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray) -> np.ndarray:
     """Features [n, d] of ``batch`` under ``pset``'s prompt and frozen rows."""
-    feats, _ = encode(backbone, batch, prefixes(backbone.config, [pset]))
-    return feats[0]
+    feats, _ = encode(backbone, batch, prefixes(backbone.config, pset))
+    return feats
 
 
 def forward_prompted(
@@ -555,49 +530,43 @@ def forward_prompted(
 def forward_query(backbone: FrozenBackbone, batch: np.ndarray) -> np.ndarray:
     """Promptless features, one row per sample (the retrieval query)."""
     feats, _ = encode(backbone, batch)
-    return feats[0]
-
-
-def _one_group(feats: np.ndarray, reps: dict):
-    return feats[0], {name: rows[0] for name, rows in reps.items()}
+    return feats
 
 
 def query_with_layers(backbone: FrozenBackbone, batch: np.ndarray):
     """Promptless pass, returning (features, per-block class-token reps)."""
-    return _one_group(*encode(backbone, batch, collect_layers=True))
+    return encode(backbone, batch, collect_layers=True)
 
 
 def prompted_with_layers(backbone: FrozenBackbone, pset: PromptSet, batch: np.ndarray):
     """Pass under ``pset``, returning (features, per-block class-token reps)."""
-    return _one_group(*encode(backbone, batch, prefixes(backbone.config, [pset]), collect_layers=True))
+    return encode(backbone, batch, prefixes(backbone.config, pset), collect_layers=True)
 
 
-def cross_entropy_pass(backbone: FrozenBackbone, head: Head, prompts: dict, batch: np.ndarray,
+def cross_entropy_pass(backbone: FrozenBackbone, head: Head, pset: PromptSet, batch: np.ndarray,
                        labels, head_mask):
-    """Masked cross-entropy of ``batch`` under each of the G prefixes in
-    ``prompts`` ({block: [G, P, d]}, each led by its set's ``prompt_len``
-    own rows), in one pass.
+    """Masked cross-entropy of ``batch`` under ``pset``'s prompt and frozen
+    rows, in one pass.
 
-    Returns (features [G, n, d], losses [G], backward). ``backward()``
-    returns the logit gradients [G, n, n_classes] and the gradients
-    [G, n_prompted, prompt_len, d] of each prefix's own rows; frozen rows
-    get none. A group's values are the bits a one-group pass gives.
+    Returns (features [n, d], loss, backward). ``backward()`` returns the
+    logit gradient [n, n_classes] and the gradient [n_prompted, prompt_len,
+    d] of the set's own prompt rows; frozen rows get none.
     """
     cfg = backbone.config
     labels = np.asarray(labels, dtype=int)
-    feats, _, encode_backward = encode(backbone, batch, prompts, return_backward=True)
+    feats, _, encode_backward = encode(backbone, batch, prefixes(cfg, pset), return_backward=True)
     logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
-    forward = [cross_entropy_forward(group, labels) for group in logits]
+    loss, logp = cross_entropy_forward(logits, labels)
 
     def backward():
-        g_logits = np.stack([cross_entropy_backward(logp, labels) for _, logp in forward])
+        g_logits = cross_entropy_backward(logp, labels)
         prompt_grads, _ = encode_backward(g_logits @ head.w.T)
-        p_grad = np.zeros((len(logits), cfg.n_prompted, cfg.prompt_len, cfg.d_model))
+        p_grad = np.zeros_like(pset.p)
         for j, b in enumerate(cfg.prompted_blocks):
-            p_grad[:, j] += prompt_grads[b][:, : cfg.prompt_len]
+            p_grad[j] += prompt_grads[b][: cfg.prompt_len]
         return g_logits, p_grad
 
-    return feats, [loss for loss, _ in forward], backward
+    return feats, loss, backward
 
 
 def _key_loss(k: np.ndarray, q_bar: np.ndarray, weight: float):
@@ -641,9 +610,7 @@ def loss_and_grads(
     gradient is not finite: every ``GradientVector`` of a step is this one
     or a projection of it.
     """
-    feats, (loss,), backward = cross_entropy_pass(
-        backbone, head, prefixes(backbone.config, [pset]), batch, labels, head_mask
-    )
+    feats, loss, backward = cross_entropy_pass(backbone, head, pset, batch, labels, head_mask)
     k_grad = np.zeros_like(pset.k)
     if q_bar is not None:
         key_loss, k_grad = _key_loss(pset.k, q_bar, KEY_LOSS_WEIGHT)
@@ -652,14 +619,14 @@ def loss_and_grads(
         raise NonFiniteError("non-finite loss")
 
     g_logits, p_grad = backward()
-    flat = np.concatenate([p_grad[0].ravel(), k_grad])
+    flat = np.concatenate([p_grad.ravel(), k_grad])
     if not np.all(np.isfinite(flat)):
         raise NonFiniteError("non-finite gradient")
 
     rows = np.zeros(head.n_classes, dtype=bool)
     rows[np.asarray(list(head_mask), dtype=int)] = True
-    gw = np.where(rows[None, :], feats[0].T @ g_logits[0], 0.0)
-    gb = np.where(rows, g_logits[0].sum(axis=0), 0.0)
+    gw = np.where(rows[None, :], feats.T @ g_logits, 0.0)
+    gb = np.where(rows, g_logits.sum(axis=0), 0.0)
     return float(loss), GradientVector(flat, backbone.config), gw, gb
 
 
@@ -688,12 +655,11 @@ def pretrain_backbone(
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
         feats, _, backward = encode(backbone, data[idx], return_backward=True)
-        feats = feats[0]
         loss, logp = cross_entropy_forward(feats @ hw + hb, labels[idx])
         if not np.isfinite(loss):
             raise NonFiniteError(f"step {step}: non-finite loss")
         g_logits = cross_entropy_backward(logp, labels[idx])
-        _, grads = backward((g_logits @ hw.T)[None], weight_grads=True)
+        _, grads = backward(g_logits @ hw.T, weight_grads=True)
         for name, grad in grads.items():
             weights[name] -= lr * grad
         hw -= lr * (feats.T @ g_logits)

@@ -1,11 +1,11 @@
 """The prompt sets pool: storage, cosine retrieval, set-to-task registry.
 
 The caller guarantees the registry: each task is assigned once, to a set in
-the pool (``Engine.train_task`` assigns task ``tasks_done`` to the set it
-has just added or probed, and ``snapshot.restore_engine`` checks that the
-restored task lists hold each trained task once), so retrieval runs on a
-pool with at least one set and ``set_for_task`` is asked only for an
-assigned task.
+the pool (``Engine.train_task`` adds the set it has trained on task
+``tasks_done``, or assigns that task to it, and ``snapshot.restore_engine``
+checks that the restored task lists hold each trained task once), so
+retrieval runs on a pool with at least one set and ``set_for_task`` is
+asked only for an assigned task.
 """
 
 from __future__ import annotations

@@ -41,8 +41,10 @@ against the dtype and shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
 values: the entries of ``set<i>.attached_ids`` are distinct and each below
 i (a set attaches only sets that existed when it grew), the sets' ``tasks``
-together hold each of ``0 .. tasks_done-1`` exactly once, and
-``seen_classes`` are the classes of the stream's first ``tasks_done``
+together hold each of ``0 .. tasks_done-1`` exactly once, every set's
+``tasks`` is non-empty and increasing and the sets' first tasks increase
+with the set id (a set grows with its first task and appends later ones),
+and ``seen_classes`` are the classes of the stream's first ``tasks_done``
 tasks. It checks the grids against the stream: a snapshot is taken after
 ``evaluate_after``, so cell (i, t) holds a value exactly when
 i <= t < ``tasks_done``. There ``matrix.a`` and ``matrix.a_oracle`` are in
@@ -331,6 +333,13 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
     if assigned != list(range(tasks_done)):
         raise SnapshotError(f"the sets' task lists hold {assigned}, expected each of "
                             f"0..{tasks_done - 1} exactly once")
+    # a set grows with its first task and appends later ones
+    for sid, tasks in assignments.items():
+        if not tasks or tasks != sorted(tasks):
+            raise SnapshotError(f"array set{sid}.tasks holds {tasks}, expected a non-empty increasing list")
+    firsts = [tasks[0] for tasks in assignments.values()]
+    if firsts != sorted(firsts):
+        raise SnapshotError(f"the sets' first tasks are {firsts}, expected them to increase with the set id")
     # every restored set has a stored space, one basis per segment
     memory = SubspaceMemory()
     segments = list(segment_map(enc_cfg, range(n_prompted), None))

@@ -13,18 +13,19 @@ every task is trained), and ``evaluate_after`` fills that task's column of
 ``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
-its frozen transfer rows, in one packed call made before anything changes
-the pool, and only when the decision (``lw2g``) or transfer ranking
-(``grow_always`` with ``n_fft > 0``) reads the gradients (a non-finite loss
-or gradient, or a zero gradient, raises ``TrainerError`` naming the task and
-the set, and leaves the pool as it was), (2) decides grow-or-reuse (the
-first task always grows; ``grow_always`` and ``single_set`` bypass the
-decision), (3) trains the chosen set with the soft pre-trained-knowledge
-constraint and, when the set has a stored space, the orthogonal-to-old-space
-condition, with frozen transfer prompts joined behind its own in each
-block's attention prefix (chosen once, when the set grows: a reused set
-keeps the frozen rows its earlier tasks were trained with), and (4) builds
-the set's stored feature space, or extends the one it has. Every step reads
+its frozen transfer rows, in one call, and only when the decision (``lw2g``)
+or transfer ranking (``grow_always`` with ``n_fft > 0``) reads the gradients
+(a non-finite loss or gradient, or a zero gradient, raises ``TrainerError``
+naming the task and the set), (2) decides grow-or-reuse (the first task
+always grows; ``grow_always`` and ``single_set`` bypass the decision), (3)
+trains the chosen set with the soft pre-trained-knowledge constraint and,
+when the set has a stored space, the orthogonal-to-old-space condition, with
+frozen transfer prompts joined behind its own in each block's attention
+prefix (chosen once, when the set grows: a reused set keeps the frozen rows
+its earlier tasks were trained with), (4) builds the set's stored feature
+space, or extends the one it has, and (5) only then adds a grown set to the
+pool or assigns the task to the reused one, so a ``train_task`` that raises
+leaves the pool and ``tasks_done`` as they were. Every step reads
 the engine's own state: the step size from ``cfg``, a set's stored space
 from ``memory`` and its frozen rows from the set itself. The task's
 pre-trained space lives only while ``train_task`` runs: the decision floor
@@ -240,14 +241,14 @@ class Engine:
         pset.p -= self.cfg.lr * grad.p
         pset.k -= self.cfg.lr * grad.k
 
-    def finalize_task_space(self, set_id: int, dataset):
+    def finalize_task_space(self, pset: PromptSet, dataset):
         """Collect a representation sample from the trained configuration and
         build the set's stored space, or extend the one it already has."""
         idx = self._subset(len(dataset.x_train), self.cfg.space_samples)
         x = dataset.x_train[idx]
-        _, reps = prompted_with_layers(self.backbone, self.pool.sets[set_id], x)
-        old = self.memory.old_spaces.get(set_id)
-        self.memory.old_spaces[set_id] = self._spaces_from_reps(reps, self.cfg.eps_task, old=old)
+        _, reps = prompted_with_layers(self.backbone, pset, x)
+        old = self.memory.old_spaces.get(pset.id)
+        self.memory.old_spaces[pset.id] = self._spaces_from_reps(reps, self.cfg.eps_task, old=old)
 
     def train_task(self) -> TaskReport:
         """Run the full per-task pipeline on the stream's next task and return
@@ -275,16 +276,14 @@ class Engine:
         decision = self._decide(task_id, grads, pre_space)
 
         if decision.is_grow:
-            pset = PromptSet.init(self.enc_cfg, self.rng)
-            sid = self.pool.add_set(pset, task_id)
+            pset = PromptSet.init(self.enc_cfg, self.rng, set_id=len(self.pool))
             self._attach_transfer_prompts(pset, grads)
         else:
-            sid = decision.reuse_id
-            self.pool.assign_task(sid, task_id)
-            pset = self.pool.sets[sid]
+            pset = self.pool.sets[decision.reuse_id]
             # the set's prompts change below
-            for key in [key for key in self.test_features if key[0] == sid]:
+            for key in [key for key in self.test_features if key[0] == pset.id]:
                 del self.test_features[key]
+        sid = pset.id
         # a set that has just grown has no stored space yet
         reuse_spaces = self.memory.old_spaces.get(sid)
 
@@ -307,7 +306,13 @@ class Engine:
                 self.head.b -= cfg.lr * gb
 
         drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
-        self.finalize_task_space(sid, dataset)
+        self.finalize_task_space(pset, dataset)
+        # the pool changes only once the task has trained and its space is
+        # stored, so a failure above leaves the pool as it was
+        if decision.is_grow:
+            self.pool.add_set(pset, task_id)
+        else:
+            self.pool.assign_task(sid, task_id)
         self.tasks_done += 1
         row = trace_record(task_id, decision, self.pool.assignments)
         report = TaskReport(task_id, sid, decision, row, drift)
@@ -317,10 +322,9 @@ class Engine:
     # -- decision plumbing ---------------------------------------------------------
 
     def _probe(self, task_id: int, probe: GradientProbe) -> dict:
-        """Every pool set's probe gradient by set id, in one packed call made
-        before the pool changes, or none when nothing reads them: the
-        decision reads them in ``lw2g``, transfer in ``grow_always`` when
-        ``n_fft > 0``."""
+        """Every pool set's probe gradient by set id, in one call, or none
+        when nothing reads them: the decision reads them in ``lw2g``,
+        transfer in ``grow_always`` when ``n_fft > 0``."""
         read = self.cfg.mode == "lw2g" or (self.cfg.mode == "grow_always" and self.cfg.n_fft > 0)
         if not (read and self.pool.sets):
             return {}

@@ -23,7 +23,6 @@ from growcl.decisions import (
     transfer_score,
 )
 from growcl.encoder import (
-    ROW_BLOCK,
     EncoderConfig,
     FrozenBackbone,
     GradientVector,
@@ -274,7 +273,7 @@ def one_set_at_a_time(probe, pset):
     return acc / len(probe.batches)
 
 
-def packed_probe(n_rows, batch_size, seed=21):
+def six_set_probe(n_rows, batch_size, seed=21):
     """A probe over ``n_rows`` rows cut into batches the way the engine cuts
     them, and six sets whose prompts differ."""
     rng = np.random.default_rng(seed)
@@ -288,41 +287,38 @@ def packed_probe(n_rows, batch_size, seed=21):
 
 
 class TestPackedProbe:
-    """``gradients`` packs sets into shared passes; every gradient keeps the
-    bits of the one-set probe."""
+    """``gradients`` runs one pass per set and batch; every gradient keeps
+    the bits of the training pass's prompt gradients, averaged."""
 
-    # 144 rows leave a last batch of 16, 33 rows a one-row last batch (the
-    # gemv case), and batches of 16 pack four sets per pass
+    # 144 rows leave a last batch of 16, and 33 rows a one-row last batch
+    # (the gemv case)
     @pytest.mark.parametrize("n_rows, batch_size", [(144, 32), (33, 32), (48, 16)])
     @pytest.mark.parametrize("n_sets", [1, 2, 3])
     def test_packed_equals_one_set_at_a_time_bit_for_bit(self, n_rows, batch_size, n_sets):
-        probe, sets = packed_probe(n_rows, batch_size)
+        probe, sets = six_set_probe(n_rows, batch_size)
         sets = sets[:n_sets]
-        packed = probe.gradients(sets)
-        assert [g.flat.shape for g in packed] == [(SIZE,)] * n_sets
-        for pset, g in zip(sets, packed):
+        grads = probe.gradients(sets)
+        assert [g.flat.shape for g in grads] == [(SIZE,)] * n_sets
+        for pset, g in zip(sets, grads):
             assert np.array_equal(g.flat, one_set_at_a_time(probe, pset)), pset.id
             assert np.array_equal(g.flat, probe.gradient(pset).flat), pset.id
 
-    @pytest.mark.parametrize("batch_size, per_pass", [(32, 2), (16, 4), (64, 1), (100, 1)])
-    def test_pack_size_follows_the_row_block(self, monkeypatch, batch_size, per_pass):
-        probe, sets = packed_probe(2 * batch_size, batch_size)
-        groups = []
+    @pytest.mark.parametrize("n_rows, batch_size", [(144, 32), (33, 32)])
+    def test_one_pass_per_set_and_batch(self, monkeypatch, n_rows, batch_size):
+        probe, sets = six_set_probe(n_rows, batch_size)
+        passes = []
         cross_entropy_pass = encoder_module.cross_entropy_pass
 
-        def spy(backbone, head, prompts, batch, *args):
-            groups.append(len(prompts[0]))
-            return cross_entropy_pass(backbone, head, prompts, batch, *args)
+        def spy(backbone, head, pset, batch, *args):
+            passes.append((pset.id, len(batch)))
+            return cross_entropy_pass(backbone, head, pset, batch, *args)
 
         monkeypatch.setattr("growcl.decisions.cross_entropy_pass", spy)
-        probe.gradients(sets[:5])
-        assert per_pass == max(1, ROW_BLOCK // batch_size)
-        full, rest = divmod(5, per_pass)
-        packs = [per_pass] * full + ([rest] if rest else [])
-        assert groups == [g for g in packs for _ in probe.batches]
+        probe.gradients(sets[:3])
+        assert passes == [(pset.id, len(x)) for pset in sets[:3] for x, _ in probe.batches]
 
     def test_a_set_with_frozen_rows_is_probed_bare(self):
-        probe, sets = packed_probe(144, 32)
+        probe, sets = six_set_probe(144, 32)
         bare = [g.flat for g in probe.gradients(sets[:3])]
         rng = np.random.default_rng(4)
         sets[1].extra = rng.standard_normal((CFG.n_prompted, 3, CFG.d_model))
@@ -331,13 +327,13 @@ class TestPackedProbe:
             assert np.array_equal(before, after.flat)
 
     def test_no_sets_no_pass(self, monkeypatch):
-        probe, _ = packed_probe(48, 16)
+        probe, _ = six_set_probe(48, 16)
         monkeypatch.setattr("growcl.decisions.cross_entropy_pass", None)
         assert probe.gradients([]) == []
 
     @pytest.mark.parametrize("what", ["loss", "gradient"])
     def test_non_finite_names_the_set(self, monkeypatch, what):
-        probe, sets = packed_probe(64, 32)
+        probe, sets = six_set_probe(64, 32)
         if what == "loss":
             sets[3].p[0, 0, 0] = np.nan
         else:

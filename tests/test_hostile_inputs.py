@@ -7,9 +7,10 @@ each with one frozen transfer source). Every single bit of its header and of
 its first array's descriptor is flipped in turn; hypothesis then draws bit
 flips and truncations anywhere in the file. The named cases pin the checks
 a sweep relies on: the dtype checks, the value checks on the integer arrays
-(transfer sources included), the accuracy grids and the RNG words, the axis
-bound, the non-finite payload check, and the refusal of an array that
-``restore_engine`` never reads or of arrays out of ``save``'s order.
+(transfer sources and task lists included), the accuracy grids and the RNG
+words, the axis bound, the non-finite payload check, and the refusal of an
+array that ``restore_engine`` never reads or of arrays out of ``save``'s
+order.
 
 Hypothesis also mutates trace rows (``replay`` must exit 0 or 2), reports
 (``compare`` must exit 0 or 2) and config values (parsing must succeed or
@@ -165,6 +166,12 @@ def _loaded(quick) -> dict:
     ({"seen_classes": [-1]}, "seen_classes"),
     # set 1 grew before set 2 existed
     ({"set1.attached_ids": [2]}, "set 1 lists itself or a later set"),
+    # task lists no run writes: every task held once, but a set with no
+    # task, a set's tasks out of order, or sets out of first-task order
+    ({"set1.tasks": [2, 1], "set2.tasks": []}, r"^array set1.tasks holds \[2, 1\], expected a non-empty"),
+    ({"set0.tasks": [0, 2], "set2.tasks": []}, r"^array set2.tasks holds \[\], expected a non-empty"),
+    ({"set0.tasks": [1], "set1.tasks": [0]}, r"^the sets' first tasks are \[1, 0, 2\]"),
+    ({"set1.tasks": [2], "set2.tasks": [1]}, r"^the sets' first tasks are \[0, 2, 1\]"),
 ])
 def test_integer_values_checked(quick, edits, match):
     _, enc, train, datasets, _ = quick

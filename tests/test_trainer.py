@@ -11,6 +11,7 @@ from growcl.decisions import GradientProbe, dynamic_threshold, hindrance, hindra
 from growcl.encoder import (
     EncoderConfig,
     GradientVector,
+    NonFiniteError,
     PromptSet,
     loss_and_grads,
     prompted_features,
@@ -232,6 +233,48 @@ class TestProbeFailures:
         assert eng.tasks_done == 2
 
 
+class TestStepFailures:
+    """A task that fails after its probe, in a training step or while its
+    stored space is built, leaves the pool and ``tasks_done`` as they were:
+    the pool changes only once the task has trained."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise NonFiniteError("non-finite loss")
+
+    @pytest.mark.parametrize("where", ["loss_and_grads", "prompted_with_layers"])
+    @pytest.mark.parametrize("mode", ["lw2g", "single_set", "grow_always"])
+    def test_failed_task_leaves_the_pool_as_it_was(self, monkeypatch, tmp_path, mode, where):
+        _, (spec, enc, train) = load_config(ROOT / "configs" / "quick.cfg")
+        cfg = dataclasses.replace(train, mode=mode)
+        data = generate(spec)
+        eng = Engine.fresh(enc, cfg, data)
+        eng.train_task()
+        eng.evaluate_after()
+        # a step's failure names the task, epoch and set; finalize's passes through
+        expected = TrainerError if where == "loss_and_grads" else NonFiniteError
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, where, self.fail)
+            with pytest.raises(expected, match="non-finite loss$"):
+                eng.train_task()
+        assert len(eng.pool) == 1
+        assert eng.pool.assignments == {0: [0]}
+        assert list(eng.memory.old_spaces) == [0]
+        assert eng.tasks_done == 1
+
+        failed, resaved = tmp_path / "failed.bin", tmp_path / "resaved.bin"
+        snapshot.save(failed, eng)
+        restored = snapshot.restore_engine(snapshot.load(failed), enc, cfg, data)
+        snapshot.save(resaved, restored)
+        assert resaved.read_bytes() == failed.read_bytes()
+        report = restored.train_task()
+        restored.evaluate_after()
+        assert report.task == 1 and restored.tasks_done == 2
+        assert sorted(t for tasks in restored.pool.assignments.values() for t in tasks) == [0, 1]
+        snapshot.save(resaved, restored)
+        snapshot.restore_engine(snapshot.load(resaved), enc, cfg, data)
+
+
 class TestSegmentMap:
     """Encoder reps, gradient segments and stored spaces share one name list."""
 
@@ -324,7 +367,7 @@ class TestFinalizeSpace:
         eng.train_task()
         before = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         eng.cfg = quick_cfg(eps_task=0.5)  # easily satisfied by existing span
-        eng.finalize_task_space(0, data[0])
+        eng.finalize_task_space(eng.pool.sets[0], data[0])
         after = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         assert after == before
 
@@ -397,9 +440,10 @@ def reuses_at_seed_8():
         return {i: prompted_features(engine.backbone, pset, engine.datasets[i].x_test) for i in tasks}
 
     def spy(backbone, head, pset, *args, **kwargs):
-        # the trainer's own name: probes call loss_and_grads from decisions
+        # the trainer's own name: probes call loss_and_grads from decisions;
+        # the task joins the set's list only after training
         if engine.tasks_done not in first_step:
-            first_step[engine.tasks_done] = features(pset, engine.pool.assignments[pset.id][:-1])
+            first_step[engine.tasks_done] = features(pset, engine.pool.assignments.get(pset.id, []))
         return loss_and_grads(backbone, head, pset, *args, **kwargs)
 
     tasks = []
