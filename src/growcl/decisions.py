@@ -10,10 +10,11 @@ z = hindrance_old - hindrance_floor drives the decision: grow a new set when
 every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
-A task's ``GradientProbe`` runs one encoder pass per set and batch, and a
-set's gradient is the mean of its batches' gradients. The engine asks once
-per task, for every pool set, and hands the gradients to both readers: the
-decision and transfer ranking.
+A task's ``GradientProbe`` makes one ``loss_and_grads`` call (one encoder
+pass, no update) per set and batch, and a set's gradient is the mean of its
+batches' gradients: the training step's cross-entropy gradient, averaged.
+The engine asks once per task, for every pool set, and hands the gradients
+to both readers: the decision and transfer ranking.
 
 Stored spaces are per segment, keyed by the encoder's segment names
 (``block{b}`` per prompted block, then ``key``), and every projection here
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, cross_entropy_pass
+from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, loss_and_grads
 from growcl.subspace import HfcValue, hfc, project_rows
 
 
@@ -114,12 +115,11 @@ def hindrance(grad: GradientVector, spaces: dict) -> HfcValue:
 
 @dataclass
 class GradientProbe:
-    """Averaged task gradient over a fixed subset, no parameter updates.
+    """The mean ``loss_and_grads`` gradient over a fixed subset, no updates.
 
-    Probing uses cross-entropy only; the retrieval-key pull plays no part in
-    the decision, so the key segment of probe gradients is zero. A probe
-    measures a set's own prompts without its frozen transfer rows. One probe
-    serves one task, before any set trains on it.
+    Probing uses cross-entropy only (no ``q_bar``): the key segment of probe
+    gradients is zero. A probe measures a set's own prompts without its
+    frozen transfer rows. One probe serves one task, before any set trains.
     """
 
     backbone: object
@@ -132,25 +132,21 @@ class GradientProbe:
         return [self.gradient(pset) for pset in psets]
 
     def gradient(self, pset: PromptSet) -> GradientVector:
-        """``pset``'s probe gradient: one pass per batch, the batches' prompt
-        gradients summed in batch order and divided by the batch count.
+        """``pset``'s probe gradient: the ``loss_and_grads`` gradients of its
+        batches, summed in batch order and divided by the batch count.
         Raises ``NonFiniteError`` naming the set when a loss or gradient is
         not finite."""
-        cfg = self.backbone.config
         # probes measure bare sets: a method choice, open until runs record
         # each set's angles with its frozen rows as well (ROADMAP)
         bare = PromptSet(pset.p, pset.k, pset.id)
         acc = None
         for x, y in self.batches:
-            _, loss, backward = cross_entropy_pass(self.backbone, self.head, bare, x, y, self.head_mask)
-            if not np.isfinite(loss):
-                raise NonFiniteError(f"set {pset.id}: non-finite loss")
-            p_grad = backward()[1]
-            if not np.all(np.isfinite(p_grad)):
-                raise NonFiniteError(f"set {pset.id}: non-finite gradient")
-            acc = p_grad if acc is None else acc + p_grad
-        flat = np.concatenate([acc.ravel(), np.zeros(cfg.d_model)]) / len(self.batches)
-        return GradientVector(flat, cfg)
+            try:
+                grad = loss_and_grads(self.backbone, self.head, bare, x, y, self.head_mask)[1]
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"set {pset.id}: {exc}") from exc
+            acc = grad.flat if acc is None else acc + grad.flat
+        return GradientVector(acc / len(self.batches), self.backbone.config)
 
 
 def hindrance_for_old_set(grad: GradientVector, old_spaces: dict) -> HfcValue:

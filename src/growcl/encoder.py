@@ -18,15 +18,17 @@ pretrained) weight gradients. The forward keeps only what that backward
 reads and releases each temporary once it is used. ``encode`` chains the
 blocks, and its backward walks ``ln_f``, the blocks in reverse (releasing
 each one's intermediates once it has run) and, for pretraining, the
-embedding and class token. ``cross_entropy_pass`` puts the masked head and
-cross-entropy in front of one set's pass; ``loss_and_grads`` runs it, adds
-the key's cosine pull in closed form, and returns the head gradients on the
-masked-in classes. The LN, GELU, softmax and cross-entropy derivatives are
-the ``autodiff`` kernels; the ``autodiff`` tape is not used here, and the
-tests compose the same model from it as an independent reference. Only the
-class token is read after the last block, so that block builds keys and
-values from every token and the prompt but computes the query, attention
-row, residual and MLP for the class token alone.
+embedding and class token. ``loss_and_grads`` puts the masked head and
+cross-entropy in front of one set's pass and adds the key's cosine pull in
+closed form; the mask bias alone zeroes the head gradients outside the
+task's classes. A training step is one ``loss_and_grads`` call, and a probe
+gradient is the mean of its calls over the probe batches. The LN, GELU,
+softmax and cross-entropy derivatives are the ``autodiff`` kernels; the
+``autodiff`` tape is not used here, and the tests compose the same model
+from it as an independent reference. Only the class token is read after
+the last block, so that block builds keys and values from every token and
+the prompt but computes the query, attention row, residual and MLP for the
+class token alone.
 
 A forward-only pass (no backward wanted: queries, features for evaluation,
 the reps of stored and pre-trained spaces) runs ``ROW_BLOCK`` rows at a time
@@ -293,7 +295,12 @@ def _attention_block(
     scale = 1.0 / np.sqrt(dh)
 
     # Only weight gradients read h, o, h2 and a: any pass that cannot give
-    # them drops each as soon as it is used, which keeps its peak down.
+    # them drops each as soon as it is used. That is measured to pay on a
+    # 2-CPU host: without the early release a 32-row step ran 5-10 % slower
+    # (minimum 1.46-2.47 ms against 1.32-1.52 ms, 8 processes per side), and
+    # without it and the in-place sums below, steps and forward passes ran
+    # 6-19 % slower and the benchmark's peak_rss_mb rose 0.3 MB on every
+    # workload.
     drop = not keep or prompt is not None
 
     h, xhat1, inv1 = layer_norm_forward(x, g1, c_ln1)
@@ -543,32 +550,6 @@ def prompted_with_layers(backbone: FrozenBackbone, pset: PromptSet, batch: np.nd
     return encode(backbone, batch, prefixes(backbone.config, pset), collect_layers=True)
 
 
-def cross_entropy_pass(backbone: FrozenBackbone, head: Head, pset: PromptSet, batch: np.ndarray,
-                       labels, head_mask):
-    """Masked cross-entropy of ``batch`` under ``pset``'s prompt and frozen
-    rows, in one pass.
-
-    Returns (features [n, d], loss, backward). ``backward()`` returns the
-    logit gradient [n, n_classes] and the gradient [n_prompted, prompt_len,
-    d] of the set's own prompt rows; frozen rows get none.
-    """
-    cfg = backbone.config
-    labels = np.asarray(labels, dtype=int)
-    feats, _, encode_backward = encode(backbone, batch, prefixes(cfg, pset), return_backward=True)
-    logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
-    loss, logp = cross_entropy_forward(logits, labels)
-
-    def backward():
-        g_logits = cross_entropy_backward(logp, labels)
-        prompt_grads, _ = encode_backward(g_logits @ head.w.T)
-        p_grad = np.zeros_like(pset.p)
-        for j, b in enumerate(cfg.prompted_blocks):
-            p_grad[j] += prompt_grads[b][: cfg.prompt_len]
-        return g_logits, p_grad
-
-    return feats, loss, backward
-
-
 def _key_loss(k: np.ndarray, q_bar: np.ndarray, weight: float):
     """The cosine pull of the retrieval key toward the batch's mean query,
     ``weight * (1 - cos(k, q_bar))``, and its gradient in ``k``:
@@ -604,13 +585,18 @@ def loss_and_grads(
 
     Returns (loss value, GradientVector over the set's p and k, head weight
     grad, head bias grad). The set's frozen rows join the forward pass but
-    receive no gradient; the head gradients are zero outside the
-    ``head_mask`` classes. ``labels`` holds one class of ``head_mask`` per
-    row of ``batch``. Raises ``NonFiniteError`` when the loss or the
-    gradient is not finite: every ``GradientVector`` of a step is this one
-    or a projection of it.
+    receive no gradient. Without ``q_bar`` the key segment is zero. The mask
+    bias gives the classes outside ``head_mask`` exactly zero probability,
+    so their head gradients are zero. ``labels`` holds one class of
+    ``head_mask`` per row of ``batch``. Raises ``NonFiniteError`` when the
+    loss or the gradient is not finite: every ``GradientVector`` of a step
+    or a probe is this one, a projection of it or a mean of such.
     """
-    feats, loss, backward = cross_entropy_pass(backbone, head, pset, batch, labels, head_mask)
+    cfg = backbone.config
+    labels = np.asarray(labels, dtype=int)
+    feats, _, backward = encode(backbone, batch, prefixes(cfg, pset), return_backward=True)
+    logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
+    loss, logp = cross_entropy_forward(logits, labels)
     k_grad = np.zeros_like(pset.k)
     if q_bar is not None:
         key_loss, k_grad = _key_loss(pset.k, q_bar, KEY_LOSS_WEIGHT)
@@ -618,16 +604,15 @@ def loss_and_grads(
     if not np.isfinite(loss):
         raise NonFiniteError("non-finite loss")
 
-    g_logits, p_grad = backward()
-    flat = np.concatenate([p_grad.ravel(), k_grad])
+    g_logits = cross_entropy_backward(logp, labels)
+    prompt_grads, _ = backward(g_logits @ head.w.T)
+    own = [prompt_grads[b][: cfg.prompt_len].ravel() for b in cfg.prompted_blocks]
+    flat = np.concatenate([*own, k_grad])
     if not np.all(np.isfinite(flat)):
         raise NonFiniteError("non-finite gradient")
-
-    rows = np.zeros(head.n_classes, dtype=bool)
-    rows[np.asarray(list(head_mask), dtype=int)] = True
-    gw = np.where(rows[None, :], feats.T @ g_logits, 0.0)
-    gb = np.where(rows, g_logits.sum(axis=0), 0.0)
-    return float(loss), GradientVector(flat, backbone.config), gw, gb
+    # under MASK_BIAS a class outside head_mask has probability exactly 0, so
+    # its logit gradient is 0 and its head-gradient column +-0
+    return float(loss), GradientVector(flat, cfg), feats.T @ g_logits, g_logits.sum(axis=0)
 
 
 def pretrain_backbone(

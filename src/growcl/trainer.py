@@ -24,12 +24,14 @@ frozen transfer prompts joined behind its own in each block's attention
 prefix (chosen once, when the set grows: a reused set keeps the frozen rows
 its earlier tasks were trained with), (4) builds the set's stored feature
 space, or extends the one it has, and (5) only then adds a grown set to the
-pool or assigns the task to the reused one, so a ``train_task`` that raises
-leaves the pool and ``tasks_done`` as they were. Every step reads
-the engine's own state: the step size from ``cfg``, a set's stored space
-from ``memory`` and its frozen rows from the set itself. The task's
-pre-trained space lives only while ``train_task`` runs: the decision floor
-and the soft constraint read it, and nothing after.
+pool or assigns the task to the reused one. A ``train_task`` that raises
+therefore leaves the pool and ``tasks_done`` as they were, and it puts back
+the RNG, the head and a reused set's prompts and key, so the whole engine is
+as it was and a retry trains the task exactly as an uninterrupted run does.
+Every step reads the engine's own state: the step size from ``cfg``, a
+set's stored space from ``memory`` and its frozen rows from the set itself.
+The task's pre-trained space lives only while ``train_task`` runs: the
+decision floor and the soft constraint read it, and nothing after.
 
 Every per-segment quantity follows the encoder's segment map (``block{b}``
 per prompted block, then ``key``): layer reps become stored spaces under
@@ -252,61 +254,74 @@ class Engine:
 
     def train_task(self) -> TaskReport:
         """Run the full per-task pipeline on the stream's next task and return
-        its report."""
+        its report. A task that raises leaves the engine as it was: the RNG,
+        the head and a reused set's prompts and key are put back, and the
+        pool, the stored spaces and ``tasks_done`` change only once the
+        task's space is stored, so a retry trains the uninterrupted run's
+        task."""
         cfg = self.cfg
         task_id = self.tasks_done
         if task_id == len(self.datasets):
             raise TrainerError(f"all {task_id} tasks of the stream are trained")
         dataset = self.datasets[task_id]
         classes = tuple(dataset.class_ids)
+        rng_state = self.rng.bit_generator.state
+        head_w, head_b = self.head.w.copy(), self.head.b.copy()
+        p_before = None
+        try:
+            x, y = dataset.x_train, dataset.y_train
+            probe_batches, probe_idx = self._probe_batches(x, y)
+            probe = GradientProbe(self.backbone, self.head, classes, probe_batches)
 
-        x, y = dataset.x_train, dataset.y_train
-        probe_batches, probe_idx = self._probe_batches(x, y)
-        probe = GradientProbe(self.backbone, self.head, classes, probe_batches)
+            # One promptless pass over the training rows gives the key-loss
+            # queries and, at the probe subset, the reps of this task's
+            # pre-trained space (reused by the decision floor and the soft
+            # constraint).
+            q_all, reps = query_with_layers(self.backbone, x)
+            pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
+            pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
-        # One promptless pass over the training rows gives the key-loss
-        # queries and, at the probe subset, the reps of this task's
-        # pre-trained space (reused by the decision floor and the soft
-        # constraint).
-        q_all, reps = query_with_layers(self.backbone, x)
-        pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
-        pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
+            grads = self._probe(task_id, probe)
+            decision = self._decide(task_id, grads, pre_space)
 
-        grads = self._probe(task_id, probe)
-        decision = self._decide(task_id, grads, pre_space)
+            if decision.is_grow:
+                pset = PromptSet.init(self.enc_cfg, self.rng, set_id=len(self.pool))
+                self._attach_transfer_prompts(pset, grads)
+            else:
+                pset = self.pool.sets[decision.reuse_id]
+                # the set's prompts change below
+                for key in [key for key in self.test_features if key[0] == pset.id]:
+                    del self.test_features[key]
+            sid = pset.id
+            # a set that has just grown has no stored space yet
+            reuse_spaces = self.memory.old_spaces.get(sid)
 
-        if decision.is_grow:
-            pset = PromptSet.init(self.enc_cfg, self.rng, set_id=len(self.pool))
-            self._attach_transfer_prompts(pset, grads)
-        else:
-            pset = self.pool.sets[decision.reuse_id]
-            # the set's prompts change below
-            for key in [key for key in self.test_features if key[0] == pset.id]:
-                del self.test_features[key]
-        sid = pset.id
-        # a set that has just grown has no stored space yet
-        reuse_spaces = self.memory.old_spaces.get(sid)
+            p_before = pset.p.copy()
+            k_before = pset.k.copy()
+            for epoch in range(cfg.epochs):
+                order = self.rng.permutation(len(x))
+                for lo in range(0, len(order), cfg.batch_size):
+                    batch = order[lo : lo + cfg.batch_size]
+                    q_bar = q_all[batch].mean(axis=0)
+                    try:
+                        _, grad, gw, gb = loss_and_grads(
+                            self.backbone, self.head, pset, x[batch], y[batch], classes, q_bar=q_bar
+                        )
+                    except NonFiniteError as exc:
+                        raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
+                    grad = apply_soft_constraint(grad, cfg.phi, pre_space)
+                    self.orthogonal_step(pset, grad)
+                    self.head.w -= cfg.lr * gw
+                    self.head.b -= cfg.lr * gb
 
-        p_before = pset.p.copy()
-        k_before = pset.k.copy()
-        for epoch in range(cfg.epochs):
-            order = self.rng.permutation(len(x))
-            for lo in range(0, len(order), cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
-                q_bar = q_all[batch].mean(axis=0)
-                try:
-                    _, grad, gw, gb = loss_and_grads(
-                        self.backbone, self.head, pset, x[batch], y[batch], classes, q_bar=q_bar
-                    )
-                except NonFiniteError as exc:
-                    raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
-                grad = apply_soft_constraint(grad, cfg.phi, pre_space)
-                self.orthogonal_step(pset, grad)
-                self.head.w -= cfg.lr * gw
-                self.head.b -= cfg.lr * gb
-
-        drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
-        self.finalize_task_space(pset, dataset)
+            drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
+            self.finalize_task_space(pset, dataset)
+        except BaseException:
+            self.rng.bit_generator.state = rng_state
+            self.head.w, self.head.b = head_w, head_b
+            if p_before is not None:
+                pset.p, pset.k = p_before, k_before
+            raise
         # the pool changes only once the task has trained and its space is
         # stored, so a failure above leaves the pool as it was
         if decision.is_grow:

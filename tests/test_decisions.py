@@ -287,8 +287,9 @@ def six_set_probe(n_rows, batch_size, seed=21):
 
 
 class TestPackedProbe:
-    """``gradients`` runs one pass per set and batch; every gradient keeps
-    the bits of the training pass's prompt gradients, averaged."""
+    """``gradients`` makes one ``loss_and_grads`` call per set and batch;
+    every gradient keeps the bits of the training pass's prompt gradients,
+    averaged."""
 
     # 144 rows leave a last batch of 16, and 33 rows a one-row last batch
     # (the gemv case)
@@ -307,13 +308,12 @@ class TestPackedProbe:
     def test_one_pass_per_set_and_batch(self, monkeypatch, n_rows, batch_size):
         probe, sets = six_set_probe(n_rows, batch_size)
         passes = []
-        cross_entropy_pass = encoder_module.cross_entropy_pass
 
         def spy(backbone, head, pset, batch, *args):
             passes.append((pset.id, len(batch)))
-            return cross_entropy_pass(backbone, head, pset, batch, *args)
+            return loss_and_grads(backbone, head, pset, batch, *args)
 
-        monkeypatch.setattr("growcl.decisions.cross_entropy_pass", spy)
+        monkeypatch.setattr("growcl.decisions.loss_and_grads", spy)
         probe.gradients(sets[:3])
         assert passes == [(pset.id, len(x)) for pset in sets[:3] for x, _ in probe.batches]
 
@@ -328,7 +328,7 @@ class TestPackedProbe:
 
     def test_no_sets_no_pass(self, monkeypatch):
         probe, _ = six_set_probe(48, 16)
-        monkeypatch.setattr("growcl.decisions.cross_entropy_pass", None)
+        monkeypatch.setattr("growcl.decisions.loss_and_grads", None)
         assert probe.gradients([]) == []
 
     @pytest.mark.parametrize("what", ["loss", "gradient"])

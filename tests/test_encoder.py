@@ -19,7 +19,6 @@ from growcl.encoder import (
     _attention_block,
     _block_weights,
     class_mask_bias,
-    cross_entropy_pass,
     encode,
     forward_prompted,
     forward_query,
@@ -189,18 +188,6 @@ class TestRowBlocks:
         one_block, _ = peak_and_output(ROW_BLOCK)
         many_blocks, out_bytes = peak_and_output(40 * ROW_BLOCK)
         assert many_blocks < 2 * one_block + out_bytes, (many_blocks, one_block, out_bytes)
-
-
-class TestGroupedPass:
-    """``cross_entropy_pass`` is the pass that training and the probe share."""
-
-    def test_one_group_gradient_is_the_training_gradient(self, setup):
-        backbone, head, pset, batch, labels = setup
-        feats, loss, backward = cross_entropy_pass(backbone, head, pset, batch, labels, range(8))
-        ref_loss, grad, _, _ = loss_and_grads(backbone, head, pset, batch, labels, range(8))
-        assert feats.shape == (len(batch), CFG.d_model)
-        assert float(loss) == ref_loss
-        assert np.array_equal(backward()[1], grad.p)
 
 
 def finite_difference_entry(build_loss, arr, idx, h=1e-4):

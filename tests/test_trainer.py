@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growcl import snapshot, trainer
+from growcl import cli, snapshot, trainer
 from growcl.config import load_config
 from growcl.decisions import GradientProbe, dynamic_threshold, hindrance, hindrance_for_old_set
 from growcl.encoder import (
@@ -273,6 +273,71 @@ class TestStepFailures:
         assert sorted(t for tasks in restored.pool.assignments.values() for t in tasks) == [0, 1]
         snapshot.save(resaved, restored)
         snapshot.restore_engine(snapshot.load(resaved), enc, cfg, data)
+
+
+class TestRetryAfterFailure:
+    """A task that fails is retried once its fault is undone, and the run
+    then writes the same bytes as an uninterrupted one: the failure put
+    back the RNG, the head and a reused set's prompts and key."""
+
+    @staticmethod
+    def poison_set_0(engine):
+        p = engine.pool.sets[0].p
+        held = p[0, 0, 0]
+        p[0, 0, 0] = np.nan
+
+        def undo():
+            p[0, 0, 0] = held
+
+        return undo
+
+    @staticmethod
+    def fail_fourth_step(engine):
+        # three steps move the set, the head and the RNG before the failure
+        steps = []
+
+        def step(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 4:
+                raise NonFiniteError("non-finite loss")
+            return loss_and_grads(*args, **kwargs)
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(trainer, "loss_and_grads", step)
+        return patch.undo
+
+    @pytest.mark.parametrize("mode, fault", [
+        ("lw2g", "poison_set_0"),
+        ("grow_always", "poison_set_0"),
+        ("lw2g", "fail_fourth_step"),
+        ("grow_always", "fail_fourth_step"),
+        ("single_set", "fail_fourth_step"),
+    ])
+    def test_retried_task_writes_the_uninterrupted_runs_bytes(self, monkeypatch, tmp_path, mode,
+                                                              fault):
+        def interrupted_run(enc_cfg, cfg, datasets):
+            engine = Engine.fresh(enc_cfg, cfg, datasets)
+            engine.train_task()
+            engine.evaluate_after()
+            undo = getattr(self, fault)(engine)
+            try:
+                with np.errstate(all="ignore"), pytest.raises(TrainerError, match="^task 1, "):
+                    engine.train_task()
+            finally:
+                undo()
+            assert engine.tasks_done == 1
+            while engine.tasks_done < len(datasets):
+                engine.train_task()
+                engine.evaluate_after()
+            return engine
+
+        args = ["run", "--config", str(ROOT / "configs" / "quick.cfg"), "--mode", mode]
+        assert cli.main([*args, "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setattr(cli, "run_stream", interrupted_run)
+        assert cli.main([*args, "--out", str(tmp_path / "retried")]) == 0
+        for name in ("report.json", "trace.jsonl", "metrics.csv", "snapshot.bin"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "retried" / name).read_bytes() == plain, name
 
 
 class TestSegmentMap:
