@@ -11,7 +11,9 @@ Three sections, all optional keys falling back to dataclass defaults:
     [train]    eps_task, eps_pre, phi, n_fft, epochs, batch_size, lr, seed,
                mode, probe_samples, space_samples, pretrain_steps
 
-Unknown keys or sections are rejected so typos fail loudly.
+Unknown keys or sections are rejected so typos fail loudly. The
+``similarity`` key fills the ``similarity_schedule`` field, and only that
+spelling is a key. Config files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class ConfigError(ValueError):
 
 _SECTIONS = {"stream": StreamSpec, "encoder": EncoderConfig, "train": TrainConfig}
 _TUPLE_KEYS = {"similarity_schedule", "prompted_blocks"}
-_ALIASES = {"stream": {"similarity": "similarity_schedule"}}
+_RENAMED_KEYS = {"stream": {"similarity": "similarity_schedule"}}  # config key -> field
 
 
 def _coerce(value: str, target_type, key: str):
@@ -59,14 +61,16 @@ def parse_config(text: str):
     built = {}
     for section, cls in _SECTIONS.items():
         kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
+        by_key = {f.name: f for f in fields(cls)}
+        for key, name in _RENAMED_KEYS.get(section, {}).items():
+            by_key[key] = by_key.pop(name)
         if parser.has_section(section):
             for key, value in parser.items(section):
-                key = _ALIASES.get(section, {}).get(key, key)
-                if key not in by_name:
+                if key not in by_key:
                     raise ConfigError(f"invalid [{section}] config: unknown key {key!r}")
+                field = by_key[key]
                 try:
-                    kwargs[key] = _coerce(value, type(by_name[key].default), key)
+                    kwargs[field.name] = _coerce(value, type(field.default), field.name)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
         if section == "encoder":
@@ -83,8 +87,8 @@ def parse_config(text: str):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return text, parse_config(text)

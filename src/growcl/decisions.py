@@ -13,13 +13,14 @@ smallest gap.
 A task's ``GradientProbe`` makes one ``loss_and_grads`` call (one encoder
 pass, no update) per set and batch, and a set's gradient is the mean of its
 batches' gradients: the training step's cross-entropy gradient, averaged.
-The engine asks once per task, for every pool set, and hands the gradients
-to both readers: the decision and transfer ranking.
+The engine probes each pool set once per task, accepts only a finite,
+nonzero gradient, and hands the gradients to both readers: the decision and
+transfer ranking.
 
 Stored spaces are per segment, keyed by the encoder's segment names
 (``block{b}`` per prompted block, then ``key``), and every projection here
 walks a gradient's ``segments()``: each segment's rows are projected onto
-(or off) the basis stored under the same name.
+(or off) the basis stored under the same name, which every space map holds.
 
 Also here: the soft constraint that keeps updates consistent with the
 pre-trained feature space, selection of frozen transfer prompts, and the
@@ -35,10 +36,6 @@ import numpy as np
 
 from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, loss_and_grads
 from growcl.subspace import HfcValue, hfc, project_rows
-
-
-class DecisionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -88,27 +85,21 @@ def decide(records) -> GrowDecision:
 def project_gradient(grad: GradientVector, spaces: dict, complement: bool = False) -> GradientVector:
     """Apply per-segment span (or complement) projections to a gradient.
 
-    ``spaces`` maps segment names to Basis objects in the feature dimension;
-    each segment is projected row-wise (every row lives in feature space).
-    Segments without a stored basis behave as an empty span: projection
-    zero, complement identity.
+    ``spaces`` maps every segment name to a Basis in the feature dimension
+    (``Basis.empty`` for a segment with no span); each segment is projected
+    row-wise (every row lives in feature space).
     """
     parts = []
     for name, rows in grad.segments().items():
-        basis = spaces.get(name)
-        if basis is None:
-            parts.append(rows if complement else np.zeros_like(rows))
-            continue
-        proj = project_rows(rows, basis)
+        proj = project_rows(rows, spaces[name])
         parts.append(rows - proj if complement else proj)
     return GradientVector(np.concatenate(parts).ravel(), grad.cfg)
 
 
 def hindrance(grad: GradientVector, spaces: dict) -> HfcValue:
     """Angle between a gradient and its projection onto the complement of
-    the stored spaces (the part an orthogonal update would keep)."""
-    if grad.norm == 0.0:
-        raise DecisionError("degenerate subset batch: zero probe gradient")
+    the stored spaces (the part an orthogonal update would keep). ``grad``
+    is nonzero: ``hfc`` rejects a zero gradient."""
     surviving = project_gradient(grad, spaces, complement=True)
     return hfc(grad.flat, surviving.flat)
 
@@ -126,10 +117,6 @@ class GradientProbe:
     head: Head
     head_mask: tuple
     batches: list  # [(x, y), ...], at least one
-
-    def gradients(self, psets) -> list:
-        """The probe gradients of ``psets``, in order."""
-        return [self.gradient(pset) for pset in psets]
 
     def gradient(self, pset: PromptSet) -> GradientVector:
         """``pset``'s probe gradient: the ``loss_and_grads`` gradients of its
@@ -178,9 +165,7 @@ def apply_soft_constraint(grad: GradientVector, phi: float, pre_space: dict) -> 
 
 
 def transfer_score(grad: GradientVector, spaces: dict) -> float:
-    """Fraction of the gradient's norm lying inside the stored space."""
-    if grad.norm == 0.0:
-        return 0.0
+    """Fraction of the gradient's (nonzero) norm lying inside the stored space."""
     return project_gradient(grad, spaces).norm / grad.norm
 
 

@@ -13,7 +13,7 @@ every task is trained), and ``evaluate_after`` fills that task's column of
 ``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
-its frozen transfer rows, in one call, and only when the decision (``lw2g``)
+its frozen transfer rows, once each, and only when the decision (``lw2g``)
 or transfer ranking (``grow_always`` with ``n_fft > 0``) reads the gradients
 (a non-finite loss or gradient, or a zero gradient, raises ``TrainerError``
 naming the task and the set), (2) decides grow-or-reuse (the first task
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from growcl.decisions import (
-    DecisionError,
     GradientProbe,
     GrowDecision,
     HindranceRecord,
@@ -282,7 +281,7 @@ class Engine:
             pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
             grads = self._probe(task_id, probe)
-            decision = self._decide(task_id, grads, pre_space)
+            decision = self._decide(grads, pre_space)
 
             if decision.is_grow:
                 pset = PromptSet.init(self.enc_cfg, self.rng, set_id=len(self.pool))
@@ -337,31 +336,32 @@ class Engine:
     # -- decision plumbing ---------------------------------------------------------
 
     def _probe(self, task_id: int, probe: GradientProbe) -> dict:
-        """Every pool set's probe gradient by set id, in one call, or none
-        when nothing reads them: the decision reads them in ``lw2g``,
-        transfer in ``grow_always`` when ``n_fft > 0``."""
+        """Every pool set's probe gradient by set id, or none when nothing
+        reads them: the decision reads them in ``lw2g``, transfer in
+        ``grow_always`` when ``n_fft > 0``. Every gradient returned is finite
+        and nonzero; any other raises ``TrainerError`` naming the task and
+        the set."""
         read = self.cfg.mode == "lw2g" or (self.cfg.mode == "grow_always" and self.cfg.n_fft > 0)
-        if not (read and self.pool.sets):
+        if not read:
             return {}
-        try:
-            grads = probe.gradients(self.pool.sets)
-        except NonFiniteError as exc:
-            raise TrainerError(f"task {task_id}, {exc}") from exc
-        return {pset.id: g for pset, g in zip(self.pool.sets, grads)}
+        grads = {}
+        for pset in self.pool.sets:
+            try:
+                grads[pset.id] = probe.gradient(pset)
+            except NonFiniteError as exc:
+                raise TrainerError(f"task {task_id}, {exc}") from exc
+            if grads[pset.id].norm == 0.0:
+                raise TrainerError(f"task {task_id}, set {pset.id}: degenerate subset batch: zero probe gradient")
+        return grads
 
-    def _decide(self, task_id: int, grads: dict, pre_space: dict) -> GrowDecision:
+    def _decide(self, grads: dict, pre_space: dict) -> GrowDecision:
         if self.tasks_done == 0 or self.cfg.mode == "grow_always":
             return GrowDecision(None, ())
         if self.cfg.mode == "single_set":
             return GrowDecision(0, ())
-        records = []
-        for sid, g in grads.items():
-            try:
-                old_val = hindrance_for_old_set(g, self.memory.old_spaces[sid])
-                pre_val = dynamic_threshold(g, pre_space)
-            except DecisionError as exc:
-                raise TrainerError(f"task {task_id}, set {sid}: {exc}") from exc
-            records.append(HindranceRecord(sid, old_val, pre_val))
+        records = [HindranceRecord(sid, hindrance_for_old_set(g, self.memory.old_spaces[sid]),
+                                   dynamic_threshold(g, pre_space))
+                   for sid, g in grads.items()]
         return decide(records)
 
     def _attach_transfer_prompts(self, pset: PromptSet, grads: dict):
@@ -371,9 +371,7 @@ class Engine:
         once per set, when it grows: a reused set keeps the frozen rows its
         earlier tasks were trained with, which the orthogonal projection of
         its own prompts cannot guard."""
-        chosen = []
-        if self.cfg.n_fft:
-            chosen = select_transfer_sets(grads, self.memory.old_spaces, self.cfg.n_fft)
+        chosen = select_transfer_sets(grads, self.memory.old_spaces, self.cfg.n_fft)
         pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
         pset.sources = chosen
 

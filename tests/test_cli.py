@@ -11,7 +11,7 @@ import pytest
 
 from growcl import trainer
 from growcl.cli import main, replay_rows
-from growcl.config import _ALIASES, _SECTIONS, ConfigError, parse_config
+from growcl.config import _RENAMED_KEYS, _SECTIONS, ConfigError, parse_config
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
     SIX_SETS_FINAL_POOL,
@@ -110,7 +110,7 @@ class TestConfigParsing:
         for name, cls in _SECTIONS.items():
             bullet = re.search(rf"^- `\[{name}\]`:(.*?)(?=^- |^$)", section, re.M | re.S).group(1)
             listed = set(re.findall(r"`([a-z_]+)`", re.sub(r"\([^()]*\)", "", bullet)))
-            key_of = {f: key for key, f in _ALIASES.get(name, {}).items()}
+            key_of = {f: key for key, f in _RENAMED_KEYS.get(name, {}).items()}
             assert listed == {key_of.get(f.name, f.name) for f in fields(cls)}, name
 
     def test_input_dim_taken_from_stream_dim(self):
@@ -130,6 +130,12 @@ class TestConfigParsing:
     def test_similarity_alias(self):
         spec, _, _ = parse_config("[stream]\nn_tasks = 2\nsimilarity = 0,1\n")
         assert spec.similarity_schedule == (0.0, 1.0)
+
+    def test_similarity_schedule_is_not_a_key(self):
+        # one spelling, so a section holding both is rejected, not read last-wins
+        for text in ("similarity_schedule = 0,1\n", "similarity = 0,1\nsimilarity_schedule = 0,0\n"):
+            with pytest.raises(ConfigError, match="unknown key 'similarity_schedule'"):
+                parse_config("[stream]\nn_tasks = 2\n" + text)
 
 
 class TestRun:
@@ -193,6 +199,13 @@ class TestRun:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        # a Latin-1 comment: configs are read as UTF-8
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"; caf\xe9\n" + CONFIG_TEXT.encode())
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
 
     def test_empty_prompted_blocks_exits_1(self, tmp_path, capsys):
         # no prompted block: no task gradient could reach a prompt set
@@ -281,16 +294,18 @@ class TestRun:
         cfg.write_text(config_with("stream", "samples_per_class", "3"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    def test_zero_probe_gradient_exits_2_naming_task_and_set(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["lw2g", "grow_always"])
+    def test_zero_probe_gradient_exits_2_naming_task_and_set(self, tmp_path, capsys, mode):
         # Too large to overflow, this rate saturates the head during task 0,
-        # so task 1's probe of set 0 has no gradient left.
+        # so task 1's probe of set 0 has no gradient left; lw2g reads that
+        # probe for its decision, grow_always for transfer.
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(CONFIG_TEXT.replace("lr = 0.3", "lr = 1e305"))
+        cfg.write_text(config_with("train", "mode", mode).replace("lr = 0.3", "lr = 1e305"))
         with np.errstate(all="ignore"):
             rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "runtime error: task 1, set 0: degenerate subset batch: zero probe gradient" in err
+        assert err == "runtime error: task 1, set 0: degenerate subset batch: zero probe gradient\n"
 
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

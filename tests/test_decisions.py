@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from growcl import encoder as encoder_module
 from growcl.decisions import (
-    DecisionError,
     GradientProbe,
     GrowDecision,
     HindranceRecord,
@@ -31,7 +30,7 @@ from growcl.encoder import (
     PromptSet,
     loss_and_grads,
 )
-from growcl.subspace import Basis, HfcValue, hfc, project, project_complement
+from growcl.subspace import Basis, HfcValue, SubspaceError, hfc, project, project_complement
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
     SIX_SETS_MIN_Z,
@@ -54,6 +53,11 @@ def record(set_id, old_deg, pre_deg):
 
 def gradient_from_flat(flat):
     return GradientVector(np.asarray(flat, dtype=float), CFG)
+
+
+def spaces_with(**bases):
+    """A space map over every segment: ``bases`` by name, the rest empty."""
+    return {name: bases.get(name, Basis.empty(CFG.d_model)) for name in SEGMENTS}
 
 
 def replay_decisions(trace):
@@ -133,7 +137,7 @@ class TestProjectGradient:
         flat = rng.standard_normal(SIZE)
         g = gradient_from_flat(flat)
         basis = Basis(np.eye(CFG.d_model, 2))
-        spaces = {"block0": basis}
+        spaces = spaces_with(block0=basis)
         proj = project_gradient(g, spaces)
         # block0 rows keep only their first two feature coordinates
         seg = proj.segments()["block0"]
@@ -147,7 +151,7 @@ class TestProjectGradient:
     def test_complement_leaves_unspanned_segments(self):
         rng = np.random.default_rng(1)
         g = gradient_from_flat(rng.standard_normal(SIZE))
-        spaces = {"key": Basis(np.eye(CFG.d_model, 1))}
+        spaces = spaces_with(key=Basis(np.eye(CFG.d_model, 1)))
         comp = project_gradient(g, spaces, complement=True)
         np.testing.assert_allclose(comp.p, g.p)
         assert comp.k[0] == pytest.approx(0.0)
@@ -172,7 +176,7 @@ class TestHindrance:
         g = np.zeros(SIZE)
         key = g[-CFG.d_model:]
         key[1] = 1.0  # e2 direction
-        spaces = {"key": Basis(np.eye(CFG.d_model, 1))}  # span{e1}
+        spaces = spaces_with(key=Basis(np.eye(CFG.d_model, 1)))  # span{e1}
         val = hindrance(gradient_from_flat(g), spaces)
         assert val.angle == pytest.approx(0.0, abs=1e-12)
 
@@ -184,8 +188,8 @@ class TestHindrance:
         assert val.angle == pytest.approx(math.pi / 2)
 
     def test_zero_gradient_rejected(self):
-        with pytest.raises(DecisionError):
-            hindrance(gradient_from_flat(np.zeros(SIZE)), {})
+        with pytest.raises(SubspaceError):
+            hindrance(gradient_from_flat(np.zeros(SIZE)), spaces_with())
 
 
 @pytest.fixture
@@ -199,6 +203,19 @@ def probe_setup():
     probe = GradientProbe(backbone, head, tuple(range(6)), batches)
     pset = PromptSet.init(CFG, rng, 0)
     return probe, pset, rng
+
+
+def six_set_probe(n_rows, batch_size, seed=21):
+    """A probe over ``n_rows`` rows cut into batches the way the engine cuts
+    them, and six sets whose prompts differ."""
+    rng = np.random.default_rng(seed)
+    backbone = FrozenBackbone.init(CFG, rng)
+    head = Head.init(CFG.d_model, 6, rng)
+    x = rng.standard_normal((n_rows, CFG.input_dim))
+    y = rng.integers(0, 3, size=n_rows)
+    batches = [(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, n_rows, batch_size)]
+    sets = [PromptSet.init(CFG, rng, sid) for sid in range(6)]
+    return GradientProbe(backbone, head, (0, 1, 2), batches), sets
 
 
 class TestProbe:
@@ -223,7 +240,7 @@ class TestProbe:
     def test_dynamic_threshold_deterministic_and_fresh(self, probe_setup):
         probe, pset, rng = probe_setup
         q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 2)))
-        pre = {"block0": Basis(q), "block1": Basis(q)}
+        pre = spaces_with(block0=Basis(q), block1=Basis(q))
         g = probe.gradient(pset)
         held = g.flat.copy()
         a = dynamic_threshold(g, pre)
@@ -236,7 +253,7 @@ class TestProbe:
         # against the same spaces it coincides with the set's own hindrance.
         probe, pset, rng = probe_setup
         q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 2)))
-        spaces = {"block0": Basis(q)}
+        spaces = spaces_with(block0=Basis(q))
         g = probe.gradient(pset)
         old = hindrance_for_old_set(g, spaces)
         thr = dynamic_threshold(g, spaces)
@@ -261,49 +278,8 @@ class TestProbe:
         want = hfc(g.flat, np.concatenate(pieces)).angle
         assert thr.angle == pytest.approx(want, abs=1e-12)
 
-
-def one_set_at_a_time(probe, pset):
-    """Reference probe gradient: one training pass per batch over the bare
-    set, summed in batch order, then averaged."""
-    bare = PromptSet(pset.p, pset.k, pset.id)
-    acc = None
-    for x, y in probe.batches:
-        g = loss_and_grads(probe.backbone, probe.head, bare, x, y, probe.head_mask)[1]
-        acc = g.flat if acc is None else acc + g.flat
-    return acc / len(probe.batches)
-
-
-def six_set_probe(n_rows, batch_size, seed=21):
-    """A probe over ``n_rows`` rows cut into batches the way the engine cuts
-    them, and six sets whose prompts differ."""
-    rng = np.random.default_rng(seed)
-    backbone = FrozenBackbone.init(CFG, rng)
-    head = Head.init(CFG.d_model, 6, rng)
-    x = rng.standard_normal((n_rows, CFG.input_dim))
-    y = rng.integers(0, 3, size=n_rows)
-    batches = [(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, n_rows, batch_size)]
-    sets = [PromptSet.init(CFG, rng, sid) for sid in range(6)]
-    return GradientProbe(backbone, head, (0, 1, 2), batches), sets
-
-
-class TestPackedProbe:
-    """``gradients`` makes one ``loss_and_grads`` call per set and batch;
-    every gradient keeps the bits of the training pass's prompt gradients,
-    averaged."""
-
     # 144 rows leave a last batch of 16, and 33 rows a one-row last batch
     # (the gemv case)
-    @pytest.mark.parametrize("n_rows, batch_size", [(144, 32), (33, 32), (48, 16)])
-    @pytest.mark.parametrize("n_sets", [1, 2, 3])
-    def test_packed_equals_one_set_at_a_time_bit_for_bit(self, n_rows, batch_size, n_sets):
-        probe, sets = six_set_probe(n_rows, batch_size)
-        sets = sets[:n_sets]
-        grads = probe.gradients(sets)
-        assert [g.flat.shape for g in grads] == [(SIZE,)] * n_sets
-        for pset, g in zip(sets, grads):
-            assert np.array_equal(g.flat, one_set_at_a_time(probe, pset)), pset.id
-            assert np.array_equal(g.flat, probe.gradient(pset).flat), pset.id
-
     @pytest.mark.parametrize("n_rows, batch_size", [(144, 32), (33, 32)])
     def test_one_pass_per_set_and_batch(self, monkeypatch, n_rows, batch_size):
         probe, sets = six_set_probe(n_rows, batch_size)
@@ -314,22 +290,9 @@ class TestPackedProbe:
             return loss_and_grads(backbone, head, pset, batch, *args)
 
         monkeypatch.setattr("growcl.decisions.loss_and_grads", spy)
-        probe.gradients(sets[:3])
+        for pset in sets[:3]:
+            probe.gradient(pset)
         assert passes == [(pset.id, len(x)) for pset in sets[:3] for x, _ in probe.batches]
-
-    def test_a_set_with_frozen_rows_is_probed_bare(self):
-        probe, sets = six_set_probe(144, 32)
-        bare = [g.flat for g in probe.gradients(sets[:3])]
-        rng = np.random.default_rng(4)
-        sets[1].extra = rng.standard_normal((CFG.n_prompted, 3, CFG.d_model))
-        with_rows = probe.gradients(sets[:3])
-        for before, after in zip(bare, with_rows):
-            assert np.array_equal(before, after.flat)
-
-    def test_no_sets_no_pass(self, monkeypatch):
-        probe, _ = six_set_probe(48, 16)
-        monkeypatch.setattr("growcl.decisions.loss_and_grads", None)
-        assert probe.gradients([]) == []
 
     @pytest.mark.parametrize("what", ["loss", "gradient"])
     def test_non_finite_names_the_set(self, monkeypatch, what):
@@ -341,7 +304,8 @@ class TestPackedProbe:
                                 lambda logp, labels: np.full(logp.shape, np.inf))
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
                                                       match=f"^set {3 if what == 'loss' else 0}: non-finite {what}$"):
-            probe.gradients(sets[:4])
+            for pset in sets[:4]:
+                probe.gradient(pset)
 
 
 class TestSoftConstraint:
@@ -370,7 +334,7 @@ class TestSoftConstraint:
         flat = np.zeros(SIZE)
         flat[-CFG.d_model:][:2] = [1.0, 1.0]
         g = gradient_from_flat(flat)
-        spaces = {"key": Basis(np.eye(CFG.d_model, 1))}
+        spaces = spaces_with(key=Basis(np.eye(CFG.d_model, 1)))
         out = apply_soft_constraint(g, 0.5, spaces)
         assert out.k[0] == pytest.approx(0.5)
         assert out.k[1] == pytest.approx(1.0)
@@ -402,8 +366,8 @@ class TestTransferSelection:
         flat[-CFG.d_model:][0] = 1.0
         g = gradient_from_flat(flat)
         spaces = {
-            0: {"key": Basis(np.eye(CFG.d_model, 1))},      # contains g
-            1: {"key": Basis(np.eye(CFG.d_model)[:, 1:2])},  # orthogonal to g
+            0: spaces_with(key=Basis(np.eye(CFG.d_model, 1))),      # contains g
+            1: spaces_with(key=Basis(np.eye(CFG.d_model)[:, 1:2])),  # orthogonal to g
         }
         assert select_transfer_sets({0: g, 1: g}, spaces, 1) == [0]
 

@@ -146,26 +146,25 @@ class TestTwinTaskReuse:
 
 
 class TestProbeCount:
-    """Probes are counted at ``GradientProbe.gradients``, where every probe
-    of an engine is made."""
+    """Probes are counted at ``GradientProbe.gradient``, one call per probed
+    set, where every probe of an engine is made."""
 
     @staticmethod
     def counted_probes(monkeypatch) -> list:
         calls = []
-        original = GradientProbe.gradients
+        original = GradientProbe.gradient
 
-        def counted(self, psets):
-            psets = list(psets)
-            calls.append([p.id for p in psets])
-            return original(self, psets)
+        def counted(self, pset):
+            calls.append(pset.id)
+            return original(self, pset)
 
-        monkeypatch.setattr(GradientProbe, "gradients", counted)
+        monkeypatch.setattr(GradientProbe, "gradient", counted)
         return calls
 
     def test_each_decided_task_probes_each_set_once(self, monkeypatch):
         # The old-space hindrance and the pre-space floor share one probe
         # gradient, and transfer reuses it, so deciding a task costs one
-        # probe per pool set, all asked for in one call.
+        # probe per pool set.
         calls = self.counted_probes(monkeypatch)
         data = small_stream(3, similarity=(0, 0, 1))
         eng = Engine.fresh(ENC, quick_cfg(mode="lw2g"), data)
@@ -173,17 +172,17 @@ class TestProbeCount:
             pool_before = [p.id for p in eng.pool.sets]
             calls.clear()
             eng.train_task()
-            assert calls == ([pool_before] if t else []), t
+            assert calls == pool_before, t
 
     def test_grow_always_probes_each_earlier_set_once(self, monkeypatch):
-        # no decision: transfer probes every earlier set, in one call
+        # no decision: transfer probes every earlier set once
         calls = self.counted_probes(monkeypatch)
         data = small_stream(4)
         eng = Engine.fresh(ENC, quick_cfg(mode="grow_always"), data)
         for t in range(len(data)):
             calls.clear()
             eng.train_task()
-            assert calls == ([list(range(t))] if t else []), t
+            assert calls == list(range(t)), t
 
     @pytest.mark.parametrize("mode, n_fft", [("grow_always", 0), ("single_set", 1)])
     def test_no_probe_when_nothing_reads_it(self, monkeypatch, mode, n_fft):
