@@ -99,11 +99,23 @@ def cmd_run(args):
           f"pra={report['metrics']['pra']:.4f} ssp={report['metrics']['ssp']} -> {out}")
 
 
+def _json_number(value, what: str, types=(int, float)):
+    """``value`` when it is one of ``types`` (an integer or any number) and
+    not a ``bool``: JSON's ``true`` and ``false`` parse to Python's ``bool``,
+    which is an ``int``. Raises ``ValueError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        kind = "an integer" if types is int else "a number"
+        raise ValueError(f"{what} is {value!r}, not {kind}")
+    return value
+
+
 def replay_rows(rows):
     """Re-run the grow-or-reuse rule over recorded hindrance pairs.
 
     Each row: {"task": t, "records": [{"set": id, "hfc_old_deg": x,
     "hfc_pre_deg": y}, ...]}; a row without records grows unconditionally.
+    ``task`` and ``set`` are integers, both angles are numbers, and a row
+    lists each set at most once; anything else raises ``ValueError``.
     Set ids in the output follow the ids used in the rows: the first grown
     set takes the smallest id referenced anywhere in the trace (so 1-based
     published traces and 0-based engine traces both replay faithfully) and
@@ -113,17 +125,26 @@ def replay_rows(rows):
         records = row.get("records", []) if isinstance(row, dict) else None
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise ValueError(f"row is not an object with a list of record objects: {row!r}")
+        task = _json_number(row.get("task"), "task", int)
+        seen = set()
+        for r in records:
+            sid = _json_number(r.get("set"), f"task {task}: set", int)
+            for key in ("hfc_old_deg", "hfc_pre_deg"):
+                _json_number(r.get(key), f"task {task}, set {sid}: {key}")
+            if sid in seen:
+                raise ValueError(f"task {task} lists set {sid} twice")
+            seen.add(sid)
     assignments = {}
     decisions = []
-    referenced = [int(r["set"]) for row in rows for r in row.get("records", [])]
+    referenced = [r["set"] for row in rows for r in row.get("records", [])]
     next_id = min(referenced, default=0)
     for row in rows:
         task = row["task"]
         records = [
             HindranceRecord(
-                int(r["set"]),
-                HfcValue.from_degrees(float(r["hfc_old_deg"])),
-                HfcValue.from_degrees(float(r["hfc_pre_deg"])),
+                r["set"],
+                HfcValue.from_degrees(r["hfc_old_deg"]),
+                HfcValue.from_degrees(r["hfc_pre_deg"]),
             )
             for r in row.get("records", [])
         ]
@@ -146,7 +167,7 @@ def replay_rows(rows):
 
 
 def cmd_replay(args):
-    with open(args.replay) as fh:
+    with open(args.replay, encoding="utf-8") as fh:
         try:
             rows = [json.loads(line) for line in fh if line.strip()]
             decisions, assignments = replay_rows(rows)
@@ -163,12 +184,11 @@ def cmd_replay(args):
 
 
 def _report_metrics(path) -> dict:
-    """The ``metrics`` object of the report at ``path``; raises when the file
-    is not JSON, or not an object holding a ``metrics`` object whose compared
-    values are null or numbers that convert to a finite float (``json``
-    parses ``NaN`` and ``Infinity``, which no report holds; ``true`` and
-    ``false`` are not numbers, though Python's ``bool`` is an ``int``)."""
-    report = json.loads(Path(path).read_text())
+    """The ``metrics`` object of the UTF-8 report at ``path``; raises when the
+    file is not JSON, or not an object holding a ``metrics`` object whose
+    compared values are null or numbers that convert to a finite float
+    (``json`` parses ``NaN`` and ``Infinity``, which no report holds)."""
+    report = json.loads(Path(path).read_text(encoding="utf-8"))
     metrics = report.get("metrics") if isinstance(report, dict) else None
     if not isinstance(metrics, dict):
         raise ValueError('not an object with a "metrics" object')
@@ -176,9 +196,8 @@ def _report_metrics(path) -> dict:
         value = metrics.get(key)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"metric {key!r} is {value!r}, not a number or null")
-        if not math.isfinite(value):  # an integer past the float range raises OverflowError
+        # an integer past the float range raises OverflowError
+        if not math.isfinite(_json_number(value, f"metric {key!r}")):
             raise ValueError(f"metric {key!r} is {value!r}, not finite")
     return metrics
 

@@ -153,10 +153,8 @@ def dynamic_threshold(grad: GradientVector, pre_space: dict) -> HfcValue:
 
 def apply_soft_constraint(grad: GradientVector, phi: float, pre_space: dict) -> GradientVector:
     """Remove a (1 - phi) fraction of the gradient's component inside the
-    pre-trained feature space: g - (1 - phi) * Proj_pre(g). At ``phi == 1``
-    that is ``grad`` itself. ``TrainConfig`` keeps phi in [0, 1]."""
-    if phi == 1.0:
-        return grad
+    pre-trained feature space: g - (1 - phi) * Proj_pre(g) at every phi, which
+    gives ``grad``'s values at ``phi = 1``. ``TrainConfig`` keeps phi in [0, 1]."""
     proj = project_gradient(grad, pre_space)
     return GradientVector(grad.flat - (1.0 - phi) * proj.flat, grad.cfg)
 

@@ -2,16 +2,16 @@
 
 Everything downstream (gradient surgery, grow-or-reuse decisions, memory
 updates) reduces to a handful of operations on orthonormal bases: projecting
-a vector into or out of a span, measuring the angle between a gradient and
-its projection, and extracting/extending bases from representation matrices
-via SVD energy thresholds.
+rows onto a span (their complement is what the projection leaves), measuring
+the angle between a gradient and its projection, and extracting/extending
+bases from representation matrices via SVD energy thresholds.
 
-Conventions: vectors are column vectors in R^d stored as 1-d arrays; a basis
-is a d x k matrix of orthonormal columns; representation matrices stack
-samples as rows (n x d). The engine's reps and bases are all ``d_model``
-wide and ``TrainConfig`` keeps every ``eps`` in (0, 1], so ``project_rows``,
-``hfc``, ``k_rank_basis`` and ``extend_basis`` take both as given;
-``Basis``, ``project`` and ``project_complement`` check what they are given.
+Conventions: a basis is a d x k matrix of orthonormal columns; gradient
+segments and representation matrices stack their vectors as rows (n x d).
+The engine's reps and bases are all ``d_model`` wide and ``TrainConfig``
+keeps every ``eps`` in (0, 1], so ``project_rows``, ``hfc``,
+``k_rank_basis`` and ``extend_basis`` take both as given; ``Basis`` checks
+what it is given.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class Basis:
         return cls(np.zeros((dim, 0)))
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def rank(self) -> int:
         return self.matrix.shape[1]
 
@@ -93,28 +89,6 @@ def _check_rows(rows: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise SubspaceError("representation matrix contains non-finite entries")
     return r
-
-
-def _check_vector(v: np.ndarray, basis: Basis) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise SubspaceError(f"expected a vector, got shape {v.shape}")
-    if v.shape[0] != basis.dim:
-        raise SubspaceError(f"dimension mismatch: vector {v.shape[0]} vs basis {basis.dim}")
-    return v
-
-
-def project(v: np.ndarray, basis: Basis) -> np.ndarray:
-    """Project ``v`` onto span(basis): B B^T v."""
-    v = _check_vector(v, basis)
-    b = basis.matrix
-    return b @ (b.T @ v)
-
-
-def project_complement(v: np.ndarray, basis: Basis) -> np.ndarray:
-    """Project ``v`` onto the orthogonal complement of span(basis)."""
-    v = _check_vector(v, basis)
-    return v - project(v, basis)
 
 
 def project_rows(rows: np.ndarray, basis: Basis) -> np.ndarray:

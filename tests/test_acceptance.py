@@ -27,7 +27,7 @@ from growcl.encoder import (
 )
 from growcl.metrics import AccuracyMatrix, faa, ffm, pra, ssp
 from growcl.stream import StreamSpec, generate
-from growcl.subspace import Basis, extend_basis, hfc, k_rank_basis, project, project_complement
+from growcl.subspace import Basis, extend_basis, hfc, k_rank_basis, project_rows
 from growcl.trainer import Engine, TrainConfig, run_stream
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
@@ -59,12 +59,12 @@ def test_criterion_01_nested_span_hindrance_monotone():
         wide = random_orthonormal(rng, d, small + extra)
         b1, b2 = Basis(wide[:, :small]), Basis(wide)
         v = rng.standard_normal(d)
-        p1 = project(v, b1)
+        p1 = project_rows(v[None], b1)[0]
         if np.linalg.norm(p1) < 1e-12:
             v += wide[:, 0]  # force a nonzero component in the smaller span
-            p1 = project(v, b1)
+            p1 = project_rows(v[None], b1)[0]
         a1 = hfc(v, p1).angle
-        a2 = hfc(v, project(v, b2)).angle
+        a2 = hfc(v, project_rows(v[None], b2)[0]).angle
         if a1 < a2 - 1e-9:
             violations += 1
     elapsed = time.time() - start
@@ -79,12 +79,12 @@ def test_criterion_02_projection_identities():
         d = int(rng.integers(2, 33))
         k = int(rng.integers(1, d + 1))
         b = Basis(random_orthonormal(rng, d, k))
-        v = rng.standard_normal(d)
-        p = project(v, b)
-        c = project_complement(v, b)
-        assert np.all(np.abs(project(p, b) - p) < 1e-10)
+        v = rng.standard_normal((1, d))  # one row
+        p = project_rows(v, b)
+        c = v - p  # the complement projection
+        assert np.all(np.abs(project_rows(p, b) - p) < 1e-10)
         assert np.all(np.abs(p + c - v) < 1e-10)
-        assert np.all(np.abs(b.matrix.T @ c) < 1e-10)
+        assert np.all(np.abs(c @ b.matrix) < 1e-10)
 
 
 def test_criterion_03_decision_trace_replication():
@@ -139,7 +139,7 @@ def test_criterion_04_no_forgetting_drift():
 
 
 def test_criterion_05_soft_constraint_behavior():
-    """phi=1 bit-identical; phi=0 kills the span component; norm monotone."""
+    """phi=1 keeps the gradient's values; phi=0 kills the span component; norm monotone."""
     enc = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3,
                         prompted_blocks=(0, 1), input_dim=24, n_feature_tokens=3)
     cfg = TrainConfig(epochs=1, lr=0.3, seed=5, pretrain_steps=20,

@@ -375,6 +375,27 @@ class TestReplay:
             assert main(["replay", "--replay", str(path)]) == 2, angle
             assert "outside [0, pi/2]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [
+        {"task": 1, "records": [{"set": 0.7, "hfc_old_deg": "3", "hfc_pre_deg": True}]},
+        {"task": 1, "records": [{"set": 0.7, "hfc_old_deg": 3, "hfc_pre_deg": 1}]},
+        {"task": 1, "records": [{"set": True, "hfc_old_deg": 3, "hfc_pre_deg": 1}]},
+        {"task": 1, "records": [{"set": "0", "hfc_old_deg": 3, "hfc_pre_deg": 1}]},
+        {"task": 1, "records": [{"set": 0, "hfc_old_deg": "3", "hfc_pre_deg": 1}]},
+        {"task": 1, "records": [{"set": 0, "hfc_old_deg": 3, "hfc_pre_deg": True}]},
+        {"task": 1.5, "records": [{"set": 0, "hfc_old_deg": 3, "hfc_pre_deg": 1}]},
+        {"task": "1", "records": []},
+        {"task": False, "records": []},
+        {"task": 1, "records": [{"set": 0, "hfc_old_deg": 3, "hfc_pre_deg": 1},
+                                {"set": 0, "hfc_old_deg": 4, "hfc_pre_deg": 2}]},
+    ])
+    def test_coercible_fields_and_repeated_sets_exit_2(self, tmp_path, capsys, row):
+        # integer task and set, numeric angles, each set once per row: a
+        # string, a bool, a fraction or a repeat is refused, not coerced
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        assert main(["replay", "--replay", str(path)]) == 2
+        assert "runtime error: malformed trace: " in capsys.readouterr().err
+
     def test_replay_rows_z_values(self):
         rows = [{"task": 1, "records": []},
                 {"task": 2, "records": [{"set": 1, "hfc_old_deg": 8.81, "hfc_pre_deg": 7.17}]}]
@@ -399,8 +420,11 @@ class TestReplay:
 class TestModuleEntryPoint:
     """``python -m growcl`` runs ``cli.main`` and exits with its code."""
 
-    def run_module(self, *args):
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # an ASCII locale with Python's UTF-8 mode off: ``open`` defaults to ASCII
+    ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+    def run_module(self, *args, **env):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **env}
         return subprocess.run([sys.executable, "-m", "growcl", *map(str, args)], env=env,
                               capture_output=True, text=True, timeout=120)
 
@@ -411,6 +435,26 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         summary = json.loads(done.stdout.strip().split("\n")[-1])
         assert summary["decisions"] == decision_strings(TWO_SETS_DECISIONS)
+
+    def test_replay_reads_utf8_in_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        rows = trace_jsonl(TRACE_TWO_SETS, path)
+        rows[0]["note"] = "café"
+        path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n",
+                        encoding="utf-8")
+        done = self.run_module("replay", "--replay", path, **self.ASCII_LOCALE)
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout.strip().split("\n")[-1])
+        assert summary["decisions"] == decision_strings(TWO_SETS_DECISIONS)
+
+    def test_compare_reads_utf8_in_an_ascii_locale(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, faa in ((a, 0.5), (b, 0.75)):
+            report = {"schema": 1, "note": "café", "metrics": {"faa": faa, "ffm": 0.1, "pra": 0.6, "ssp": 3}}
+            path.write_text(json.dumps(report, ensure_ascii=False), encoding="utf-8")
+        done = self.run_module("compare", a, b, **self.ASCII_LOCALE)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().split("\n")[-1])["delta_faa"] == 0.25
 
     def test_compare_on_a_malformed_report_exits_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -30,7 +30,7 @@ from growcl.encoder import (
     PromptSet,
     loss_and_grads,
 )
-from growcl.subspace import Basis, HfcValue, SubspaceError, hfc, project, project_complement
+from growcl.subspace import Basis, HfcValue, SubspaceError, hfc
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
     SIX_SETS_MIN_Z,
@@ -157,8 +157,8 @@ class TestProjectGradient:
         assert comp.k[0] == pytest.approx(0.0)
 
     def test_matches_single_space_composition(self):
-        # With one basis per segment the flat-vector hindrance equals the
-        # composition of project_complement + hfc on the concatenation.
+        # With one basis per segment the flat-vector hindrance equals hfc of
+        # the concatenated complements r - B B^T r, row by row.
         rng = np.random.default_rng(2)
         g = gradient_from_flat(rng.standard_normal(SIZE))
         q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 3)))
@@ -166,7 +166,8 @@ class TestProjectGradient:
         got = hindrance(g, spaces)
         pieces = []
         for name, rows in g.segments().items():
-            pieces.append(np.stack([project_complement(r, spaces[name]) for r in rows]).ravel())
+            b = spaces[name].matrix
+            pieces.append(np.stack([r - b @ (b.T @ r) for r in rows]).ravel())
         want = hfc(g.flat, np.concatenate(pieces))
         assert got.angle == pytest.approx(want.angle, abs=1e-12)
 

@@ -13,8 +13,6 @@ from growcl.subspace import (
     extend_basis,
     hfc,
     k_rank_basis,
-    project,
-    project_complement,
     project_rows,
 )
 
@@ -30,6 +28,19 @@ def gram_projection_oracle(v, b):
     return b @ coef
 
 
+def random_rows(rng, d):
+    """A stack of 1-8 rows in R^d: the engine projects a segment's rows at once."""
+    return rng.standard_normal((int(rng.integers(1, 9)), d))
+
+
+def assert_rows_match_oracle(rows, got, b, atol=1e-10):
+    """Every row of ``got`` is its row of ``rows`` projected by the Gram oracle.
+    Within a tolerance: numpy rounds a one-row product differently from a
+    many-row one."""
+    for v, p in zip(rows, got):
+        assert np.allclose(p, gram_projection_oracle(v, b), atol=atol)
+
+
 class TestBasis:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(SubspaceError):
@@ -41,61 +52,65 @@ class TestBasis:
 
     def test_empty_basis(self):
         b = Basis.empty(4)
-        assert b.rank == 0 and b.dim == 4
+        assert b.rank == 0 and b.matrix.shape == (4, 0)
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(project(v, b), 0.0)
-        assert np.allclose(project_complement(v, b), v)
-        assert np.array_equal(project_rows(np.stack([v, -v]), b), np.zeros((2, 4)))
+        rows = np.stack([v, -v])
+        assert np.array_equal(project_rows(rows, b), np.zeros((2, 4)))
+        assert np.array_equal(rows - project_rows(rows, b), rows)
 
 
 class TestProject:
     def test_axis_projection(self):
         b = Basis(np.array([[1.0], [0.0]]))
-        assert np.allclose(project(np.array([3.0, 4.0]), b), [3.0, 0.0])
+        rows = np.array([[3.0, 4.0], [-1.0, 2.0]])
+        assert np.allclose(project_rows(rows, b), [[3.0, 0.0], [-1.0, 0.0]])
 
     def test_full_space_identity(self):
         b = Basis(np.eye(2))
-        assert np.allclose(project(np.array([3.0, 4.0]), b), [3.0, 4.0])
+        rows = np.array([[3.0, 4.0], [-1.0, 2.0]])
+        assert np.allclose(project_rows(rows, b), rows)
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             b = random_orthonormal(rng, 5, 2)
-            v = rng.standard_normal(5)
-            got = project(v, Basis(b))
-            assert np.allclose(got, gram_projection_oracle(v, b), atol=1e-10)
+            rows = random_rows(rng, 5)
+            assert_rows_match_oracle(rows, project_rows(rows, Basis(b)), b)
 
     def test_residual_orthogonal_to_basis(self):
         rng = np.random.default_rng(8)
         b = Basis(random_orthonormal(rng, 6, 3))
-        v = rng.standard_normal(6)
-        residual = v - project(v, b)
-        assert np.all(np.abs(b.matrix.T @ residual) < 1e-8)
-
-    def test_dimension_mismatch(self):
-        b = Basis(np.eye(3))
-        with pytest.raises(SubspaceError):
-            project(np.ones(4), b)
+        rows = random_rows(rng, 6)
+        got = project_rows(rows, b)
+        assert_rows_match_oracle(rows, got, b.matrix)
+        assert np.all(np.abs((rows - got) @ b.matrix) < 1e-8)
 
 
 class TestProjectComplement:
+    """The complement of a span is what ``project_rows`` leaves: rows - P(rows)."""
+
     def test_axis(self):
         b = Basis(np.array([[1.0], [0.0]]))
-        assert np.allclose(project_complement(np.array([3.0, 4.0]), b), [0.0, 4.0])
+        rows = np.array([[3.0, 4.0], [-1.0, 2.0]])
+        assert np.allclose(rows - project_rows(rows, b), [[0.0, 4.0], [0.0, 2.0]])
 
     def test_vector_in_span_gives_zero(self):
         rng = np.random.default_rng(9)
         b = random_orthonormal(rng, 5, 3)
-        v = b @ rng.standard_normal(3)
-        assert np.allclose(project_complement(v, Basis(b)), 0.0, atol=1e-12)
+        rows = (b @ rng.standard_normal((3, int(rng.integers(1, 9))))).T
+        got = project_rows(rows, Basis(b))
+        assert_rows_match_oracle(rows, got, b)
+        assert np.allclose(rows - got, 0.0, atol=1e-12)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             d = rng.integers(2, 9)
             b = Basis(random_orthonormal(rng, d, rng.integers(1, d)))
-            v = rng.standard_normal(d)
-            assert np.allclose(project(v, b) + project_complement(v, b), v, atol=1e-10)
+            rows = random_rows(rng, d)
+            p = project_rows(rows, b)
+            assert_rows_match_oracle(rows, p, b.matrix)
+            assert np.allclose(p + (rows - p), rows, atol=1e-10)
 
 
 class TestHfc:
@@ -119,15 +134,17 @@ class TestHfc:
         rng = np.random.default_rng(11)
         for _ in range(50):
             b = Basis(random_orthonormal(rng, 8, 3))
-            g = rng.standard_normal(8)
-            p = project(g, b)
-            got = hfc(g, p).angle
-            # Independent cosine computation.
-            cos = sum(x * y for x, y in zip(g, p)) / (
-                math.sqrt(sum(x * x for x in g)) * math.sqrt(sum(y * y for y in p))
-            )
-            want = math.acos(max(-1.0, min(1.0, cos)))
-            assert got == pytest.approx(want, abs=1e-12)
+            rows = random_rows(rng, 8)
+            projected = project_rows(rows, b)
+            assert_rows_match_oracle(rows, projected, b.matrix)
+            for g, p in zip(rows, projected):
+                got = hfc(g, p).angle
+                # Independent cosine computation.
+                cos = sum(x * y for x, y in zip(g, p)) / (
+                    math.sqrt(sum(x * x for x in g)) * math.sqrt(sum(y * y for y in p))
+                )
+                want = math.acos(max(-1.0, min(1.0, cos)))
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_degrees_roundtrip(self):
         v = HfcValue.from_degrees(30.0)
@@ -241,10 +258,11 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, d + 1))
         b = Basis(random_orthonormal(rng, d, k))
-        v = rng.standard_normal(d)
-        p = project(v, b)
-        assert np.allclose(project(p, b), p, atol=1e-10)
-        assert np.allclose(p + project_complement(v, b), v, atol=1e-10)
+        rows = random_rows(rng, d)
+        p = project_rows(rows, b)
+        assert_rows_match_oracle(rows, p, b.matrix)
+        assert np.allclose(project_rows(p, b), p, atol=1e-10)
+        assert np.allclose(p + (rows - p), rows, atol=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=3, max_value=16), st.integers(min_value=0, max_value=10_000))
@@ -255,23 +273,28 @@ class TestInvariants:
         extra = int(rng.integers(1, d - small))
         big = random_orthonormal(rng, d, small + extra)
         b1, b2 = Basis(big[:, :small]), Basis(big)
-        v = rng.standard_normal(d)
-        if np.linalg.norm(project(v, b1)) < 1e-9:
-            return
-        a1 = hfc(v, project(v, b1)).angle
-        a2 = hfc(v, project(v, b2)).angle
-        assert a1 >= a2 - 1e-9
+        rows = random_rows(rng, d)
+        p1, p2 = project_rows(rows, b1), project_rows(rows, b2)
+        assert_rows_match_oracle(rows, p1, b1.matrix)
+        assert_rows_match_oracle(rows, p2, b2.matrix)
+        for v, q1, q2 in zip(rows, p1, p2):
+            if np.linalg.norm(q1) < 1e-9:
+                continue
+            assert hfc(v, q1).angle >= hfc(v, q2).angle - 1e-9
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10_000))
     def test_complement_duality(self, d, seed):
         rng = np.random.default_rng(seed)
         b = Basis(random_orthonormal(rng, d, int(rng.integers(1, d))))
-        v = rng.standard_normal(d)
-        p, c = project(v, b), project_complement(v, b)
-        if min(np.linalg.norm(p), np.linalg.norm(c)) < 1e-9:
-            return
-        assert hfc(v, p).angle + hfc(v, c).angle == pytest.approx(math.pi / 2, abs=1e-9)
+        rows = random_rows(rng, d)
+        projected = project_rows(rows, b)
+        assert_rows_match_oracle(rows, projected, b.matrix)
+        for v, p in zip(rows, projected):
+            c = v - p
+            if min(np.linalg.norm(p), np.linalg.norm(c)) < 1e-9:
+                continue
+            assert hfc(v, p).angle + hfc(v, c).angle == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def fix_signs_column_loop(u):
