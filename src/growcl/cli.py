@@ -114,18 +114,23 @@ def replay_rows(rows):
 
     Each row: {"task": t, "records": [{"set": id, "hfc_old_deg": x,
     "hfc_pre_deg": y}, ...]}; a row without records grows unconditionally.
-    ``task`` and ``set`` are integers, both angles are numbers, and a row
-    lists each set at most once; anything else raises ``ValueError``.
+    ``task`` and ``set`` are integers, ``task`` increases from row to row,
+    both angles are numbers, and a row lists each set at most once; anything
+    else raises ``ValueError``.
     Set ids in the output follow the ids used in the rows: the first grown
     set takes the smallest id referenced anywhere in the trace (so 1-based
     published traces and 0-based engine traces both replay faithfully) and
     each later grow takes the next integer.
     """
+    last = None
     for row in rows:
         records = row.get("records", []) if isinstance(row, dict) else None
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise ValueError(f"row is not an object with a list of record objects: {row!r}")
         task = _json_number(row.get("task"), "task", int)
+        if last is not None and task <= last:
+            raise ValueError(f"task {task} follows task {last}: task values must increase")
+        last = task
         seen = set()
         for r in records:
             sid = _json_number(r.get("set"), f"task {task}: set", int)
@@ -218,6 +223,12 @@ def cmd_compare(args):
     print(_json_line(diff))
 
 
+def _one_line(exc: Exception) -> str:
+    """``exc``'s message with its line breaks folded into spaces:
+    ``configparser`` puts the offending line on a line of its own."""
+    return " ".join(line.strip() for line in str(exc).splitlines())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="growcl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -243,10 +254,10 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - every other failure exits 2
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {_one_line(exc)}", file=sys.stderr)
         return 2
     return 0
 

@@ -50,7 +50,7 @@ tasks. It checks the grids against the stream: a snapshot is taken after
 i <= t < ``tasks_done``. There ``matrix.a`` and ``matrix.a_oracle`` are in
 [0, 1], ``matrix.totals`` is task i's test size and ``matrix.hits`` is in
 [0, total]; every other cell holds -1 in the accuracy grids and 0 in the
-counts. Every stored basis has orthonormal columns,
+counts. Every stored basis has at least one column, all orthonormal,
 ``has_uint32`` is 0 or 1, ``uinteger`` is below 2**32, and PCG64 must
 accept the state. Last, the file must hold exactly the arrays ``save``
 writes, in its order: any other raises ``unexpected array NAME``, so saving
@@ -351,6 +351,9 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
                 spaces[seg] = Basis(array(name, (d, None)))
             except SubspaceError as exc:
                 raise SnapshotError(f"array {name}: {exc}") from exc
+            # k_rank_basis keeps at least one column and extend_basis drops none
+            if spaces[seg].rank == 0:
+                raise SnapshotError(f"array {name} has no columns, expected a stored space of rank >= 1")
     matrix = AccuracyMatrix(n_tasks)
     matrix.a = np.where(a < 0, np.nan, a)
     matrix.a_oracle = np.where(oracle < 0, np.nan, oracle)

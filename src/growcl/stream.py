@@ -75,7 +75,6 @@ class StreamSpec:
 
 @dataclass
 class TaskDataset:
-    task_id: int
     class_ids: list
     x_train: np.ndarray
     y_train: np.ndarray
@@ -144,7 +143,6 @@ def generate(spec: StreamSpec):
         test_idx = np.concatenate(test_idx)
         datasets.append(
             TaskDataset(
-                task_id=t,
                 class_ids=class_ids,
                 x_train=x[train_idx],
                 y_train=y[train_idx],

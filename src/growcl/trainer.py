@@ -53,8 +53,7 @@ from growcl.decisions import (
     apply_soft_constraint,
     compose_prompts,
     decide,
-    dynamic_threshold,
-    hindrance_for_old_set,
+    hindrance,
     project_gradient,
     select_transfer_sets,
     trace_record,
@@ -359,8 +358,7 @@ class Engine:
             return GrowDecision(None, ())
         if self.cfg.mode == "single_set":
             return GrowDecision(0, ())
-        records = [HindranceRecord(sid, hindrance_for_old_set(g, self.memory.old_spaces[sid]),
-                                   dynamic_threshold(g, pre_space))
+        records = [HindranceRecord(sid, hindrance(g, self.memory.old_spaces[sid]), hindrance(g, pre_space))
                    for sid, g in grads.items()]
         return decide(records)
 

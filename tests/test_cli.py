@@ -196,6 +196,18 @@ class TestRun:
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        (Path(__file__).resolve().parents[1] / "configs" / "quick.cfg").read_text() + "garbage line\n",
+        "x = 1\n",
+    ], ids=["stray-line", "no-section-header"])
+    def test_unparsable_config_exits_1_with_one_line(self, tmp_path, capsys, text):
+        # configparser's message puts the offending line on lines of its own
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config: ") and err.count("\n") == 1, err
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -360,9 +372,10 @@ class TestReplay:
 
     def test_non_object_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
-        for text in ("[1, 2]", "7", '{"task": 1, "records": ["x"]}', '{"task": 1, "records": 5}'):
+        nested = "[" * 100000 + "]" * 100000  # past the decoder's recursion limit
+        for text in ("[1, 2]", "7", '{"task": 1, "records": ["x"]}', '{"task": 1, "records": 5}', nested):
             path.write_text(text + "\n")
-            assert main(["replay", "--replay", str(path)]) == 2, text
+            assert main(["replay", "--replay", str(path)]) == 2, text[:40]
             assert "runtime error: malformed trace" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
@@ -387,6 +400,8 @@ class TestReplay:
         {"task": False, "records": []},
         {"task": 1, "records": [{"set": 0, "hfc_old_deg": 3, "hfc_pre_deg": 1},
                                 {"set": 0, "hfc_old_deg": 4, "hfc_pre_deg": 2}]},
+        # JSON's 1e999 and Infinity both parse to inf
+        {"task": 0, "records": [{"set": 1e999, "hfc_old_deg": 10, "hfc_pre_deg": 5}]},
     ])
     def test_coercible_fields_and_repeated_sets_exit_2(self, tmp_path, capsys, row):
         # integer task and set, numeric angles, each set once per row: a
@@ -395,6 +410,17 @@ class TestReplay:
         path.write_text(json.dumps(row) + "\n")
         assert main(["replay", "--replay", str(path)]) == 2
         assert "runtime error: malformed trace: " in capsys.readouterr().err
+
+    def test_tasks_that_do_not_increase_exit_2(self, tmp_path, capsys):
+        # the third row would put task 0 in set 0 a second time
+        path = tmp_path / "trace.jsonl"
+        rows = [{"task": 0, "records": []},
+                {"task": 0, "records": [{"set": 0, "hfc_old_deg": 9, "hfc_pre_deg": 1}]},
+                {"task": 0, "records": [{"set": 0, "hfc_old_deg": 1, "hfc_pre_deg": 9}]}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["replay", "--replay", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: malformed trace: task 0 follows task 0: task values must increase\n")
 
     def test_replay_rows_z_values(self):
         rows = [{"task": 1, "records": []},
@@ -497,6 +523,7 @@ class TestCompare:
         "[1]", "{}", '{"metrics": 3}', '{"metrics": {"faa": "high"}}', "not json",
         '{"metrics": {"faa": NaN}}', '{"metrics": {"pra": Infinity}}', '{"metrics": {"ssp": -Infinity}}',
         '{"metrics": {"faa": true}}', '{"metrics": {"pra": false}}',
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
     ])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -342,6 +342,15 @@ def test_misshapen_array_rejected(finished, tmp_path, name, shape):
         snapshot.restore_engine(snap, ENC, CFG, finished.datasets)
 
 
+def test_stored_basis_without_columns_rejected(finished, tmp_path):
+    # no run stores an empty space: k_rank_basis keeps at least one column
+    path = tmp_path / "snap.bin"
+    save_with(path, finished, replace={"old.0.key": np.zeros((D, 0))})
+    snap = snapshot.load(path)
+    with pytest.raises(snapshot.SnapshotError, match="array old.0.key has no columns"):
+        snapshot.restore_engine(snap, ENC, CFG, finished.datasets)
+
+
 def test_repeated_array_name_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
     save_with(path, finished, insert_before="matrix.a", insert=[("head.b", finished.head.b)])
