@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from growcl.config import ConfigError, load_config
-from growcl.decisions import HindranceRecord, decide
+from growcl.decisions import GrowDecision, HindranceRecord, decide
 from growcl.metrics import faa, ffm, per_task_summary, pra, ssp, write_csv
 from growcl.stream import generate
 from growcl.subspace import HfcValue
@@ -41,7 +41,8 @@ COMPARED = ("faa", "pra", "ffm", "ssp")  # report metrics that ``compare`` diffs
 
 
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """``obj`` as one line of strict JSON: a NaN or an infinity raises ``ValueError``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def build_report(spec, enc_cfg, train_cfg, engine) -> dict:
@@ -153,21 +154,18 @@ def replay_rows(rows):
             )
             for r in row.get("records", [])
         ]
-        decision = decide(records) if records else None  # no records: unconditional grow
-        if decision is None or decision.is_grow:
+        # no records: the first task's unconditional grow, as Engine._decide builds it
+        decision = decide(records) if records else GrowDecision(None, ())
+        if decision.is_grow:
             sid = next_id
             next_id += 1
-            assignments.setdefault(sid, []).append(task)
-            label = "grow"
         else:
             sid = decision.reuse_id
             if sid not in assignments:
                 raise ValueError(f"trace reuses unknown set {sid} at task {task}")
-            assignments[sid].append(task)
-            label = f"reuse({sid})"
-        decisions.append(
-            {"task": task, "decision": label, "set": sid, "z": [round(r.z_degrees, 6) for r in records]}
-        )
+        assignments.setdefault(sid, []).append(task)
+        decisions.append({"task": task, "decision": decision.describe(), "set": sid,
+                          "z": [round(r.z_degrees, 6) for r in records]})
     return decisions, assignments
 
 
@@ -219,8 +217,11 @@ def cmd_compare(args):
     for key in COMPARED:
         va, vb = a.get(key), b.get(key)
         diff[f"delta_{key}"] = None if va is None or vb is None else round(vb - va, 12)
-        print(f"{key:4s}: a={va} b={vb} delta={diff[f'delta_{key}']}")
-    print(_json_line(diff))
+    # built first: a delta past the float range raises before anything prints
+    line = _json_line(diff)
+    for key in COMPARED:
+        print(f"{key:4s}: a={a.get(key)} b={b.get(key)} delta={diff[f'delta_{key}']}")
+    print(line)
 
 
 def _one_line(exc: Exception) -> str:

@@ -85,9 +85,8 @@ def decide(records) -> GrowDecision:
 def project_gradient(grad: GradientVector, spaces: dict, complement: bool = False) -> GradientVector:
     """Apply per-segment span (or complement) projections to a gradient.
 
-    ``spaces`` maps every segment name to a Basis in the feature dimension
-    (``Basis.empty`` for a segment with no span); each segment is projected
-    row-wise (every row lives in feature space).
+    ``spaces`` maps every segment name to a Basis in the feature dimension;
+    each segment is projected row-wise (every row lives in feature space).
     """
     parts = []
     for name, rows in grad.segments().items():

@@ -34,9 +34,10 @@ large allocation; it rejects an unknown dtype code, an array with more
 than ``MAX_NDIM`` axes, one whose element count exceeds the bytes left, a
 repeated array name, and a float array that holds a NaN or an infinity
 (the grids store their gaps as -1). ``restore_engine`` checks the header
-against the encoder config and the stream (``n_tasks`` tasks, no class
-outside the head; like ``Engine.fresh``, it raises ``TrainerError`` when two
-tasks share a class), ``tasks_done <= n_tasks``, and every array it reads
+against the encoder config and the stream (``n_tasks`` tasks, and a head
+of one more class than the stream's largest, as ``Engine.fresh`` draws it;
+like ``Engine.fresh``, it raises ``TrainerError`` when two tasks share a
+class), ``tasks_done <= n_tasks``, and every array it reads
 against the dtype and shape the engine expects, before it allocates
 anything sized by a header count. It also checks the integer arrays'
 values: the entries of ``set<i>.attached_ids`` are distinct and each below
@@ -50,7 +51,8 @@ tasks. It checks the grids against the stream: a snapshot is taken after
 i <= t < ``tasks_done``. There ``matrix.a`` and ``matrix.a_oracle`` are in
 [0, 1], ``matrix.totals`` is task i's test size and ``matrix.hits`` is in
 [0, total]; every other cell holds -1 in the accuracy grids and 0 in the
-counts. Every stored basis has at least one column, all orthonormal,
+counts. Every stored basis is a ``Basis`` (1 to ``d_model`` orthonormal
+columns; its ``SubspaceError`` is raised as ``array NAME: ...``),
 ``has_uint32`` is 0 or 1, ``uinteger`` is below 2**32, and PCG64 must
 accept the state. Last, the file must hold exactly the arrays ``save``
 writes, in its order: any other raises ``unexpected array NAME``, so saving
@@ -264,8 +266,10 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
         raise SnapshotError(f"tasks_done {tasks_done} exceeds n_tasks {n_tasks}")
     if len(datasets) != n_tasks:
         raise SnapshotError(f"the stream has {len(datasets)} tasks, the snapshot n_tasks {n_tasks}")
-    if any(not 0 <= c < snap["n_classes"] for c in stream_classes(datasets)):
-        raise SnapshotError(f"the stream holds a class outside the head's {snap['n_classes']}")
+    # Engine.fresh draws one head column per class up to the stream's largest
+    need = max(stream_classes(datasets)) + 1
+    if snap["n_classes"] != need:
+        raise SnapshotError(f"the head has {snap['n_classes']} classes, the stream needs {need}")
 
     arrays = snap["arrays"]
 
@@ -351,9 +355,6 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
                 spaces[seg] = Basis(array(name, (d, None)))
             except SubspaceError as exc:
                 raise SnapshotError(f"array {name}: {exc}") from exc
-            # k_rank_basis keeps at least one column and extend_basis drops none
-            if spaces[seg].rank == 0:
-                raise SnapshotError(f"array {name} has no columns, expected a stored space of rank >= 1")
     matrix = AccuracyMatrix(n_tasks)
     matrix.a = np.where(a < 0, np.nan, a)
     matrix.a_oracle = np.where(oracle < 0, np.nan, oracle)

@@ -6,12 +6,13 @@ rows onto a span (their complement is what the projection leaves), measuring
 the angle between a gradient and its projection, and extracting/extending
 bases from representation matrices via SVD energy thresholds.
 
-Conventions: a basis is a d x k matrix of orthonormal columns; gradient
-segments and representation matrices stack their vectors as rows (n x d).
-The engine's reps and bases are all ``d_model`` wide and ``TrainConfig``
-keeps every ``eps`` in (0, 1], so ``project_rows``, ``hfc``,
-``k_rank_basis`` and ``extend_basis`` take both as given; ``Basis`` checks
-what it is given.
+Conventions: a basis is a d x k matrix of orthonormal columns, 1 <= k <= d:
+``k_rank_basis`` keeps at least one direction and ``extend_basis`` drops
+none, so no stored span is empty. Gradient segments and representation
+matrices stack their vectors as rows (n x d). The engine's reps and bases
+are all ``d_model`` wide and ``TrainConfig`` keeps every ``eps`` in (0, 1],
+so ``project_rows``, ``hfc``, ``k_rank_basis`` and ``extend_basis`` take
+both as given; ``Basis`` checks what it is given.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class SubspaceError(ValueError):
 
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal columns spanning a stored feature space."""
+    """Orthonormal columns spanning a stored feature space, at least one."""
 
     matrix: np.ndarray  # shape (d, k), orthonormal columns
 
@@ -42,17 +43,11 @@ class Basis:
         if m.ndim != 2:
             raise SubspaceError(f"basis must be 2-d, got shape {m.shape}")
         d, k = m.shape
-        if k > d:
-            raise SubspaceError(f"basis has {k} columns in dimension {d}")
-        if k:
-            gram = m.T @ m
-            if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
-                raise SubspaceError("basis columns not orthonormal")
+        if not 1 <= k <= d:
+            raise SubspaceError(f"basis has {k} columns in dimension {d}, expected 1 to {d}")
+        if not np.allclose(m.T @ m, np.eye(k), atol=ORTHO_TOL):
+            raise SubspaceError("basis columns not orthonormal")
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def empty(cls, dim: int) -> "Basis":
-        return cls(np.zeros((dim, 0)))
 
     @property
     def rank(self) -> int:
@@ -176,8 +171,7 @@ def _orthonormalize_against(new_cols: np.ndarray, existing: np.ndarray) -> np.nd
     for j in range(new_cols.shape[1]):
         v = new_cols[:, j].copy()
         for _ in range(2):  # two MGS sweeps suppress drift well below 1e-8
-            if existing.shape[1]:
-                v -= existing @ (existing.T @ v)
+            v -= existing @ (existing.T @ v)
             for w in kept:
                 v -= w * (w @ v)
         n = np.linalg.norm(v)

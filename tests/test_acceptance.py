@@ -5,13 +5,16 @@ terminal hook prints one PASS/FAIL line per criterion after the run.
 """
 
 import copy
+import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from growcl.cli import main, replay_rows
+from growcl.config import load_config
 from growcl.decisions import (
     GradientProbe,
     apply_soft_constraint,
@@ -264,31 +267,24 @@ def test_criterion_07_rank_selection_and_extension():
         assert kept >= eps * total - 1e-9 * total
 
 
-COMPARE_ENC = EncoderConfig(d_model=32, n_blocks=2, n_heads=4, prompt_len=4,
-                            prompted_blocks=(0, 1), input_dim=48, n_feature_tokens=4)
-COMPARE_SPEC = StreamSpec(n_tasks=6, classes_per_task=3, dim=48, samples_per_class=60,
-                          seed=2, similarity_schedule=(0, 0, 1, 1, 1, 1),
-                          noise_scale=0.2, mean_scale=2.5)
+COMPARE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "comparison.cfg"
 COMPARE_SEEDS = (1, 3, 5)
-
-
-def _compare_cfg(mode, seed):
-    return TrainConfig(mode=mode, epochs=6, lr=0.4, phi=0.5, n_fft=1, seed=seed,
-                       eps_task=0.99, eps_pre=0.99, pretrain_steps=150)
 
 
 def test_criterion_08_comparative_run():
     """Six tasks, last four similar to earlier ones, three seeds: the
     grow-or-reuse engine keeps the pool small, retrieves at least as well as
-    grow-always, and beats the single-set ablation on accuracy in >=2 of 3."""
+    grow-always, and beats the single-set ablation on accuracy in >=2 of 3.
+    The runs are configs/comparison.cfg with its mode and seed overridden."""
     start = time.time()
-    data = generate(COMPARE_SPEC)
+    _, (spec, enc_cfg, base_train) = load_config(COMPARE_CONFIG)
+    data = generate(spec)
     faa_wins = 0
     for seed in COMPARE_SEEDS:
         results = {}
         for mode in ("lw2g", "grow_always", "single_set"):
-            res = run_stream(COMPARE_ENC, _compare_cfg(mode, seed), data)
-            results[mode] = res
+            cfg = dataclasses.replace(base_train, mode=mode, seed=seed)
+            results[mode] = run_stream(enc_cfg, cfg, data)
         ssp_lw2g = ssp(results["lw2g"].pool)
         assert ssp_lw2g < 6, f"seed {seed}: pool did not shrink (ssp={ssp_lw2g})"
         assert ssp(results["grow_always"].pool) == 6

@@ -531,3 +531,14 @@ class TestCompare:
         b.write_text(text)
         assert main(["compare", str(a), str(b)]) == 2
         assert f"runtime error: bad report {b}: " in capsys.readouterr().err
+
+    def test_delta_past_the_float_range_exits_2_and_prints_nothing(self, tmp_path, capsys):
+        # each value is finite, their difference is not: no JSON number holds it
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.write_report(a, faa=1e308)
+        self.write_report(b, faa=-1e308)
+        assert main(["compare", str(a), str(b)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("runtime error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1

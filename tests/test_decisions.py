@@ -13,9 +13,7 @@ from growcl.decisions import (
     apply_soft_constraint,
     compose_prompts,
     decide,
-    dynamic_threshold,
     hindrance,
-    hindrance_for_old_set,
     project_gradient,
     select_transfer_sets,
     trace_record,
@@ -56,8 +54,9 @@ def gradient_from_flat(flat):
 
 
 def spaces_with(**bases):
-    """A space map over every segment: ``bases`` by name, the rest empty."""
-    return {name: bases.get(name, Basis.empty(CFG.d_model)) for name in SEGMENTS}
+    """A space map over every segment: ``bases`` by name, span{e1} for the
+    rest (no stored span is empty)."""
+    return {name: bases.get(name, Basis(np.eye(CFG.d_model, 1))) for name in SEGMENTS}
 
 
 def replay_decisions(trace):
@@ -134,27 +133,17 @@ class TestDecide:
 class TestProjectGradient:
     def test_segment_wise_projection(self):
         rng = np.random.default_rng(0)
-        flat = rng.standard_normal(SIZE)
-        g = gradient_from_flat(flat)
-        basis = Basis(np.eye(CFG.d_model, 2))
-        spaces = spaces_with(block0=basis)
-        proj = project_gradient(g, spaces)
-        # block0 rows keep only their first two feature coordinates
-        seg = proj.segments()["block0"]
-        orig = g.segments()["block0"]
-        np.testing.assert_allclose(seg[:, :2], orig[:, :2])
-        np.testing.assert_allclose(seg[:, 2:], 0.0)
-        # untouched segments are zero in the projection
-        np.testing.assert_allclose(proj.segments()["block1"], 0.0)
-        np.testing.assert_allclose(proj.k, 0.0)
-
-    def test_complement_leaves_unspanned_segments(self):
-        rng = np.random.default_rng(1)
         g = gradient_from_flat(rng.standard_normal(SIZE))
-        spaces = spaces_with(key=Basis(np.eye(CFG.d_model, 1)))
-        comp = project_gradient(g, spaces, complement=True)
-        np.testing.assert_allclose(comp.p, g.p)
-        assert comp.k[0] == pytest.approx(0.0)
+        # each segment's span holds its own feature coordinates
+        span_cols = {"block0": [0, 1], "block1": [2], "key": [5]}
+        spaces = {name: Basis(np.eye(CFG.d_model)[:, cols]) for name, cols in span_cols.items()}
+        for complement in (False, True):
+            proj = project_gradient(g, spaces, complement=complement).segments()
+            for name, rows in g.segments().items():
+                in_span = np.isin(np.arange(CFG.d_model), span_cols[name])
+                kept = in_span != complement  # the complement keeps the other coordinates
+                np.testing.assert_allclose(proj[name][:, kept], rows[:, kept])
+                np.testing.assert_allclose(proj[name][:, ~kept], 0.0)
 
     def test_matches_single_space_composition(self):
         # With one basis per segment the flat-vector hindrance equals hfc of
@@ -238,27 +227,16 @@ class TestProbe:
         pset.extra = rng.standard_normal((CFG.n_prompted, CFG.prompt_len, CFG.d_model))
         assert np.array_equal(probe.gradient(pset).flat, bare.flat)
 
-    def test_dynamic_threshold_deterministic_and_fresh(self, probe_setup):
+    def test_hindrance_deterministic_and_fresh(self, probe_setup):
         probe, pset, rng = probe_setup
         q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 2)))
         pre = spaces_with(block0=Basis(q), block1=Basis(q))
         g = probe.gradient(pset)
         held = g.flat.copy()
-        a = dynamic_threshold(g, pre)
-        b = dynamic_threshold(g, pre)
+        a = hindrance(g, pre)
+        b = hindrance(g, pre)
         assert a.angle == b.angle
         assert np.array_equal(g.flat, held)  # the held gradient is never mutated
-
-    def test_threshold_equals_old_hindrance_on_same_spaces(self, probe_setup):
-        # The floor is taken on the gradient the old-set probe returned, so
-        # against the same spaces it coincides with the set's own hindrance.
-        probe, pset, rng = probe_setup
-        q, _ = np.linalg.qr(rng.standard_normal((CFG.d_model, 2)))
-        spaces = spaces_with(block0=Basis(q))
-        g = probe.gradient(pset)
-        old = hindrance_for_old_set(g, spaces)
-        thr = dynamic_threshold(g, spaces)
-        assert old.angle == thr.angle
 
     def test_threshold_with_rank_one_spaces_closed_form(self, probe_setup):
         # A tiny energy fraction keeps only the top singular direction per
@@ -271,7 +249,7 @@ class TestProbe:
         pre = {name: k_rank_basis(r, eps=1e-9) for name, r in reps.items()}
         assert all(b.rank == 1 for b in pre.values())
         g = probe.gradient(pset)
-        thr = dynamic_threshold(g, pre)
+        thr = hindrance(g, pre)
         pieces = []
         for name, rows in g.segments().items():
             u = pre[name].matrix[:, 0]

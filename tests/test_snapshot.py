@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from growcl import snapshot
 from growcl.config import load_config
-from growcl.encoder import EncoderConfig, FrozenBackbone
+from growcl.encoder import EncoderConfig, FrozenBackbone, Head
 from growcl.stream import StreamSpec, generate
 from growcl.trainer import MODES, Engine, TrainConfig, TrainerError, run_stream
 
@@ -204,7 +205,7 @@ STREAM_MISFITS = {
     "one-task-short": (lambda data: data[:1], snapshot.SnapshotError,
                        "^the stream has 1 tasks, the snapshot n_tasks 2$"),
     "class-beyond-head": (lambda data: [data[0], dataclasses.replace(data[1], class_ids=[2, 4])],
-                          snapshot.SnapshotError, "^the stream holds a class outside the head's 4$"),
+                          snapshot.SnapshotError, "^the head has 4 classes, the stream needs 5$"),
     "tasks-swapped": (lambda data: data[::-1], snapshot.SnapshotError,
                       "^array seen_classes is not the classes of the stream's first 2 tasks$"),
     # a stream no run could have: fresh would refuse it too
@@ -219,6 +220,16 @@ def test_stream_that_does_not_fit_rejected(finished, tmp_path, edit, error, matc
     snapshot.save(path, finished)
     with pytest.raises(error, match=match):
         snapshot.restore_engine(snapshot.load(path), ENC, CFG, edit(finished.datasets))
+
+
+def test_head_wider_than_the_stream_rejected(finished, tmp_path):
+    # Engine.fresh draws one head column per class up to the stream's largest
+    wide = copy.copy(finished)
+    wide.head = Head(np.pad(finished.head.w, ((0, 0), (0, 2))), np.pad(finished.head.b, (0, 2)))
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, wide)
+    with pytest.raises(snapshot.SnapshotError, match="^the head has 6 classes, the stream needs 4$"):
+        snapshot.restore_engine(snapshot.load(path), ENC, CFG, finished.datasets)
 
 
 # (tasks_done, {grid: [(cell, value)]}, match): a snapshot taken after task
@@ -347,7 +358,8 @@ def test_stored_basis_without_columns_rejected(finished, tmp_path):
     path = tmp_path / "snap.bin"
     save_with(path, finished, replace={"old.0.key": np.zeros((D, 0))})
     snap = snapshot.load(path)
-    with pytest.raises(snapshot.SnapshotError, match="array old.0.key has no columns"):
+    with pytest.raises(snapshot.SnapshotError,
+                       match=f"^array old.0.key: basis has 0 columns in dimension {D}, expected 1 to {D}$"):
         snapshot.restore_engine(snap, ENC, CFG, finished.datasets)
 
 

@@ -50,13 +50,10 @@ class TestBasis:
         with pytest.raises(SubspaceError):
             Basis(np.hstack([np.eye(2), np.eye(2)]))
 
-    def test_empty_basis(self):
-        b = Basis.empty(4)
-        assert b.rank == 0 and b.matrix.shape == (4, 0)
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        rows = np.stack([v, -v])
-        assert np.array_equal(project_rows(rows, b), np.zeros((2, 4)))
-        assert np.array_equal(rows - project_rows(rows, b), rows)
+    def test_rejects_zero_columns(self):
+        # a stored span is the top singular directions: at least one
+        with pytest.raises(SubspaceError, match="^basis has 0 columns in dimension 4, expected 1 to 4$"):
+            Basis(np.zeros((4, 0)))
 
 
 class TestProject:

@@ -7,7 +7,7 @@ import pytest
 
 from growcl import cli, snapshot, trainer
 from growcl.config import load_config
-from growcl.decisions import GradientProbe, dynamic_threshold, hindrance, hindrance_for_old_set
+from growcl.decisions import GradientProbe, hindrance
 from growcl.encoder import (
     EncoderConfig,
     GradientVector,
@@ -135,8 +135,8 @@ class TestTwinTaskReuse:
         _, reps = query_with_layers(eng.backbone, ds.x_train[:48])
         pre_spaces = eng._spaces_from_reps(reps, cfg.eps_pre)
         g = probe.gradient(eng.pool.sets[0])
-        old_val = hindrance_for_old_set(g, eng.memory.old_spaces[0])
-        pre_val = dynamic_threshold(g, pre_spaces)
+        old_val = hindrance(g, eng.memory.old_spaces[0])
+        pre_val = hindrance(g, pre_spaces)
         assert old_val.angle - pre_val.angle < 0  # direct computation
 
         report = eng.train_task()
@@ -275,12 +275,15 @@ class TestStepFailures:
 
 
 class TestRetryAfterFailure:
-    """A task that fails is retried once its fault is undone, and the run
-    then writes the same bytes as an uninterrupted one: the failure put
-    back the RNG, the head and a reused set's prompts and key."""
+    """A task that fails leaves the engine as it was: once its fault is
+    undone, the engine saves the bytes it saved before the task (the
+    snapshot holds the RNG, the head, every set's prompts and key, the
+    pool, the stored spaces and ``tasks_done``), and the retried run writes
+    the same files as an uninterrupted one."""
 
     @staticmethod
     def poison_set_0(engine):
+        # lw2g meets the poisoned set in the decision, grow_always in transfer
         p = engine.pool.sets[0].p
         held = p[0, 0, 0]
         p[0, 0, 0] = np.nan
@@ -305,26 +308,51 @@ class TestRetryAfterFailure:
         patch.setattr(trainer, "loss_and_grads", step)
         return patch.undo
 
+    @staticmethod
+    def fail_finalize(engine):
+        # every step has run: the stored space is built from the trained set
+        def reps(*args, **kwargs):
+            raise NonFiniteError("non-finite loss")
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(trainer, "prompted_with_layers", reps)
+        return patch.undo
+
+    # fault -> the error task 1 raises: a probe's and a step's name the
+    # task; finalize's passes through
+    RAISES = {
+        "poison_set_0": (TrainerError, "^task 1, set 0: non-finite loss$"),
+        "fail_fourth_step": (TrainerError, r"^task 1, epoch 0, set \d+: non-finite loss$"),
+        "fail_finalize": (NonFiniteError, "^non-finite loss$"),
+    }
+
     @pytest.mark.parametrize("mode, fault", [
         ("lw2g", "poison_set_0"),
         ("grow_always", "poison_set_0"),
         ("lw2g", "fail_fourth_step"),
         ("grow_always", "fail_fourth_step"),
         ("single_set", "fail_fourth_step"),
+        ("lw2g", "fail_finalize"),
+        ("grow_always", "fail_finalize"),
+        ("single_set", "fail_finalize"),
     ])
     def test_retried_task_writes_the_uninterrupted_runs_bytes(self, monkeypatch, tmp_path, mode,
                                                               fault):
+        before, after = tmp_path / "before.bin", tmp_path / "after.bin"
+        error, match = self.RAISES[fault]
+
         def interrupted_run(enc_cfg, cfg, datasets):
             engine = Engine.fresh(enc_cfg, cfg, datasets)
             engine.train_task()
             engine.evaluate_after()
+            snapshot.save(before, engine)
             undo = getattr(self, fault)(engine)
             try:
-                with np.errstate(all="ignore"), pytest.raises(TrainerError, match="^task 1, "):
+                with np.errstate(all="ignore"), pytest.raises(error, match=match):
                     engine.train_task()
             finally:
                 undo()
-            assert engine.tasks_done == 1
+            snapshot.save(after, engine)
             while engine.tasks_done < len(datasets):
                 engine.train_task()
                 engine.evaluate_after()
@@ -334,6 +362,7 @@ class TestRetryAfterFailure:
         assert cli.main([*args, "--out", str(tmp_path / "plain")]) == 0
         monkeypatch.setattr(cli, "run_stream", interrupted_run)
         assert cli.main([*args, "--out", str(tmp_path / "retried")]) == 0
+        assert after.read_bytes() == before.read_bytes()
         for name in ("report.json", "trace.jsonl", "metrics.csv", "snapshot.bin"):
             plain = (tmp_path / "plain" / name).read_bytes()
             assert (tmp_path / "retried" / name).read_bytes() == plain, name
