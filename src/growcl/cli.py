@@ -20,6 +20,7 @@ manifest.json).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -38,6 +39,11 @@ from growcl.trainer import MODES, run_stream
 
 SCHEMA_VERSION = 1
 COMPARED = ("faa", "pra", "ffm", "ssp")  # report metrics that ``compare`` diffs
+
+# glibc ``mallopt`` settings, in the order they are made: M_TRIM_THRESHOLD
+# (-1) at 1 GiB, then M_MMAP_THRESHOLD (-3) at 32 MiB, glibc's maximum, which
+# also stops glibc from moving either threshold itself.
+HEAP_SETTINGS = ((-1, 1 << 30), (-3, 32 << 20))
 
 
 def _json_line(obj) -> str:
@@ -230,6 +236,20 @@ def _one_line(exc: Exception) -> str:
     return " ".join(line.strip() for line in str(exc).splitlines())
 
 
+def keep_heap() -> bool:
+    """Have glibc keep the memory this process frees instead of handing it
+    back to the kernel, which the encoder's next pass would fault back in a
+    page at a time. Returns whether every ``HEAP_SETTINGS`` entry took
+    effect; it stops at the first that does not, and does nothing where the
+    C library cannot be loaded or has no ``mallopt``. Only this process's
+    allocator changes, never a machine setting."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return all(mallopt(param, value) == 1 for param, value in HEAP_SETTINGS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="growcl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -252,6 +272,7 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
+    keep_heap()
     try:
         args.func(args)
     except ConfigError as exc:

@@ -10,9 +10,11 @@ z = hindrance_old - hindrance_floor drives the decision: grow a new set when
 every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
-A task's ``GradientProbe`` makes one ``loss_and_grads`` call (one encoder
-pass, no update) per set and batch, and a set's gradient is the mean of its
-batches' gradients: the training step's cross-entropy gradient, averaged.
+A set's probe gradient is the mean of its batches' ``loss_and_grads``
+gradients (no update): the training step's cross-entropy gradient,
+averaged. ``GradientProbe`` takes them from ``batch_grads``, which packs
+consecutive batches into encoder passes of up to ``ROW_BLOCK`` rows and gives
+each batch the bits of a pass of its own.
 The engine probes each pool set once per task, accepts only a finite,
 nonzero gradient, and hands the gradients to both readers: the decision and
 transfer ranking.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, loss_and_grads
+from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, batch_grads
 from growcl.subspace import HfcValue, hfc, project_rows
 
 
@@ -123,19 +125,20 @@ class GradientProbe:
 
     def gradient(self, pset: PromptSet) -> GradientVector:
         """``pset``'s probe gradient: the ``loss_and_grads`` gradients of its
-        batches, summed in batch order and divided by the batch count.
-        Raises ``NonFiniteError`` naming the set when a loss or gradient is
-        not finite."""
+        batches, summed in batch order and divided by the batch count. The
+        batches run in ``batch_grads``' packs of rows. Raises
+        ``NonFiniteError`` naming the set when a loss or gradient is not
+        finite."""
         # probes measure bare sets: a method choice, open until runs record
         # each set's angles with its frozen rows as well (ROADMAP)
         bare = PromptSet(pset.p, pset.k, pset.id)
-        acc = None
-        for x, y in self.batches:
-            try:
-                grad = loss_and_grads(self.backbone, self.head, bare, x, y, self.head_mask)[1]
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"set {pset.id}: {exc}") from exc
-            acc = grad.flat if acc is None else acc + grad.flat
+        try:
+            grads = batch_grads(self.backbone, self.head, bare, self.batches, self.head_mask)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"set {pset.id}: {exc}") from exc
+        acc = grads[0][1].flat
+        for _, grad, _, _ in grads[1:]:
+            acc = acc + grad.flat
         return GradientVector(acc / len(self.batches), self.backbone.config)
 
 

@@ -21,8 +21,12 @@ each one's intermediates once it has run) and, for pretraining, the
 embedding and class token. ``loss_and_grads`` puts the masked head and
 cross-entropy in front of one set's pass and adds the key's cosine pull in
 closed form; the mask bias alone zeroes the head gradients outside the
-task's classes. A training step is one ``loss_and_grads`` call, and a probe
-gradient is the mean of its calls over the probe batches. The LN, GELU,
+task's classes. A training step is one ``loss_and_grads`` call. A probe
+gradient is the mean of its batches' ``loss_and_grads`` gradients, which
+``batch_grads`` computes in passes of up to ``ROW_BLOCK`` rows (``_row_packs``):
+each batch's cross-entropy is taken on its own slice of the logits, and the
+backward sums each batch's prompt gradient over its own rows, so every
+batch's gradient has the bits of a pass of its own. The LN, GELU,
 softmax and cross-entropy derivatives are the ``autodiff`` kernels; the
 ``autodiff`` tape is not used here, and the tests compose the same model
 from it as an independent reference. Only the class token is read after
@@ -39,7 +43,8 @@ so a row's features are the same bits whatever rows share its pass: the
 results equal a one-shot pass bit for bit, and the pass's peak memory is one
 block's intermediates plus the outputs, whatever the number of rows. A pass
 that keeps a backward runs its rows in one shot, since the backward needs
-every row's intermediates.
+every row's intermediates; it holds one training batch or one pack of probe
+batches.
 
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
@@ -48,8 +53,9 @@ made: ``encode``'s per-layer reps, the rows of a ``GradientVector`` and the
 stored spaces built from reps all carry them, in that order.
 
 Backbone weights are initialized once (optionally briefly fitted on a
-held-out pre-task) and then frozen; only prompt tokens, retrieval keys and
-the current task's classifier rows ever train.
+held-out pre-task) and then frozen: ``FrozenBackbone.freeze`` makes their
+arrays read-only. Only prompt tokens, retrieval keys and the current task's
+classifier rows ever train.
 """
 
 from __future__ import annotations
@@ -168,6 +174,12 @@ class FrozenBackbone:
                 w[name] = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
         return cls(cfg, w)
 
+    def freeze(self):
+        """Make every weight array read-only: the caches of test features and
+        queries, and every probe, read the backbone as fixed once pretrained."""
+        for w in self.weights.values():
+            w.flags.writeable = False
+
 
 @dataclass
 class PromptSet:
@@ -280,13 +292,15 @@ def _attention_block(
     ``n_out`` tokens only, and the output is [n, n_out, d].
 
     Returns (out, backward); ``backward`` is None unless ``keep``.
-    ``backward(g, need_x, need_weights)`` takes the output gradient and
-    returns (input gradient, prompt gradient, {weight name: gradient}): the
-    input gradient is None unless ``need_x`` or ``need_weights``, the prompt
-    gradient None without a prompt, and the dict empty unless
-    ``need_weights``. Weight gradients are wanted only while the backbone is
-    pretrained, which runs without prompts, so a prompted block gives none
-    and keeps nothing only they read.
+    ``backward(g, need_x, need_weights, spans=None)`` takes the output
+    gradient and returns (input gradient, prompt gradients, {weight name:
+    gradient}): the input gradient is None unless ``need_x`` or
+    ``need_weights``, the prompt gradients None without a prompt and else one
+    [P, d] per span of samples in ``spans`` ((lo, hi) pairs; None is one span
+    over all ``n``), and the dict empty unless ``need_weights``. Weight
+    gradients are wanted only while the backbone is pretrained, which runs
+    without prompts, so a prompted block gives none and keeps nothing only
+    they read.
     """
     g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = w
     n, t, d = x.shape
@@ -346,7 +360,7 @@ def _attention_block(
         a = None
     dz = gelu_derivative(z, z2, tz)
 
-    def backward(g, need_x, need_weights):
+    def backward(g, need_x, need_weights, spans=None):
         grads = {}
         # MLP and its residual: out = x1 + gelu(LN2(x1) @ w1 + c1) @ w2 + c2
         gz = g @ w2.T
@@ -395,16 +409,21 @@ def _attention_block(
 
         gp = None
         if prompt is not None:
-            # Prompt keys and values are shared by the batch: sum over every
-            # (sample, query) row in one product per head.
+            # Prompt keys and values are shared by a span's samples: sum over
+            # its (sample, query) rows in one product per head. The products
+            # read views of the spans; contiguous copies put BLAS on another
+            # path and change the bits.
             m = n * to
             q_rows = q.transpose((1, 3, 0, 2)).reshape(n_heads, dh, m)
             gs_p = gs[..., t:].transpose((1, 0, 2, 3)).reshape(n_heads, m, n_p)
             a_p = attn[..., t:].transpose((1, 3, 0, 2)).reshape(n_heads, n_p, m)
             go_rows = go.transpose((1, 0, 2, 3)).reshape(n_heads, m, dh)
-            gkp = (q_rows @ gs_p).transpose((2, 0, 1)).reshape(n_p, d)
-            gvp = (a_p @ go_rows).transpose((1, 0, 2)).reshape(n_p, d)
-            gp = layer_norm_backward(gkp @ wk.T + gvp @ wv.T, xhatp, invp, g1)
+            gp = []
+            for lo, hi in spans or ((0, n),):
+                r = slice(lo * to, hi * to)
+                gkp = (q_rows[..., r] @ gs_p[:, r]).transpose((2, 0, 1)).reshape(n_p, d)
+                gvp = (a_p[..., r] @ go_rows[:, r]).transpose((1, 0, 2)).reshape(n_p, d)
+                gp.append(layer_norm_backward(gkp @ wk.T + gvp @ wv.T, xhatp, invp, g1))
         return gx, gp, grads
 
     return out, backward
@@ -442,7 +461,7 @@ def _encode_rows(
     if not keep:
         return feats, None
 
-    def backward(g_feats, weight_grads=False):
+    def backward(g_feats, weight_grads=False, spans=None):
         grads = {}
         g = g_feats[:, None]
         if weight_grads:
@@ -454,7 +473,7 @@ def _encode_rows(
         prompt_grads = {}
         for i in range(cfg.n_blocks - 1, lowest - 1, -1):
             # each block's intermediates are released once it has run
-            g, gp, block_grads = blocks.pop()(g, i > lowest, weight_grads)
+            g, gp, block_grads = blocks.pop()(g, i > lowest, weight_grads, spans)
             if gp is not None:
                 prompt_grads[i] = gp
             grads.update((f"b{i}.{name}", grad) for name, grad in block_grads.items())
@@ -485,8 +504,10 @@ def encode(
     ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
     class-token output of each prompted block, then the final feature under
     ``key`` (copies), each [n, d].
-    ``backward(g_feats, weight_grads=False)`` takes the features' gradient
-    and returns ({block: prompt gradient [P, d]}, {weight name: gradient});
+    ``backward(g_feats, weight_grads=False, spans=None)`` takes the
+    features' gradient and returns ({block: [prompt gradient [P, d] per
+    span]}, {weight name: gradient}): ``spans`` lists (lo, hi) row spans of
+    ``batch``, each summed on its own (None: one span over every row), and
     the weight gradients (pretraining, without prompts) are filled only when
     ``weight_grads``.
 
@@ -592,27 +613,78 @@ def loss_and_grads(
     loss or the gradient is not finite: every ``GradientVector`` of a step
     or a probe is this one, a projection of it or a mean of such.
     """
+    return batch_grads(backbone, head, pset, [(batch, labels)], head_mask, q_bar)[0]
+
+
+def _row_packs(batches: list) -> list:
+    """``batches`` [(x, labels), ...] grouped in order into packs of at most
+    ``ROW_BLOCK`` rows; a larger batch is a pack of its own, and so is a
+    one-row batch: numpy computes a one-row product with gemv, which rounds
+    differently from the gemm of a many-row one."""
+    packs, rows = [], 0
+    for batch in batches:
+        n = len(batch[0])
+        if packs and n > 1 and len(packs[-1][-1][0]) > 1 and rows + n <= ROW_BLOCK:
+            packs[-1].append(batch)
+            rows += n
+        else:
+            packs.append([batch])
+            rows = n
+    return packs
+
+
+def batch_grads(
+    backbone: FrozenBackbone,
+    head: Head,
+    pset: PromptSet,
+    batches: list,
+    head_mask,
+    q_bar: np.ndarray | None = None,
+) -> list:
+    """``loss_and_grads`` of every batch in ``batches`` [(x, labels), ...],
+    in order, bit for bit, from one encoder pass per ``_row_packs`` pack.
+
+    In a pass each batch's cross-entropy is taken on its own slice of the
+    logits, and the backward sums each batch's prompt gradient over its own
+    rows. A pack checks every loss before its backward, so when an earlier
+    batch's gradient and a later batch's loss in the same pack are both not
+    finite, the error names the loss.
+    """
     cfg = backbone.config
-    labels = np.asarray(labels, dtype=int)
-    feats, _, backward = encode(backbone, batch, prefixes(cfg, pset), return_backward=True)
-    logits = feats @ head.w + head.b + class_mask_bias(head.n_classes, head_mask)
-    loss, logp = cross_entropy_forward(logits, labels)
+    bias = class_mask_bias(head.n_classes, head_mask)
     k_grad = np.zeros_like(pset.k)
     if q_bar is not None:
         key_loss, k_grad = _key_loss(pset.k, q_bar, KEY_LOSS_WEIGHT)
-        loss = loss + key_loss
-    if not np.isfinite(loss):
-        raise NonFiniteError("non-finite loss")
-
-    g_logits = cross_entropy_backward(logp, labels)
-    prompt_grads, _ = backward(g_logits @ head.w.T)
-    own = [prompt_grads[b][: cfg.prompt_len].ravel() for b in cfg.prompted_blocks]
-    flat = np.concatenate([*own, k_grad])
-    if not np.all(np.isfinite(flat)):
-        raise NonFiniteError("non-finite gradient")
-    # under MASK_BIAS a class outside head_mask has probability exactly 0, so
-    # its logit gradient is 0 and its head-gradient column +-0
-    return float(loss), GradientVector(flat, cfg), feats.T @ g_logits, g_logits.sum(axis=0)
+    out = []
+    for pack in _row_packs(batches):
+        x = pack[0][0] if len(pack) == 1 else np.concatenate([x for x, _ in pack])
+        feats, _, backward = encode(backbone, x, prefixes(cfg, pset), return_backward=True)
+        logits = feats @ head.w + head.b + bias
+        g_logits = np.empty_like(logits)
+        spans, losses, lo = [], [], 0
+        for xb, labels in pack:
+            labels = np.asarray(labels, dtype=int)
+            hi = lo + len(xb)
+            loss, logp = cross_entropy_forward(logits[lo:hi], labels)
+            if q_bar is not None:
+                loss = loss + key_loss
+            if not np.isfinite(loss):
+                raise NonFiniteError("non-finite loss")
+            g_logits[lo:hi] = cross_entropy_backward(logp, labels)
+            spans.append((lo, hi))
+            losses.append(float(loss))
+            lo = hi
+        prompt_grads, _ = backward(g_logits @ head.w.T, spans=spans)
+        for j, (lo, hi) in enumerate(spans):
+            own = [prompt_grads[b][j][: cfg.prompt_len].ravel() for b in cfg.prompted_blocks]
+            flat = np.concatenate([*own, k_grad])
+            if not np.all(np.isfinite(flat)):
+                raise NonFiniteError("non-finite gradient")
+            # under MASK_BIAS a class outside head_mask has probability exactly
+            # 0, so its logit gradient is 0 and its head-gradient column +-0
+            g = g_logits[lo:hi]
+            out.append((losses[j], GradientVector(flat, cfg), feats[lo:hi].T @ g, g.sum(axis=0)))
+    return out
 
 
 def pretrain_backbone(

@@ -179,7 +179,8 @@ class Engine:
     def fresh(cls, enc_cfg: EncoderConfig, cfg: TrainConfig, datasets: list) -> "Engine":
         """A new run's engine over ``datasets``: check that no two tasks share
         a class, seed the RNG from ``cfg.seed``, draw and pretrain the
-        backbone, then draw the head over every class of the stream."""
+        backbone and make it read-only, then draw the head over every class
+        of the stream."""
         classes = stream_classes(datasets)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         backbone = FrozenBackbone.init(enc_cfg, rng)
@@ -199,6 +200,7 @@ class Engine:
                 )
             except NonFiniteError as exc:
                 raise TrainerError(f"pretraining, {exc}") from exc
+        backbone.freeze()
         head = Head.init(enc_cfg.d_model, max(classes) + 1, rng)
         return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(),
                    datasets, AccuracyMatrix(len(datasets)), 0)

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growcl import trainer
-from growcl.cli import main, replay_rows
+from growcl import cli, trainer
+from growcl.cli import HEAP_SETTINGS, keep_heap, main, replay_rows
 from growcl.config import _RENAMED_KEYS, _SECTIONS, ConfigError, parse_config
 from trace_fixtures import (
     SIX_SETS_DECISIONS,
@@ -330,6 +331,48 @@ class TestRun:
         hashes = [json.loads((d / "manifest.json").read_text())["config_hash"]
                   for d in (out_a, out_b)]
         assert hashes[0] == hashes[1]
+
+
+class TestKeepHeap:
+    OUTPUTS = ("report.json", "trace.jsonl", "metrics.csv", "snapshot.bin")
+
+    def run_quick(self, out):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in self.OUTPUTS}
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+    def test_run_without_mallopt_writes_the_same_files(self, tmp_path, monkeypatch, libc):
+        want = self.run_quick(tmp_path / "want")
+        lookups = []
+
+        def lookup(name):
+            lookups.append(name)
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lookup)
+        assert keep_heap() is False
+        assert self.run_quick(tmp_path / "got") == want
+        assert lookups == [None, None]
+
+    def test_stops_at_the_first_setting_refused(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 0
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        assert keep_heap() is False
+        assert calls == [HEAP_SETTINGS[0]]
+
+    def test_glibc_takes_every_setting(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt's parameters are glibc's")
+        assert keep_heap() is True
 
 
 class TestReplay:

@@ -257,21 +257,48 @@ class TestProbe:
         want = hfc(g.flat, np.concatenate(pieces)).angle
         assert thr.angle == pytest.approx(want, abs=1e-12)
 
-    # 144 rows leave a last batch of 16, and 33 rows a one-row last batch
-    # (the gemv case)
-    @pytest.mark.parametrize("n_rows, batch_size", [(144, 32), (33, 32)])
-    def test_one_pass_per_set_and_batch(self, monkeypatch, n_rows, batch_size):
+    # (rows, batch size) -> rows per encoder pass: batches join a pass while
+    # it holds at most ROW_BLOCK (64) rows, a larger batch runs alone, and so
+    # does a one-row batch (the gemv case)
+    @pytest.mark.parametrize("n_rows, batch_size, passes", [
+        (144, 32, [64, 64, 16]),
+        (160, 32, [64, 64, 32]),
+        (33, 32, [32, 1]),
+        (65, 32, [64, 1]),
+        (49, 16, [48, 1]),
+        (1, 32, [1]),
+        (100, 100, [100]),
+        (7, 3, [6, 1]),
+        (3, 1, [1, 1, 1]),
+    ])
+    def test_one_pass_per_pack_of_rows(self, monkeypatch, n_rows, batch_size, passes):
         probe, sets = six_set_probe(n_rows, batch_size)
-        passes = []
+        seen = []
+        encode = encoder_module.encode
 
-        def spy(backbone, head, pset, batch, *args):
-            passes.append((pset.id, len(batch)))
-            return loss_and_grads(backbone, head, pset, batch, *args)
+        def spy(backbone, batch, *args, **kwargs):
+            assert kwargs == {"return_backward": True}
+            seen.append(len(batch))
+            return encode(backbone, batch, *args, **kwargs)
 
-        monkeypatch.setattr("growcl.decisions.loss_and_grads", spy)
+        monkeypatch.setattr(encoder_module, "encode", spy)
         for pset in sets[:3]:
             probe.gradient(pset)
-        assert passes == [(pset.id, len(x)) for pset in sets[:3] for x, _ in probe.batches]
+        assert seen == passes * 3
+
+    @pytest.mark.parametrize("n_rows, batch_size", [
+        (144, 32), (160, 32), (33, 32), (65, 32), (49, 16), (1, 32), (100, 100), (7, 3), (5, 1),
+    ])
+    def test_packed_gradient_equals_the_per_batch_sum_bit_for_bit(self, n_rows, batch_size):
+        for seed in (21, 22, 23, 24):
+            probe, sets = six_set_probe(n_rows, batch_size, seed)
+            for pset in sets:
+                acc = None
+                for x, y in probe.batches:
+                    flat = loss_and_grads(probe.backbone, probe.head, pset, x, y, probe.head_mask)[1].flat
+                    acc = flat if acc is None else acc + flat
+                want = acc / len(probe.batches)
+                assert np.array_equal(probe.gradient(pset).flat, want), (seed, pset.id)
 
     @pytest.mark.parametrize("what", ["loss", "gradient"])
     def test_non_finite_names_the_set(self, monkeypatch, what):

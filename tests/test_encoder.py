@@ -350,7 +350,7 @@ class TestFusedBlock:
         gx, gp, weight_grads = backward(upstream, True, trainable)
         grads = {"x": gx, **{name: weight_grads.get(name) for name in _BLOCK_WEIGHTS}}
         if with_prompt:
-            grads["prompt"] = gp
+            (grads["prompt"],) = gp  # one span over every sample
         else:
             assert gp is None
 

@@ -166,7 +166,8 @@ def test_resaved_snapshot_is_byte_identical(uninterrupted, tmp_path, config, mod
 
 def test_restored_engines_share_no_array(uninterrupted, tmp_path):
     # two engines restored from one load result: training one and bumping
-    # every array it stores leaves the other, and the loaded arrays, as saved
+    # every array it stores (all but the read-only backbone) leaves the
+    # other, and the loaded arrays, as saved
     run = uninterrupted("quick", "lw2g")
     path = tmp_path / "snap.bin"
     path.write_bytes(run.snapshots[0])
@@ -178,8 +179,9 @@ def test_restored_engines_share_no_array(uninterrupted, tmp_path):
     first, second = restore(), restore()
     first.train_task()
     first.evaluate_after()
-    for _, arr in snapshot.collect_arrays(first):
-        arr += 1
+    for name, arr in snapshot.collect_arrays(first):
+        if not name.startswith("backbone."):
+            arr += 1
     for engine in (second, restore()):
         snapshot.save(path, engine)
         assert path.read_bytes() == run.snapshots[0]
@@ -198,6 +200,16 @@ def test_restore_draws_no_backbone(finished, tmp_path, monkeypatch):
     assert list(engine.backbone.weights) == list(finished.backbone.weights)
     for name, weight in finished.backbone.weights.items():
         np.testing.assert_array_equal(engine.backbone.weights[name], weight, err_msg=name)
+
+
+def test_restored_backbone_is_read_only(finished, tmp_path):
+    path = tmp_path / "snap.bin"
+    snapshot.save(path, finished)
+    engine = snapshot.restore_engine(snapshot.load(path), ENC, CFG, finished.datasets)
+    for name, weight in engine.backbone.weights.items():
+        with pytest.raises(ValueError, match="read-only"):
+            weight += 1.0
+        assert weight.base is None, name  # owned, not a view of the loaded bytes
 
 
 # stream edits that no longer fit the two-task snapshot (classes 0-3)

@@ -576,6 +576,16 @@ class TestReuseKeepsFrozenRows:
         assert checked
 
 
+class TestFrozenBackbone:
+    @pytest.mark.parametrize("pretrain_steps", [0, 5])
+    def test_backbone_is_read_only_after_fresh(self, pretrain_steps):
+        engine = Engine.fresh(ENC, quick_cfg(pretrain_steps=pretrain_steps), small_stream(2))
+        for name, weight in engine.backbone.weights.items():
+            with pytest.raises(ValueError, match="read-only"):
+                weight[...] = 0.0
+            assert not weight.flags.writeable, name
+
+
 class TestDeterminism:
     def test_identical_runs_bitwise(self):
         data = small_stream(3, similarity=(0, 0, 1))
