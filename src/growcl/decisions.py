@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from growcl.encoder import GradientVector, Head, NonFiniteError, PromptSet, batch_grads
+from growcl.encoder import GradientVector, Head, PromptSet, batch_grads
 from growcl.subspace import HfcValue, hfc, project_rows
 
 
@@ -127,15 +127,12 @@ class GradientProbe:
         """``pset``'s probe gradient: the ``loss_and_grads`` gradients of its
         batches, summed in batch order and divided by the batch count. The
         batches run in ``batch_grads``' packs of rows. Raises
-        ``NonFiniteError`` naming the set when a loss or gradient is not
-        finite."""
+        ``NonFiniteError`` when a loss or gradient is not finite; the engine
+        names the task and the set."""
         # probes measure bare sets: a method choice, open until runs record
         # each set's angles with its frozen rows as well (ROADMAP)
         bare = PromptSet(pset.p, pset.k, pset.id)
-        try:
-            grads = batch_grads(self.backbone, self.head, bare, self.batches, self.head_mask)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"set {pset.id}: {exc}") from exc
+        grads = batch_grads(self.backbone, self.head, bare, self.batches, self.head_mask)
         acc = grads[0][1].flat
         for _, grad, _, _ in grads[1:]:
             acc = acc + grad.flat

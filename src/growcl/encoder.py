@@ -24,27 +24,26 @@ closed form; the mask bias alone zeroes the head gradients outside the
 task's classes. A training step is one ``loss_and_grads`` call. A probe
 gradient is the mean of its batches' ``loss_and_grads`` gradients, which
 ``batch_grads`` computes in passes of up to ``ROW_BLOCK`` rows (``_row_packs``):
-each batch's cross-entropy is taken on its own slice of the logits, and the
-backward sums each batch's prompt gradient over its own rows, so every
-batch's gradient has the bits of a pass of its own. The LN, GELU,
-softmax and cross-entropy derivatives are the ``autodiff`` kernels; the
+each batch's head products and cross-entropy run on its own rows of the
+features, and the backward sums each batch's prompt gradient over its own
+rows, so every batch's gradient has the bits of a pass of its own. The LN,
+GELU, softmax and cross-entropy derivatives are the ``autodiff`` kernels; the
 ``autodiff`` tape is not used here, and the tests compose the same model
 from it as an independent reference. Only the class token is read after
 the last block, so that block builds keys and values from every token and
 the prompt but computes the query, attention row, residual and MLP for the
 class token alone.
 
-A forward-only pass (no backward wanted: queries, features for evaluation,
-the reps of stored and pre-trained spaces) runs ``ROW_BLOCK`` rows at a time
-and writes each block's features and reps into preallocated outputs in row
-order. Rows never interact, and a one-row pass embeds its row as two
-copies (numpy's one-row product rounds differently from its many-row one),
-so a row's features are the same bits whatever rows share its pass: the
-results equal a one-shot pass bit for bit, and the pass's peak memory is one
-block's intermediates plus the outputs, whatever the number of rows. A pass
-that keeps a backward runs its rows in one shot, since the backward needs
+``encode`` runs its rows in blocks and writes each block's features and
+reps into preallocated outputs in row order. A forward-only pass (queries,
+features for evaluation, the reps of stored and pre-trained spaces) takes
+``ROW_BLOCK`` rows per block, so its peak memory is one block's
+intermediates plus the outputs, whatever the number of rows. A pass that
+keeps a backward is one block of all its rows, since the backward needs
 every row's intermediates; it holds one training batch or one pack of probe
-batches.
+batches. Rows never interact, and a one-row block embeds its row as two
+copies (numpy's one-row product rounds differently from its many-row one),
+so a row's features are the same bits whatever rows share its block.
 
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
@@ -53,9 +52,9 @@ made: ``encode``'s per-layer reps, the rows of a ``GradientVector`` and the
 stored spaces built from reps all carry them, in that order.
 
 Backbone weights are initialized once (optionally briefly fitted on a
-held-out pre-task) and then frozen: ``FrozenBackbone.freeze`` makes their
-arrays read-only. Only prompt tokens, retrieval keys and the current task's
-classifier rows ever train.
+held-out pre-task) and then frozen: the engine built on them calls
+``FrozenBackbone.freeze``, which makes their arrays read-only. Only prompt
+tokens, retrieval keys and the current task's classifier rows ever train.
 """
 
 from __future__ import annotations
@@ -176,7 +175,8 @@ class FrozenBackbone:
 
     def freeze(self):
         """Make every weight array read-only: the caches of test features and
-        queries, and every probe, read the backbone as fixed once pretrained."""
+        queries, and every probe, read the backbone as fixed once pretrained.
+        ``Engine`` calls it on the backbone it is built with."""
         for w in self.weights.values():
             w.flags.writeable = False
 
@@ -511,22 +511,21 @@ def encode(
     the weight gradients (pretraining, without prompts) are filled only when
     ``weight_grads``.
 
-    Without ``return_backward`` the rows run ``ROW_BLOCK`` at a time into
-    preallocated outputs; every row's arithmetic is the same as in one pass.
+    The rows run in blocks into preallocated outputs: ``ROW_BLOCK`` at a
+    time, or all ``n`` at once when ``return_backward``. Every row's
+    arithmetic is the same in any block.
     """
     batch = np.asarray(batch, dtype=np.float64)
     cfg = backbone.config
     n, d = batch.shape[0], cfg.d_model
     prompts = prompts or {}
     cls_out = {b: np.empty((n, d)) for b in cfg.prompted_blocks} if collect_layers else {}
-    if return_backward:
-        feats, backward = _encode_rows(backbone, batch, prompts, cls_out, keep=True)
-    else:
-        feats = np.empty((n, d))
-        for lo in range(0, n, ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            block_out = {b: out[rows] for b, out in cls_out.items()}
-            feats[rows], _ = _encode_rows(backbone, batch[rows], prompts, block_out, keep=False)
+    feats = np.empty((n, d))
+    step = n if return_backward else ROW_BLOCK
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        block_out = {b: out[rows] for b, out in cls_out.items()}
+        feats[rows], backward = _encode_rows(backbone, batch[rows], prompts, block_out, keep=return_backward)
     reps = {}
     if collect_layers:
         reps = segment_map(cfg, [cls_out[b] for b in cfg.prompted_blocks], feats.copy())
@@ -618,13 +617,11 @@ def loss_and_grads(
 
 def _row_packs(batches: list) -> list:
     """``batches`` [(x, labels), ...] grouped in order into packs of at most
-    ``ROW_BLOCK`` rows; a larger batch is a pack of its own, and so is a
-    one-row batch: numpy computes a one-row product with gemv, which rounds
-    differently from the gemm of a many-row one."""
+    ``ROW_BLOCK`` rows; a larger batch is a pack of its own."""
     packs, rows = [], 0
     for batch in batches:
         n = len(batch[0])
-        if packs and n > 1 and len(packs[-1][-1][0]) > 1 and rows + n <= ROW_BLOCK:
+        if packs and rows + n <= ROW_BLOCK:
             packs[-1].append(batch)
             rows += n
         else:
@@ -644,11 +641,13 @@ def batch_grads(
     """``loss_and_grads`` of every batch in ``batches`` [(x, labels), ...],
     in order, bit for bit, from one encoder pass per ``_row_packs`` pack.
 
-    In a pass each batch's cross-entropy is taken on its own slice of the
-    logits, and the backward sums each batch's prompt gradient over its own
-    rows. A pack checks every loss before its backward, so when an earlier
-    batch's gradient and a later batch's loss in the same pack are both not
-    finite, the error names the loss.
+    In a pass each batch's logits, cross-entropy and feature gradient are
+    computed on its own rows of the features, so its head products are the
+    ones its own pass runs (gemv for a one-row batch), and the backward sums
+    each batch's prompt gradient over its own rows. A pack
+    checks every loss before its backward, so when an earlier batch's
+    gradient and a later batch's loss in the same pack are both not finite,
+    the error names the loss.
     """
     cfg = backbone.config
     bias = class_mask_bias(head.n_classes, head_mask)
@@ -659,31 +658,30 @@ def batch_grads(
     for pack in _row_packs(batches):
         x = pack[0][0] if len(pack) == 1 else np.concatenate([x for x, _ in pack])
         feats, _, backward = encode(backbone, x, prefixes(cfg, pset), return_backward=True)
-        logits = feats @ head.w + head.b + bias
-        g_logits = np.empty_like(logits)
-        spans, losses, lo = [], [], 0
+        g_feats = np.empty_like(feats)
+        spans, heads, lo = [], [], 0
         for xb, labels in pack:
             labels = np.asarray(labels, dtype=int)
             hi = lo + len(xb)
-            loss, logp = cross_entropy_forward(logits[lo:hi], labels)
+            loss, logp = cross_entropy_forward(feats[lo:hi] @ head.w + head.b + bias, labels)
             if q_bar is not None:
                 loss = loss + key_loss
             if not np.isfinite(loss):
                 raise NonFiniteError("non-finite loss")
-            g_logits[lo:hi] = cross_entropy_backward(logp, labels)
+            g = cross_entropy_backward(logp, labels)
+            g_feats[lo:hi] = g @ head.w.T
             spans.append((lo, hi))
-            losses.append(float(loss))
+            # under MASK_BIAS a class outside head_mask has probability exactly
+            # 0, so its logit gradient is 0 and its head-gradient column +-0
+            heads.append((float(loss), feats[lo:hi].T @ g, g.sum(axis=0)))
             lo = hi
-        prompt_grads, _ = backward(g_logits @ head.w.T, spans=spans)
-        for j, (lo, hi) in enumerate(spans):
+        prompt_grads, _ = backward(g_feats, spans=spans)
+        for j, (loss, gw, gb) in enumerate(heads):
             own = [prompt_grads[b][j][: cfg.prompt_len].ravel() for b in cfg.prompted_blocks]
             flat = np.concatenate([*own, k_grad])
             if not np.all(np.isfinite(flat)):
                 raise NonFiniteError("non-finite gradient")
-            # under MASK_BIAS a class outside head_mask has probability exactly
-            # 0, so its logit gradient is 0 and its head-gradient column +-0
-            g = g_logits[lo:hi]
-            out.append((losses[j], GradientVector(flat, cfg), feats[lo:hi].T @ g, g.sum(axis=0)))
+            out.append((loss, GradientVector(flat, cfg), gw, gb))
     return out
 
 

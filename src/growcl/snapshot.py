@@ -255,7 +255,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
     array read must have the dtype and shape the engine gives it, and the
     integer arrays must describe a pool some run could have built (see the
     module docstring). The engine owns copies of the arrays, and its
-    backbone's are read-only, as ``Engine.fresh`` leaves them.
+    constructor makes the backbone's read-only.
     """
     for field_name in ENCODER_FIELDS:
         if getattr(enc_cfg, field_name) != snap[field_name]:
@@ -316,7 +316,6 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
     d, n_prompted = enc_cfg.d_model, enc_cfg.n_prompted
     backbone = FrozenBackbone(enc_cfg, {name: array(f"backbone.{name}", shape)
                                         for name, shape in backbone_shapes(enc_cfg).items()})
-    backbone.freeze()
     head = Head(array("head.w", (d, snap["n_classes"])), array("head.b", (snap["n_classes"],)))
     n_sets = 0
     while any(name.startswith(f"set{n_sets}.") for name in arrays):

@@ -3,14 +3,14 @@
 One engine is one run: it owns its task stream and accuracy matrix, a
 frozen backbone, the unified head, the prompt pool (each set with its frozen
 transfer rows) and the stored spaces of the pool's sets; its constructor
-takes exactly that state. ``Engine.fresh`` starts a run: it checks that no
-two tasks share a class, seeds the RNG, draws the backbone, pretrains it on a
-``PRETRAIN_CLASSES``-class synthetic task at step size ``PRETRAIN_LR`` and
-draws the head over the stream's classes. ``snapshot.restore_engine`` calls
-the same constructor with the state read from a file and the regenerated
-stream. ``train_task`` trains task ``tasks_done`` (``TrainerError`` once
-every task is trained), and ``evaluate_after`` fills that task's column of
-``matrix``.
+takes exactly that state and makes the backbone read-only. ``Engine.fresh``
+starts a run: it checks that no two tasks share a class, seeds the RNG,
+draws the backbone, pretrains it on a ``PRETRAIN_CLASSES``-class synthetic
+task at step size ``PRETRAIN_LR`` and draws the head over the stream's
+classes. ``snapshot.restore_engine`` calls the same constructor with the
+state read from a file and the regenerated stream. ``train_task`` trains
+task ``tasks_done`` (``TrainerError`` once every task is trained), and
+``evaluate_after`` fills that task's column of ``matrix``.
 
 For each task the engine (1) probes every pool set's own prompts, without
 its frozen transfer rows, once each, and only when the decision (``lw2g``)
@@ -168,6 +168,7 @@ class Engine:
         self.datasets = datasets
         self.matrix = matrix
         self.tasks_done = tasks_done
+        backbone.freeze()
         self.reports = []
         self.test_queries = {}  # task index -> its test set's promptless features
         # (set id, task index) -> (where, feats): test row r has not been
@@ -179,8 +180,8 @@ class Engine:
     def fresh(cls, enc_cfg: EncoderConfig, cfg: TrainConfig, datasets: list) -> "Engine":
         """A new run's engine over ``datasets``: check that no two tasks share
         a class, seed the RNG from ``cfg.seed``, draw and pretrain the
-        backbone and make it read-only, then draw the head over every class
-        of the stream."""
+        backbone, then draw the head over every class of the stream. The
+        constructor freezes the backbone."""
         classes = stream_classes(datasets)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         backbone = FrozenBackbone.init(enc_cfg, rng)
@@ -200,7 +201,6 @@ class Engine:
                 )
             except NonFiniteError as exc:
                 raise TrainerError(f"pretraining, {exc}") from exc
-        backbone.freeze()
         head = Head.init(enc_cfg.d_model, max(classes) + 1, rng)
         return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(),
                    datasets, AccuracyMatrix(len(datasets)), 0)
@@ -226,11 +226,6 @@ class Engine:
     def _subset(self, n: int, cap: int) -> np.ndarray:
         take = min(cap, n)
         return self.rng.choice(n, size=take, replace=False)
-
-    def _probe_batches(self, x, y):
-        idx = self._subset(len(x), self.cfg.probe_samples)
-        bs = self.cfg.batch_size
-        return [(x[idx[i : i + bs]], y[idx[i : i + bs]]) for i in range(0, len(idx), bs)], idx
 
     # -- core per-task operations --------------------------------------------------
 
@@ -270,8 +265,7 @@ class Engine:
         p_before = None
         try:
             x, y = dataset.x_train, dataset.y_train
-            probe_batches, probe_idx = self._probe_batches(x, y)
-            probe = GradientProbe(self.backbone, self.head, classes, probe_batches)
+            probe_idx = self._subset(len(x), cfg.probe_samples)
 
             # One promptless pass over the training rows gives the key-loss
             # queries and, at the probe subset, the reps of this task's
@@ -281,7 +275,7 @@ class Engine:
             pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
             pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
-            grads = self._probe(task_id, probe)
+            grads = self._probe(task_id, dataset, probe_idx)
             decision = self._decide(grads, pre_space)
 
             if decision.is_grow:
@@ -336,8 +330,9 @@ class Engine:
 
     # -- decision plumbing ---------------------------------------------------------
 
-    def _probe(self, task_id: int, probe: GradientProbe) -> dict:
-        """Every pool set's probe gradient by set id, or none when nothing
+    def _probe(self, task_id: int, dataset, idx: np.ndarray) -> dict:
+        """Every pool set's probe gradient by set id over the task's training
+        rows ``idx``, cut into ``batch_size`` batches, or none when nothing
         reads them: the decision reads them in ``lw2g``, transfer in
         ``grow_always`` when ``n_fft > 0``. Every gradient returned is finite
         and nonzero; any other raises ``TrainerError`` naming the task and
@@ -345,14 +340,20 @@ class Engine:
         read = self.cfg.mode == "lw2g" or (self.cfg.mode == "grow_always" and self.cfg.n_fft > 0)
         if not read:
             return {}
+        x, y, bs = dataset.x_train[idx], dataset.y_train[idx], self.cfg.batch_size
+        probe = GradientProbe(self.backbone, self.head, tuple(dataset.class_ids),
+                              [(x[i : i + bs], y[i : i + bs]) for i in range(0, len(x), bs)])
         grads = {}
         for pset in self.pool.sets:
             try:
-                grads[pset.id] = probe.gradient(pset)
+                grad = probe.gradient(pset)
             except NonFiniteError as exc:
-                raise TrainerError(f"task {task_id}, {exc}") from exc
-            if grads[pset.id].norm == 0.0:
-                raise TrainerError(f"task {task_id}, set {pset.id}: degenerate subset batch: zero probe gradient")
+                failure = exc
+            else:
+                failure = None if grad.norm else "degenerate subset batch: zero probe gradient"
+            if failure is not None:
+                raise TrainerError(f"task {task_id}, set {pset.id}: {failure}")
+            grads[pset.id] = grad
         return grads
 
     def _decide(self, grads: dict, pre_space: dict) -> GrowDecision:

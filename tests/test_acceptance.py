@@ -156,7 +156,7 @@ def test_criterion_05_soft_constraint_behavior():
     rng_at_start = copy.deepcopy(eng.rng)
     eng.train_task()
     eng.rng = rng_at_start
-    _, probe_idx = eng._probe_batches(ds.x_train, ds.y_train)
+    probe_idx = eng._subset(len(ds.x_train), cfg.probe_samples)
     _, reps = query_with_layers(eng.backbone, ds.x_train)
     pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
     pre_spaces = eng._spaces_from_reps(pre_reps, cfg.eps_pre)

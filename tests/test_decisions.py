@@ -257,19 +257,19 @@ class TestProbe:
         want = hfc(g.flat, np.concatenate(pieces)).angle
         assert thr.angle == pytest.approx(want, abs=1e-12)
 
-    # (rows, batch size) -> rows per encoder pass: batches join a pass while
-    # it holds at most ROW_BLOCK (64) rows, a larger batch runs alone, and so
-    # does a one-row batch (the gemv case)
+    # (rows, batch size) -> rows per encoder pass: consecutive batches join a
+    # pass while it holds at most ROW_BLOCK (64) rows, and a larger batch runs
+    # alone; a one-row batch packs like any other
     @pytest.mark.parametrize("n_rows, batch_size, passes", [
         (144, 32, [64, 64, 16]),
         (160, 32, [64, 64, 32]),
-        (33, 32, [32, 1]),
+        (33, 32, [33]),
         (65, 32, [64, 1]),
-        (49, 16, [48, 1]),
+        (49, 16, [49]),
         (1, 32, [1]),
         (100, 100, [100]),
-        (7, 3, [6, 1]),
-        (3, 1, [1, 1, 1]),
+        (7, 3, [7]),
+        (3, 1, [3]),
     ])
     def test_one_pass_per_pack_of_rows(self, monkeypatch, n_rows, batch_size, passes):
         probe, sets = six_set_probe(n_rows, batch_size)
@@ -301,15 +301,15 @@ class TestProbe:
                 assert np.array_equal(probe.gradient(pset).flat, want), (seed, pset.id)
 
     @pytest.mark.parametrize("what", ["loss", "gradient"])
-    def test_non_finite_names_the_set(self, monkeypatch, what):
+    def test_non_finite_raises_the_bare_error(self, monkeypatch, what):
+        # the engine names the task and the set (tests/test_trainer.py)
         probe, sets = six_set_probe(64, 32)
         if what == "loss":
             sets[3].p[0, 0, 0] = np.nan
         else:
             monkeypatch.setattr(encoder_module, "cross_entropy_backward",
                                 lambda logp, labels: np.full(logp.shape, np.inf))
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
-                                                      match=f"^set {3 if what == 'loss' else 0}: non-finite {what}$"):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"^non-finite {what}$"):
             for pset in sets[:4]:
                 probe.gradient(pset)
 

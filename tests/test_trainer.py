@@ -10,7 +10,9 @@ from growcl.config import load_config
 from growcl.decisions import GradientProbe, hindrance
 from growcl.encoder import (
     EncoderConfig,
+    FrozenBackbone,
     GradientVector,
+    Head,
     NonFiniteError,
     PromptSet,
     loss_and_grads,
@@ -18,10 +20,11 @@ from growcl.encoder import (
     prompted_with_layers,
     query_with_layers,
 )
-from growcl.metrics import faa, pra, ssp
+from growcl.metrics import AccuracyMatrix, faa, pra, ssp
+from growcl.pool import PromptPool
 from growcl.stream import StreamSpec, generate
 from growcl.subspace import Basis
-from growcl.trainer import Engine, TrainConfig, TrainerError, run_stream
+from growcl.trainer import Engine, SubspaceMemory, TrainConfig, TrainerError, run_stream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -187,11 +190,13 @@ class TestProbeCount:
     @pytest.mark.parametrize("mode, n_fft", [("grow_always", 0), ("single_set", 1)])
     def test_no_probe_when_nothing_reads_it(self, monkeypatch, mode, n_fft):
         calls = self.counted_probes(monkeypatch)
+        built = []
+        monkeypatch.setattr(trainer, "GradientProbe", lambda *args: built.append(args))
         data = small_stream(3)
         eng = Engine.fresh(ENC, quick_cfg(mode=mode, n_fft=n_fft), data)
         for _ in data:
             eng.train_task()
-        assert calls == []
+        assert calls == [] and built == []
 
 
 class TestProbeFailures:
@@ -583,6 +588,17 @@ class TestFrozenBackbone:
         for name, weight in engine.backbone.weights.items():
             with pytest.raises(ValueError, match="read-only"):
                 weight[...] = 0.0
+            assert not weight.flags.writeable, name
+
+    def test_an_engine_freezes_the_backbone_it_is_given(self):
+        # snapshot.restore_engine builds its engine from arrays it has just read
+        data = small_stream(2)
+        rng = np.random.default_rng(0)
+        backbone = FrozenBackbone.init(ENC, rng)
+        assert all(weight.flags.writeable for weight in backbone.weights.values())
+        Engine(ENC, quick_cfg(), rng, backbone, Head.init(ENC.d_model, 4, rng), PromptPool(),
+               SubspaceMemory(), data, AccuracyMatrix(len(data)), 0)
+        for name, weight in backbone.weights.items():
             assert not weight.flags.writeable, name
 
 
