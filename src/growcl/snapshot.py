@@ -71,7 +71,7 @@ from growcl.encoder import FrozenBackbone, Head, PromptSet, backbone_shapes, seg
 from growcl.metrics import AccuracyMatrix
 from growcl.pool import PromptPool
 from growcl.subspace import Basis, SubspaceError
-from growcl.trainer import Engine, SubspaceMemory, stream_classes
+from growcl.trainer import Engine, SubspaceMemory, head_width
 
 MAGIC = b"LW2G"
 VERSION = 2
@@ -267,8 +267,7 @@ def restore_engine(snap: dict, enc_cfg, train_cfg, datasets) -> Engine:
         raise SnapshotError(f"tasks_done {tasks_done} exceeds n_tasks {n_tasks}")
     if len(datasets) != n_tasks:
         raise SnapshotError(f"the stream has {len(datasets)} tasks, the snapshot n_tasks {n_tasks}")
-    # Engine.fresh draws one head column per class up to the stream's largest
-    need = max(stream_classes(datasets)) + 1
+    need = head_width(datasets)
     if snap["n_classes"] != need:
         raise SnapshotError(f"the head has {snap['n_classes']} classes, the stream needs {need}")
 

@@ -23,11 +23,11 @@ when the set has a stored space, the orthogonal-to-old-space condition, with
 frozen transfer prompts joined behind its own in each block's attention
 prefix (chosen once, when the set grows: a reused set keeps the frozen rows
 its earlier tasks were trained with), (4) builds the set's stored feature
-space, or extends the one it has, and (5) only then adds a grown set to the
-pool or assigns the task to the reused one. A ``train_task`` that raises
-therefore leaves the pool and ``tasks_done`` as they were, and it puts back
-the RNG, the head and a reused set's prompts and key, so the whole engine is
-as it was and a retry trains the task exactly as an uninterrupted run does.
+space, or extends the one it has, and (5) commits. Steps 1-4 work on
+copies of the RNG, the head and a reused set; the commit, the task's last
+step, hands the engine those copies, the stored space and the pool entry,
+so a ``train_task`` that raises leaves the whole engine as it was and a
+retry trains the task exactly as an uninterrupted run does.
 Every step reads the engine's own state: the step size from ``cfg``, a
 set's stored space from ``memory`` and its frozen rows from the set itself.
 The task's pre-trained space lives only while ``train_task`` runs: the
@@ -41,6 +41,7 @@ and drift ratios are reported under them too.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -138,12 +139,13 @@ class TaskReport:
     drift_ratios: dict  # segment -> ||proj_old(delta)|| / ||delta|| (reuse only)
 
 
-def stream_classes(datasets) -> list:
-    """Every class of the stream, in task order; raises when two tasks share one."""
+def head_width(datasets) -> int:
+    """The head's class count over the stream: one column per class up to
+    the largest; raises when two tasks share a class."""
     classes = [c for ds in datasets for c in ds.class_ids]
     if len(set(classes)) != len(classes):
         raise TrainerError("two tasks of the stream share a class")
-    return classes
+    return max(classes) + 1
 
 
 # Backbone pretraining runs on a one-task synthetic stream of PRETRAIN_CLASSES
@@ -171,9 +173,9 @@ class Engine:
         backbone.freeze()
         self.reports = []
         self.test_queries = {}  # task index -> its test set's promptless features
-        # (set id, task index) -> (where, feats): test row r has not been
+        # set id -> {task index -> (where, feats)}: test row r has not been
         # encoded under the set while where[r] < 0; then its features are
-        # feats[where[r]]
+        # feats[where[r]]. A set's entry goes when a task that trains it commits.
         self.test_features = {}
 
     @classmethod
@@ -182,7 +184,7 @@ class Engine:
         a class, seed the RNG from ``cfg.seed``, draw and pretrain the
         backbone, then draw the head over every class of the stream. The
         constructor freezes the backbone."""
-        classes = stream_classes(datasets)
+        n_classes = head_width(datasets)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         backbone = FrozenBackbone.init(enc_cfg, rng)
         if cfg.pretrain_steps > 0:
@@ -201,7 +203,7 @@ class Engine:
                 )
             except NonFiniteError as exc:
                 raise TrainerError(f"pretraining, {exc}") from exc
-        head = Head.init(enc_cfg.d_model, max(classes) + 1, rng)
+        head = Head.init(enc_cfg.d_model, n_classes, rng)
         return cls(enc_cfg, cfg, rng, backbone, head, PromptPool(), SubspaceMemory(),
                    datasets, AccuracyMatrix(len(datasets)), 0)
 
@@ -223,9 +225,9 @@ class Engine:
                 spaces[name] = extend_basis(old[name], rows, eps)
         return spaces
 
-    def _subset(self, n: int, cap: int) -> np.ndarray:
-        take = min(cap, n)
-        return self.rng.choice(n, size=take, replace=False)
+    @staticmethod
+    def _subset(rng: np.random.Generator, n: int, cap: int) -> np.ndarray:
+        return rng.choice(n, size=min(cap, n), replace=False)
 
     # -- core per-task operations --------------------------------------------------
 
@@ -238,90 +240,81 @@ class Engine:
         pset.p -= self.cfg.lr * grad.p
         pset.k -= self.cfg.lr * grad.k
 
-    def finalize_task_space(self, pset: PromptSet, dataset):
-        """Collect a representation sample from the trained configuration and
-        build the set's stored space, or extend the one it already has."""
-        idx = self._subset(len(dataset.x_train), self.cfg.space_samples)
-        x = dataset.x_train[idx]
-        _, reps = prompted_with_layers(self.backbone, pset, x)
+    def finalize_task_space(self, pset: PromptSet, dataset, rng: np.random.Generator) -> dict:
+        """The trained set's stored space, returned, not stored: built from,
+        or (a set that has one) extended by, its reps of ``space_samples`` of
+        the task's training rows, drawn from ``rng``."""
+        idx = self._subset(rng, len(dataset.x_train), self.cfg.space_samples)
+        _, reps = prompted_with_layers(self.backbone, pset, dataset.x_train[idx])
         old = self.memory.old_spaces.get(pset.id)
-        self.memory.old_spaces[pset.id] = self._spaces_from_reps(reps, self.cfg.eps_task, old=old)
+        return self._spaces_from_reps(reps, self.cfg.eps_task, old=old)
 
     def train_task(self) -> TaskReport:
         """Run the full per-task pipeline on the stream's next task and return
-        its report. A task that raises leaves the engine as it was: the RNG,
-        the head and a reused set's prompts and key are put back, and the
-        pool, the stored spaces and ``tasks_done`` change only once the
-        task's space is stored, so a retry trains the uninterrupted run's
-        task."""
+        its report. The task works on copies of the RNG, the head and a
+        reused set, and the engine changes only in the commit block at the
+        end, so a task that raises leaves the engine as it was and a retry
+        trains the uninterrupted run's task."""
         cfg = self.cfg
         task_id = self.tasks_done
         if task_id == len(self.datasets):
             raise TrainerError(f"all {task_id} tasks of the stream are trained")
         dataset = self.datasets[task_id]
         classes = tuple(dataset.class_ids)
-        rng_state = self.rng.bit_generator.state
-        head_w, head_b = self.head.w.copy(), self.head.b.copy()
-        p_before = None
-        try:
-            x, y = dataset.x_train, dataset.y_train
-            probe_idx = self._subset(len(x), cfg.probe_samples)
+        rng = copy.deepcopy(self.rng)
+        head = Head(self.head.w.copy(), self.head.b.copy())
+        x, y = dataset.x_train, dataset.y_train
+        probe_idx = self._subset(rng, len(x), cfg.probe_samples)
 
-            # One promptless pass over the training rows gives the key-loss
-            # queries and, at the probe subset, the reps of this task's
-            # pre-trained space (reused by the decision floor and the soft
-            # constraint).
-            q_all, reps = query_with_layers(self.backbone, x)
-            pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
-            pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
+        # One promptless pass over the training rows gives the key-loss
+        # queries and, at the probe subset, the reps of this task's
+        # pre-trained space (reused by the decision floor and the soft
+        # constraint).
+        q_all, reps = query_with_layers(self.backbone, x)
+        pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
+        pre_space = self._spaces_from_reps(pre_reps, cfg.eps_pre)
 
-            grads = self._probe(task_id, dataset, probe_idx)
-            decision = self._decide(grads, pre_space)
+        grads = self._probe(task_id, dataset, probe_idx)
+        decision = self._decide(grads, pre_space)
 
-            if decision.is_grow:
-                pset = PromptSet.init(self.enc_cfg, self.rng, set_id=len(self.pool))
-                self._attach_transfer_prompts(pset, grads)
-            else:
-                pset = self.pool.sets[decision.reuse_id]
-                # the set's prompts change below
-                for key in [key for key in self.test_features if key[0] == pset.id]:
-                    del self.test_features[key]
-            sid = pset.id
-            # a set that has just grown has no stored space yet
-            reuse_spaces = self.memory.old_spaces.get(sid)
+        if decision.is_grow:
+            before = None
+            pset = PromptSet.init(self.enc_cfg, rng, set_id=len(self.pool))
+            self._attach_transfer_prompts(pset, grads)
+        else:
+            before = self.pool.sets[decision.reuse_id]
+            pset = PromptSet(before.p.copy(), before.k.copy(), before.id, before.extra, before.sources)
+        sid = pset.id
 
-            p_before = pset.p.copy()
-            k_before = pset.k.copy()
-            for epoch in range(cfg.epochs):
-                order = self.rng.permutation(len(x))
-                for lo in range(0, len(order), cfg.batch_size):
-                    batch = order[lo : lo + cfg.batch_size]
-                    q_bar = q_all[batch].mean(axis=0)
-                    try:
-                        _, grad, gw, gb = loss_and_grads(
-                            self.backbone, self.head, pset, x[batch], y[batch], classes, q_bar=q_bar
-                        )
-                    except NonFiniteError as exc:
-                        raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
-                    grad = apply_soft_constraint(grad, cfg.phi, pre_space)
-                    self.orthogonal_step(pset, grad)
-                    self.head.w -= cfg.lr * gw
-                    self.head.b -= cfg.lr * gb
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(x))
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = order[lo : lo + cfg.batch_size]
+                q_bar = q_all[batch].mean(axis=0)
+                try:
+                    _, grad, gw, gb = loss_and_grads(
+                        self.backbone, head, pset, x[batch], y[batch], classes, q_bar=q_bar
+                    )
+                except NonFiniteError as exc:
+                    raise TrainerError(f"task {task_id}, epoch {epoch}, set {sid}: {exc}") from exc
+                grad = apply_soft_constraint(grad, cfg.phi, pre_space)
+                self.orthogonal_step(pset, grad)
+                head.w -= cfg.lr * gw
+                head.b -= cfg.lr * gb
 
-            drift = self._drift_ratios(pset, p_before, k_before, reuse_spaces)
-            self.finalize_task_space(pset, dataset)
-        except BaseException:
-            self.rng.bit_generator.state = rng_state
-            self.head.w, self.head.b = head_w, head_b
-            if p_before is not None:
-                pset.p, pset.k = p_before, k_before
-            raise
-        # the pool changes only once the task has trained and its space is
-        # stored, so a failure above leaves the pool as it was
+        drift = self._drift_ratios(pset, before)
+        space = self.finalize_task_space(pset, dataset, rng)
+
+        # the commit: nothing above writes to the engine
+        self.rng, self.head = rng, head
+        self.memory.old_spaces[sid] = space
         if decision.is_grow:
             self.pool.add_set(pset, task_id)
         else:
+            self.pool.sets[sid] = pset
             self.pool.assign_task(sid, task_id)
+        # a reused set's cached test features are stale (a grown set has none)
+        self.test_features.pop(sid, None)
         self.tasks_done += 1
         row = trace_record(task_id, decision, self.pool.assignments)
         report = TaskReport(task_id, sid, decision, row, drift)
@@ -376,14 +369,15 @@ class Engine:
         pset.extra = compose_prompts(pset, [self.pool.sets[c] for c in chosen])
         pset.sources = chosen
 
-    def _drift_ratios(self, pset, p_before, k_before, reuse_spaces):
-        """Per-segment fraction of the parameter drift lying inside the old
-        space; near zero certifies the orthogonal condition held."""
-        if not reuse_spaces:
+    def _drift_ratios(self, pset: PromptSet, before: PromptSet | None) -> dict:
+        """Per-segment fraction of the drift from ``before`` to ``pset`` that
+        lies inside the set's stored space; near zero certifies the
+        orthogonal condition held. None: the set has just grown, no ratios."""
+        if before is None:
             return {}
-        deltas = segment_map(self.enc_cfg, pset.p - p_before, (pset.k - k_before)[None])
+        deltas = segment_map(self.enc_cfg, pset.p - before.p, (pset.k - before.k)[None])
         ratios = {}
-        for name, basis in reuse_spaces.items():
+        for name, basis in self.memory.old_spaces[pset.id].items():
             delta = deltas[name]
             total = float(np.linalg.norm(delta))
             if total < 1e-9:
@@ -403,7 +397,7 @@ class Engine:
         the task-identity upper bound: ground-truth set and logits restricted
         to the task's own classes. A test row is encoded only under the sets
         that read it (the one retrieval picks, and the task's own set for the
-        oracle), once per set until ``train_task`` trains that set again.
+        oracle), once per set until a task that trains that set commits.
         """
         seen = self.seen_classes
         for i, ds in enumerate(self.datasets[: self.tasks_done]):
@@ -423,17 +417,17 @@ class Engine:
     def _test_features(self, sid: int, task: int, rows: np.ndarray) -> np.ndarray:
         """Features of rows ``rows`` of task ``task``'s test set under set
         ``sid``. Only rows not encoded before are encoded, in one call; the
-        cache keeps the features of every encoded row until ``train_task``
-        trains the set again."""
+        cache keeps the features of every encoded row until a task that
+        trains the set commits."""
         x_test = self.datasets[task].x_test
-        where, feats = self.test_features.get(
-            (sid, task), (np.full(len(x_test), -1), np.empty((0, self.enc_cfg.d_model))))
+        cache = self.test_features.setdefault(sid, {})
+        where, feats = cache.get(task, (np.full(len(x_test), -1), np.empty((0, self.enc_cfg.d_model))))
         missing = rows[where[rows] < 0]
         if len(missing):
             new = prompted_features(self.backbone, self.pool.sets[sid], x_test[missing])
             where[missing] = np.arange(len(feats), len(feats) + len(missing))
             feats = np.concatenate([feats, new])
-        self.test_features[(sid, task)] = (where, feats)
+        cache[task] = (where, feats)
         return feats[where[rows]]
 
     def _accuracy(self, task: int, set_ids: np.ndarray, seen_classes) -> float:

@@ -155,8 +155,7 @@ def test_criterion_05_soft_constraint_behavior():
     # the probe subset, drawn from the RNG state the task starts from
     rng_at_start = copy.deepcopy(eng.rng)
     eng.train_task()
-    eng.rng = rng_at_start
-    probe_idx = eng._subset(len(ds.x_train), cfg.probe_samples)
+    probe_idx = Engine._subset(rng_at_start, len(ds.x_train), cfg.probe_samples)
     _, reps = query_with_layers(eng.backbone, ds.x_train)
     pre_reps = {name: rows[probe_idx] for name, rows in reps.items()}
     pre_spaces = eng._spaces_from_reps(pre_reps, cfg.eps_pre)

@@ -279,12 +279,21 @@ class TestStepFailures:
         snapshot.restore_engine(snapshot.load(resaved), enc, cfg, data)
 
 
+def arrays_by_path(tree, path=()) -> dict:
+    """Copies of every array in a nest of dicts and tuples, by key path."""
+    if isinstance(tree, np.ndarray):
+        return {path: tree.copy()}
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    return {k: a for key, sub in items for k, a in arrays_by_path(sub, (*path, key)).items()}
+
+
 class TestRetryAfterFailure:
     """A task that fails leaves the engine as it was: once its fault is
     undone, the engine saves the bytes it saved before the task (the
     snapshot holds the RNG, the head, every set's prompts and key, the
-    pool, the stored spaces and ``tasks_done``), and the retried run writes
-    the same files as an uninterrupted one."""
+    pool, the stored spaces and ``tasks_done``), it keeps the test queries
+    and features it had cached, and the retried run writes the same files
+    as an uninterrupted one."""
 
     @staticmethod
     def poison_set_0(engine):
@@ -299,19 +308,28 @@ class TestRetryAfterFailure:
         return undo
 
     @staticmethod
-    def fail_fourth_step(engine):
+    def fourth_step_raises(error):
         # three steps move the set, the head and the RNG before the failure
         steps = []
 
         def step(*args, **kwargs):
             steps.append(None)
             if len(steps) == 4:
-                raise NonFiniteError("non-finite loss")
+                raise error
             return loss_and_grads(*args, **kwargs)
 
         patch = pytest.MonkeyPatch()
         patch.setattr(trainer, "loss_and_grads", step)
         return patch.undo
+
+    @classmethod
+    def fail_fourth_step(cls, engine):
+        return cls.fourth_step_raises(NonFiniteError("non-finite loss"))
+
+    @classmethod
+    def interrupt_fourth_step(cls, engine):
+        # an interrupt is no Exception: nothing in the task may catch it
+        return cls.fourth_step_raises(KeyboardInterrupt())
 
     @staticmethod
     def fail_finalize(engine):
@@ -328,6 +346,7 @@ class TestRetryAfterFailure:
     RAISES = {
         "poison_set_0": (TrainerError, "^task 1, set 0: non-finite loss$"),
         "fail_fourth_step": (TrainerError, r"^task 1, epoch 0, set \d+: non-finite loss$"),
+        "interrupt_fourth_step": (KeyboardInterrupt, None),
         "fail_finalize": (NonFiniteError, "^non-finite loss$"),
     }
 
@@ -337,6 +356,9 @@ class TestRetryAfterFailure:
         ("lw2g", "fail_fourth_step"),
         ("grow_always", "fail_fourth_step"),
         ("single_set", "fail_fourth_step"),
+        ("lw2g", "interrupt_fourth_step"),
+        ("grow_always", "interrupt_fourth_step"),
+        ("single_set", "interrupt_fourth_step"),
         ("lw2g", "fail_finalize"),
         ("grow_always", "fail_finalize"),
         ("single_set", "fail_finalize"),
@@ -345,12 +367,14 @@ class TestRetryAfterFailure:
                                                               fault):
         before, after = tmp_path / "before.bin", tmp_path / "after.bin"
         error, match = self.RAISES[fault]
+        caches = []
 
         def interrupted_run(enc_cfg, cfg, datasets):
             engine = Engine.fresh(enc_cfg, cfg, datasets)
             engine.train_task()
             engine.evaluate_after()
             snapshot.save(before, engine)
+            caches.append(arrays_by_path((engine.test_queries, engine.test_features)))
             undo = getattr(self, fault)(engine)
             try:
                 with np.errstate(all="ignore"), pytest.raises(error, match=match):
@@ -358,6 +382,7 @@ class TestRetryAfterFailure:
             finally:
                 undo()
             snapshot.save(after, engine)
+            caches.append(arrays_by_path((engine.test_queries, engine.test_features)))
             while engine.tasks_done < len(datasets):
                 engine.train_task()
                 engine.evaluate_after()
@@ -368,6 +393,10 @@ class TestRetryAfterFailure:
         monkeypatch.setattr(cli, "run_stream", interrupted_run)
         assert cli.main([*args, "--out", str(tmp_path / "retried")]) == 0
         assert after.read_bytes() == before.read_bytes()
+        cached, kept = caches
+        assert cached and kept.keys() == cached.keys()
+        for key, arr in cached.items():
+            assert np.array_equal(kept[key], arr), key
         for name in ("report.json", "trace.jsonl", "metrics.csv", "snapshot.bin"):
             plain = (tmp_path / "plain" / name).read_bytes()
             assert (tmp_path / "retried" / name).read_bytes() == plain, name
@@ -465,8 +494,8 @@ class TestFinalizeSpace:
         eng.train_task()
         before = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
         eng.cfg = quick_cfg(eps_task=0.5)  # easily satisfied by existing span
-        eng.finalize_task_space(eng.pool.sets[0], data[0])
-        after = {k: b.rank for k, b in eng.memory.old_spaces[0].items()}
+        spaces = eng.finalize_task_space(eng.pool.sets[0], data[0], eng.rng)
+        after = {k: b.rank for k, b in spaces.items()}
         assert after == before
 
 
