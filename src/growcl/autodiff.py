@@ -350,12 +350,15 @@ def cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
     return -logp[np.arange(len(logp)), labels].mean(), logp
 
 
-def cross_entropy_backward(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Logit gradient of ``cross_entropy_forward``."""
+def cross_entropy_backward(logp: np.ndarray, labels: np.ndarray,
+                           denom: np.ndarray | None = None) -> np.ndarray:
+    """Logit gradient of ``cross_entropy_forward``; with ``denom`` [n], of
+    the sum of each row's negative log-likelihood divided by its own
+    ``denom`` entry instead of by n."""
     n = len(logp)
     p = np.exp(logp)
     p[np.arange(n), labels] -= 1.0
-    p /= n
+    p /= n if denom is None else denom[:, None]
     return p
 
 

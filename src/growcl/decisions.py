@@ -10,11 +10,11 @@ z = hindrance_old - hindrance_floor drives the decision: grow a new set when
 every gap is positive, otherwise fold the task into the set with the
 smallest gap.
 
-A set's probe gradient is the mean of its batches' ``loss_and_grads``
-gradients (no update): the training step's cross-entropy gradient,
-averaged. ``GradientProbe`` takes them from ``batch_grads``, which packs
-consecutive batches into encoder passes of up to ``ROW_BLOCK`` rows and gives
-each batch the bits of a pass of its own.
+A set's probe gradient (no update) is the gradient of the mean over its
+batches of each batch's mean cross-entropy, the training step's loss
+without the key pull: the value of the mean of the batches'
+``loss_and_grads`` gradients. ``GradientProbe`` takes it from the encoder's
+``probe_grad``, in passes of up to ``ROW_BLOCK`` rows.
 The engine probes each pool set once per task, accepts only a finite,
 nonzero gradient, and hands the gradients to both readers: the decision and
 transfer ranking.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from growcl.encoder import GradientVector, Head, PromptSet, batch_grads
+from growcl.encoder import GradientVector, Head, PromptSet, probe_grad
 from growcl.subspace import HfcValue, hfc, project_rows
 
 
@@ -111,7 +111,9 @@ def hindrance(grad: GradientVector, spaces: dict) -> HfcValue:
 
 @dataclass
 class GradientProbe:
-    """The mean ``loss_and_grads`` gradient over a fixed subset, no updates.
+    """The batch-weighted cross-entropy gradient over a fixed subset, no
+    updates: the value of the mean of its batches' ``loss_and_grads``
+    gradients.
 
     Probing uses cross-entropy only (no ``q_bar``): the key segment of probe
     gradients is zero. A probe measures a set's own prompts without its
@@ -124,19 +126,15 @@ class GradientProbe:
     batches: list  # [(x, y), ...], at least one
 
     def gradient(self, pset: PromptSet) -> GradientVector:
-        """``pset``'s probe gradient: the ``loss_and_grads`` gradients of its
-        batches, summed in batch order and divided by the batch count. The
-        batches run in ``batch_grads``' packs of rows. Raises
-        ``NonFiniteError`` when a loss or gradient is not finite; the engine
-        names the task and the set."""
+        """``pset``'s probe gradient from ``probe_grad``: each row's
+        cross-entropy divided by the batch count times its batch's rows, so
+        a short last batch's rows weigh more. Raises ``NonFiniteError`` when
+        a loss or the gradient is not finite; the engine names the task and
+        the set."""
         # probes measure bare sets: a method choice, open until runs record
         # each set's angles with its frozen rows as well (ROADMAP)
         bare = PromptSet(pset.p, pset.k, pset.id)
-        grads = batch_grads(self.backbone, self.head, bare, self.batches, self.head_mask)
-        acc = grads[0][1].flat
-        for _, grad, _, _ in grads[1:]:
-            acc = acc + grad.flat
-        return GradientVector(acc / len(self.batches), self.backbone.config)
+        return probe_grad(self.backbone, self.head, bare, self.batches, self.head_mask)
 
 
 # the benchmark's tracer (perfbench/spans.py) wraps ``hindrance`` through

@@ -22,17 +22,17 @@ embedding and class token. ``loss_and_grads`` puts the masked head and
 cross-entropy in front of one set's pass and adds the key's cosine pull in
 closed form; the mask bias alone zeroes the head gradients outside the
 task's classes. A training step is one ``loss_and_grads`` call. A probe
-gradient is the mean of its batches' ``loss_and_grads`` gradients, which
-``batch_grads`` computes in passes of up to ``ROW_BLOCK`` rows (``_row_packs``):
-each batch's head products and cross-entropy run on its own rows of the
-features, and the backward sums each batch's prompt gradient over its own
-rows, so every batch's gradient has the bits of a pass of its own. The LN,
-GELU, softmax and cross-entropy derivatives are the ``autodiff`` kernels; the
-``autodiff`` tape is not used here, and the tests compose the same model
-from it as an independent reference. Only the class token is read after
-the last block, so that block builds keys and values from every token and
-the prompt but computes the query, attention row, residual and MLP for the
-class token alone.
+gradient (``probe_grad``) is the gradient of the mean of its batches' mean
+cross-entropies: one loss over all their rows, each row weighted by its
+batch, run in passes of ``ROW_BLOCK`` rows whose prompt gradients are
+summed. A block's backward sums the prompt gradient over every row of its
+pass, and a prompted pass keeps no backward below its lowest prompted
+block. The LN, GELU, softmax and cross-entropy derivatives are the
+``autodiff`` kernels; the ``autodiff`` tape is not used here, and the tests
+compose the same model from it as an independent reference. Only the
+class token is read after the last block, so that block builds keys and
+values from every token and the prompt but computes the query, attention
+row, residual and MLP for the class token alone.
 
 ``encode`` runs its rows in blocks and writes each block's features and
 reps into preallocated outputs in row order. A forward-only pass (queries,
@@ -40,10 +40,11 @@ features for evaluation, the reps of stored and pre-trained spaces) takes
 ``ROW_BLOCK`` rows per block, so its peak memory is one block's
 intermediates plus the outputs, whatever the number of rows. A pass that
 keeps a backward is one block of all its rows, since the backward needs
-every row's intermediates; it holds one training batch or one pack of probe
-batches. Rows never interact, and a one-row block embeds its row as two
-copies (numpy's one-row product rounds differently from its many-row one),
-so a row's features are the same bits whatever rows share its block.
+every row's intermediates; it holds one training batch or at most
+``ROW_BLOCK`` probe rows. Rows never interact, and a one-row block embeds
+its row as two copies (numpy's one-row product rounds differently from its
+many-row one), so a row's features are the same bits whatever rows share
+its block.
 
 A prompt set has one segment per prompted block, named ``block{b}`` in
 ``prompted_blocks`` order, then the ``key``; every segment is a stack of
@@ -292,15 +293,13 @@ def _attention_block(
     ``n_out`` tokens only, and the output is [n, n_out, d].
 
     Returns (out, backward); ``backward`` is None unless ``keep``.
-    ``backward(g, need_x, need_weights, spans=None)`` takes the output
-    gradient and returns (input gradient, prompt gradients, {weight name:
-    gradient}): the input gradient is None unless ``need_x`` or
-    ``need_weights``, the prompt gradients None without a prompt and else one
-    [P, d] per span of samples in ``spans`` ((lo, hi) pairs; None is one span
-    over all ``n``), and the dict empty unless ``need_weights``. Weight
-    gradients are wanted only while the backbone is pretrained, which runs
-    without prompts, so a prompted block gives none and keeps nothing only
-    they read.
+    ``backward(g, need_x, need_weights)`` takes the output gradient and
+    returns (input gradient, prompt gradient, {weight name: gradient}): the
+    input gradient is None unless ``need_x`` or ``need_weights``, the prompt
+    gradient None without a prompt and else [P, d], summed over every sample,
+    and the dict empty unless ``need_weights``. Weight gradients are wanted
+    only while the backbone is pretrained, which runs without prompts, so a
+    prompted block gives none and keeps nothing only they read.
     """
     g1, c_ln1, wq, wk, wv, wo, g2, c_ln2, w1, c1, w2, c2 = w
     n, t, d = x.shape
@@ -360,7 +359,7 @@ def _attention_block(
         a = None
     dz = gelu_derivative(z, z2, tz)
 
-    def backward(g, need_x, need_weights, spans=None):
+    def backward(g, need_x, need_weights):
         grads = {}
         # MLP and its residual: out = x1 + gelu(LN2(x1) @ w1 + c1) @ w2 + c2
         gz = g @ w2.T
@@ -409,21 +408,18 @@ def _attention_block(
 
         gp = None
         if prompt is not None:
-            # Prompt keys and values are shared by a span's samples: sum over
-            # its (sample, query) rows in one product per head. The products
-            # read views of the spans; contiguous copies put BLAS on another
-            # path and change the bits.
+            # Prompt keys and values are shared by every sample: sum over all
+            # (sample, query) rows in one product per head. ``go_rows`` stays
+            # a strided view: a contiguous copy puts BLAS on another path and
+            # changes the bits of every training step.
             m = n * to
             q_rows = q.transpose((1, 3, 0, 2)).reshape(n_heads, dh, m)
             gs_p = gs[..., t:].transpose((1, 0, 2, 3)).reshape(n_heads, m, n_p)
             a_p = attn[..., t:].transpose((1, 3, 0, 2)).reshape(n_heads, n_p, m)
             go_rows = go.transpose((1, 0, 2, 3)).reshape(n_heads, m, dh)
-            gp = []
-            for lo, hi in spans or ((0, n),):
-                r = slice(lo * to, hi * to)
-                gkp = (q_rows[..., r] @ gs_p[:, r]).transpose((2, 0, 1)).reshape(n_p, d)
-                gvp = (a_p[..., r] @ go_rows[:, r]).transpose((1, 0, 2)).reshape(n_p, d)
-                gp.append(layer_norm_backward(gkp @ wk.T + gvp @ wv.T, xhatp, invp, g1))
+            gkp = (q_rows @ gs_p).transpose((2, 0, 1)).reshape(n_p, d)
+            gvp = (a_p @ go_rows).transpose((1, 0, 2)).reshape(n_p, d)
+            gp = layer_norm_backward(gkp @ wk.T + gvp @ wv.T, xhatp, invp, g1)
         return gx, gp, grads
 
     return out, backward
@@ -446,12 +442,16 @@ def _encode_rows(
     # never depend on the rows that share its pass
     rows = batch if n > 1 else np.repeat(batch, 2, axis=0)
     tok[:, 1:] = ((rows @ w["embed_w"])[:n] + w["embed_b"]).reshape(n, cfg.n_feature_tokens, d)
+    # No prompt gradient flows below the lowest prompted block, so a
+    # prompted pass keeps no backward there; a promptless one (pretraining,
+    # whose weights train) keeps every block.
+    lowest = min(prompts, default=0)
     blocks = []
     for i in range(cfg.n_blocks):
         # Only the class token is read after the last block.
         n_out = 1 if i == cfg.n_blocks - 1 else None
         tok, block_backward = _attention_block(
-            tok, _block_weights(w, i), cfg.n_heads, prompts.get(i), n_out, keep=keep
+            tok, _block_weights(w, i), cfg.n_heads, prompts.get(i), n_out, keep=keep and i >= lowest
         )
         blocks.append(block_backward)
         if i in cls_out:
@@ -461,19 +461,16 @@ def _encode_rows(
     if not keep:
         return feats, None
 
-    def backward(g_feats, weight_grads=False, spans=None):
+    def backward(g_feats, weight_grads=False):
         grads = {}
         g = g_feats[:, None]
         if weight_grads:
             grads["ln_f_g"], grads["ln_f_b"] = layer_norm_param_grads(g, xhat)
         g = layer_norm_backward(g, xhat, inv, w["ln_f_g"])
-        # No prompt gradient flows below the lowest prompted block, so the
-        # walk stops there unless the weights train.
-        lowest = 0 if weight_grads else min(prompts, default=cfg.n_blocks)
         prompt_grads = {}
         for i in range(cfg.n_blocks - 1, lowest - 1, -1):
             # each block's intermediates are released once it has run
-            g, gp, block_grads = blocks.pop()(g, i > lowest, weight_grads, spans)
+            g, gp, block_grads = blocks.pop()(g, i > lowest, weight_grads)
             if gp is not None:
                 prompt_grads[i] = gp
             grads.update((f"b{i}.{name}", grad) for name, grad in block_grads.items())
@@ -504,12 +501,10 @@ def encode(
     ``layer_reps`` (empty unless ``collect_layers``) is a ``segment_map``: the
     class-token output of each prompted block, then the final feature under
     ``key`` (copies), each [n, d].
-    ``backward(g_feats, weight_grads=False, spans=None)`` takes the
-    features' gradient and returns ({block: [prompt gradient [P, d] per
-    span]}, {weight name: gradient}): ``spans`` lists (lo, hi) row spans of
-    ``batch``, each summed on its own (None: one span over every row), and
-    the weight gradients (pretraining, without prompts) are filled only when
-    ``weight_grads``.
+    ``backward(g_feats, weight_grads=False)`` takes the features' gradient
+    and returns ({block: prompt gradient [P, d] summed over every row},
+    {weight name: gradient}); the weight gradients (pretraining, without
+    prompts) are filled only when ``weight_grads``.
 
     The rows run in blocks into preallocated outputs: ``ROW_BLOCK`` at a
     time, or all ``n`` at once when ``return_backward``. Every row's
@@ -592,6 +587,16 @@ def _key_loss(k: np.ndarray, q_bar: np.ndarray, weight: float):
     return loss, grad
 
 
+def _prompt_gradient(cfg: EncoderConfig, prompt_grads: dict, k_grad: np.ndarray) -> GradientVector:
+    """The set's own prompt rows of each block's prefix gradient, then
+    ``k_grad``; raises ``NonFiniteError`` unless every entry is finite."""
+    own = [prompt_grads[b][: cfg.prompt_len].ravel() for b in cfg.prompted_blocks]
+    flat = np.concatenate([*own, k_grad])
+    if not np.all(np.isfinite(flat)):
+        raise NonFiniteError("non-finite gradient")
+    return GradientVector(flat, cfg)
+
+
 def loss_and_grads(
     backbone: FrozenBackbone,
     head: Head,
@@ -609,80 +614,53 @@ def loss_and_grads(
     bias gives the classes outside ``head_mask`` exactly zero probability,
     so their head gradients are zero. ``labels`` holds one class of
     ``head_mask`` per row of ``batch``. Raises ``NonFiniteError`` when the
-    loss or the gradient is not finite: every ``GradientVector`` of a step
-    or a probe is this one, a projection of it or a mean of such.
-    """
-    return batch_grads(backbone, head, pset, [(batch, labels)], head_mask, q_bar)[0]
-
-
-def _row_packs(batches: list) -> list:
-    """``batches`` [(x, labels), ...] grouped in order into packs of at most
-    ``ROW_BLOCK`` rows; a larger batch is a pack of its own."""
-    packs, rows = [], 0
-    for batch in batches:
-        n = len(batch[0])
-        if packs and rows + n <= ROW_BLOCK:
-            packs[-1].append(batch)
-            rows += n
-        else:
-            packs.append([batch])
-            rows = n
-    return packs
-
-
-def batch_grads(
-    backbone: FrozenBackbone,
-    head: Head,
-    pset: PromptSet,
-    batches: list,
-    head_mask,
-    q_bar: np.ndarray | None = None,
-) -> list:
-    """``loss_and_grads`` of every batch in ``batches`` [(x, labels), ...],
-    in order, bit for bit, from one encoder pass per ``_row_packs`` pack.
-
-    In a pass each batch's logits, cross-entropy and feature gradient are
-    computed on its own rows of the features, so its head products are the
-    ones its own pass runs (gemv for a one-row batch), and the backward sums
-    each batch's prompt gradient over its own rows. A pack
-    checks every loss before its backward, so when an earlier batch's
-    gradient and a later batch's loss in the same pack are both not finite,
-    the error names the loss.
+    loss or the gradient is not finite.
     """
     cfg = backbone.config
+    labels = np.asarray(labels, dtype=int)
+    feats, _, backward = encode(backbone, batch, prefixes(cfg, pset), return_backward=True)
     bias = class_mask_bias(head.n_classes, head_mask)
+    loss, logp = cross_entropy_forward(feats @ head.w + head.b + bias, labels)
     k_grad = np.zeros_like(pset.k)
     if q_bar is not None:
         key_loss, k_grad = _key_loss(pset.k, q_bar, KEY_LOSS_WEIGHT)
-    out = []
-    for pack in _row_packs(batches):
-        x = pack[0][0] if len(pack) == 1 else np.concatenate([x for x, _ in pack])
-        feats, _, backward = encode(backbone, x, prefixes(cfg, pset), return_backward=True)
-        g_feats = np.empty_like(feats)
-        spans, heads, lo = [], [], 0
-        for xb, labels in pack:
-            labels = np.asarray(labels, dtype=int)
-            hi = lo + len(xb)
-            loss, logp = cross_entropy_forward(feats[lo:hi] @ head.w + head.b + bias, labels)
-            if q_bar is not None:
-                loss = loss + key_loss
-            if not np.isfinite(loss):
-                raise NonFiniteError("non-finite loss")
-            g = cross_entropy_backward(logp, labels)
-            g_feats[lo:hi] = g @ head.w.T
-            spans.append((lo, hi))
-            # under MASK_BIAS a class outside head_mask has probability exactly
-            # 0, so its logit gradient is 0 and its head-gradient column +-0
-            heads.append((float(loss), feats[lo:hi].T @ g, g.sum(axis=0)))
-            lo = hi
-        prompt_grads, _ = backward(g_feats, spans=spans)
-        for j, (loss, gw, gb) in enumerate(heads):
-            own = [prompt_grads[b][j][: cfg.prompt_len].ravel() for b in cfg.prompted_blocks]
-            flat = np.concatenate([*own, k_grad])
-            if not np.all(np.isfinite(flat)):
-                raise NonFiniteError("non-finite gradient")
-            out.append((loss, GradientVector(flat, cfg), gw, gb))
-    return out
+        loss = loss + key_loss
+    if not np.isfinite(loss):
+        raise NonFiniteError("non-finite loss")
+    g = cross_entropy_backward(logp, labels)
+    prompt_grads, _ = backward(g @ head.w.T)
+    # under MASK_BIAS a class outside head_mask has probability exactly 0,
+    # so its logit gradient is 0 and its head-gradient column +-0
+    return float(loss), _prompt_gradient(cfg, prompt_grads, k_grad), feats.T @ g, g.sum(axis=0)
+
+
+def probe_grad(
+    backbone: FrozenBackbone, head: Head, pset: PromptSet, batches: list, head_mask
+) -> GradientVector:
+    """The cross-entropy gradient over the set's p and k of the mean over
+    ``batches`` [(x, labels), ...] of each batch's mean loss; the key
+    segment is zero. That is one loss over all their rows, each row's
+    cross-entropy divided by B x (its batch's rows) for B batches, so a
+    short last batch's rows weigh more. Its gradient is summed over passes
+    of ``ROW_BLOCK`` rows, each one cross-entropy and one backward. Raises
+    ``NonFiniteError`` when a pass's loss or the gradient is not finite.
+    """
+    cfg = backbone.config
+    x = np.concatenate([xb for xb, _ in batches])
+    labels = np.concatenate([np.asarray(y, dtype=int) for _, y in batches])
+    denom = np.concatenate([np.full(len(y), float(len(batches) * len(y))) for _, y in batches])
+    bias = class_mask_bias(head.n_classes, head_mask)
+    summed = None
+    for lo in range(0, len(x), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        feats, _, backward = encode(backbone, x[rows], prefixes(cfg, pset), return_backward=True)
+        loss, logp = cross_entropy_forward(feats @ head.w + head.b + bias, labels[rows])
+        if not np.isfinite(loss):
+            raise NonFiniteError("non-finite loss")
+        g = cross_entropy_backward(logp, labels[rows], denom[rows])
+        prompt_grads, _ = backward(g @ head.w.T)
+        summed = prompt_grads if summed is None else {b: summed[b] + gp for b, gp in prompt_grads.items()}
+    return _prompt_gradient(cfg, summed, np.zeros_like(pset.k))
 
 
 def pretrain_backbone(

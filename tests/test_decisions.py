@@ -208,14 +208,11 @@ def six_set_probe(n_rows, batch_size, seed=21):
     return GradientProbe(backbone, head, (0, 1, 2), batches), sets
 
 
-class TestProbe:
-    def test_probe_gradient_is_batch_average(self, probe_setup):
-        probe, pset, _ = probe_setup
-        g = probe.gradient(pset)
-        singles = [GradientProbe(probe.backbone, probe.head, probe.head_mask, [b]).gradient(pset)
-                   for b in probe.batches]
-        np.testing.assert_allclose(g.flat, np.mean([s.flat for s in singles], axis=0), atol=1e-12)
+def rel_l2(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
+
+class TestProbe:
     def test_probe_key_segment_zero(self, probe_setup):
         # probing ignores the key-pull loss entirely
         probe, pset, _ = probe_setup
@@ -257,17 +254,17 @@ class TestProbe:
         want = hfc(g.flat, np.concatenate(pieces)).angle
         assert thr.angle == pytest.approx(want, abs=1e-12)
 
-    # (rows, batch size) -> rows per encoder pass: consecutive batches join a
-    # pass while it holds at most ROW_BLOCK (64) rows, and a larger batch runs
-    # alone; a one-row batch packs like any other
+    # (rows, batch size) -> rows per encoder pass: the probe's rows run
+    # ROW_BLOCK (64) at a time, wherever its batches start and end
     @pytest.mark.parametrize("n_rows, batch_size, passes", [
         (144, 32, [64, 64, 16]),
+        (144, 48, [64, 64, 16]),
         (160, 32, [64, 64, 32]),
         (33, 32, [33]),
         (65, 32, [64, 1]),
         (49, 16, [49]),
         (1, 32, [1]),
-        (100, 100, [100]),
+        (100, 100, [64, 36]),
         (7, 3, [7]),
         (3, 1, [3]),
     ])
@@ -289,16 +286,33 @@ class TestProbe:
     @pytest.mark.parametrize("n_rows, batch_size", [
         (144, 32), (160, 32), (33, 32), (65, 32), (49, 16), (1, 32), (100, 100), (7, 3), (5, 1),
     ])
-    def test_packed_gradient_equals_the_per_batch_sum_bit_for_bit(self, n_rows, batch_size):
+    def test_gradient_is_the_mean_of_its_batches_loss_and_grads(self, n_rows, batch_size):
+        # the same value as one loss_and_grads pass per batch, averaged in
+        # batch order; only the order of the float sums differs
         for seed in (21, 22, 23, 24):
             probe, sets = six_set_probe(n_rows, batch_size, seed)
             for pset in sets:
-                acc = None
-                for x, y in probe.batches:
-                    flat = loss_and_grads(probe.backbone, probe.head, pset, x, y, probe.head_mask)[1].flat
-                    acc = flat if acc is None else acc + flat
-                want = acc / len(probe.batches)
-                assert np.array_equal(probe.gradient(pset).flat, want), (seed, pset.id)
+                per_batch = [loss_and_grads(probe.backbone, probe.head, pset, x, y, probe.head_mask)[1].flat
+                             for x, y in probe.batches]
+                want = sum(per_batch[1:], per_batch[0]) / len(per_batch)
+                assert rel_l2(probe.gradient(pset).flat, want) <= 1e-13, (seed, pset.id)
+
+    def test_a_short_last_batch_weighs_its_rows_more(self):
+        # 144 rows in batches of 32: four full batches and one of 16, each
+        # batch weighing 1/5, so the last 16 rows weigh 1/80 each and the
+        # others 1/160, not 1/144 as in one mean over every row
+        probe, sets = six_set_probe(144, 32)
+        x = np.concatenate([xb for xb, _ in probe.batches])
+        y = np.concatenate([yb for _, yb in probe.batches])
+
+        def mean_gradient(pset, rows):
+            return loss_and_grads(probe.backbone, probe.head, pset, x[rows], y[rows], probe.head_mask)[1].flat
+
+        for pset in sets:
+            got = probe.gradient(pset).flat
+            want = 0.8 * mean_gradient(pset, slice(0, 128)) + 0.2 * mean_gradient(pset, slice(128, 144))
+            assert rel_l2(got, want) <= 1e-13, pset.id
+            assert rel_l2(got, mean_gradient(pset, slice(0, 144))) > 1e-3, pset.id
 
     @pytest.mark.parametrize("what", ["loss", "gradient"])
     def test_non_finite_raises_the_bare_error(self, monkeypatch, what):
@@ -308,7 +322,7 @@ class TestProbe:
             sets[3].p[0, 0, 0] = np.nan
         else:
             monkeypatch.setattr(encoder_module, "cross_entropy_backward",
-                                lambda logp, labels: np.full(logp.shape, np.inf))
+                                lambda logp, labels, denom=None: np.full(logp.shape, np.inf))
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"^non-finite {what}$"):
             for pset in sets[:4]:
                 probe.gradient(pset)

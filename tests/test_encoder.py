@@ -256,6 +256,56 @@ class TestGradients:
         assert np.any(gw[:, :4] != 0)
 
 
+class TestKeptBlocks:
+    """A pass keeps a block's backward only where a gradient it returns
+    flows: from the lowest prompted block up, or every block in pretraining."""
+
+    @staticmethod
+    def spy_keep(monkeypatch, keep_all=False):
+        """Record each block's ``keep``; ``keep_all`` keeps every block of a
+        pass that keeps a backward, as passes did before."""
+        seen = []
+        block = encoder_module._attention_block
+
+        def spy(*args, keep=False):
+            seen.append(keep)
+            return block(*args, keep=keep or keep_all)
+
+        monkeypatch.setattr(encoder_module, "_attention_block", spy)
+        return seen
+
+    @pytest.mark.parametrize("blocks, kept", [((1,), [False, True]), ((0, 1), [True, True])])
+    def test_a_prompted_pass_keeps_no_block_below_its_lowest_prompt(self, monkeypatch, blocks, kept):
+        cfg = EncoderConfig(d_model=16, n_blocks=2, n_heads=4, prompt_len=3, prompted_blocks=blocks,
+                            input_dim=10, n_feature_tokens=3)
+        rng = np.random.default_rng(5)
+        backbone = FrozenBackbone.init(cfg, rng)
+        head = Head.init(cfg.d_model, 8, rng)
+        pset = PromptSet.init(cfg, rng)
+        batch = rng.standard_normal((6, cfg.input_dim))
+        labels = rng.integers(0, 4, size=6)
+        q_bar = rng.standard_normal(cfg.d_model)
+
+        def step(keep_all):
+            seen = self.spy_keep(monkeypatch, keep_all)
+            loss, grad, gw, gb = loss_and_grads(backbone, head, pset, batch, labels, range(8), q_bar=q_bar)
+            return seen, (loss, grad.flat.tobytes(), gw.tobytes(), gb.tobytes())
+
+        seen, got = step(keep_all=False)
+        assert seen == kept
+        _, every_block_kept = step(keep_all=True)
+        assert got == every_block_kept
+
+    def test_pretraining_keeps_every_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        backbone = FrozenBackbone.init(CFG, rng)
+        data = rng.standard_normal((40, CFG.input_dim))
+        labels = rng.integers(0, 4, size=40)
+        seen = self.spy_keep(monkeypatch)
+        pretrain_backbone(backbone, data, labels, steps=2, lr=0.05, batch_size=16, rng=rng)
+        assert seen == [True] * (2 * CFG.n_blocks)
+
+
 class TestFrozenExtras:
     def test_extra_changes_logits_but_gets_no_grad(self, setup):
         backbone, head, pset, batch, labels = setup
@@ -350,7 +400,7 @@ class TestFusedBlock:
         gx, gp, weight_grads = backward(upstream, True, trainable)
         grads = {"x": gx, **{name: weight_grads.get(name) for name in _BLOCK_WEIGHTS}}
         if with_prompt:
-            (grads["prompt"],) = gp  # one span over every sample
+            grads["prompt"] = gp
         else:
             assert gp is None
 
