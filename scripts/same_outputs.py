@@ -4,22 +4,27 @@
     python scripts/same_outputs.py --parent REV
 
 Exports commit REV of this repository with ``git archive`` into a temporary
-directory, then makes the same 12 runs with each tree's ``src/``, each run a
+directory, then makes the same 14 runs with each tree's ``src/``, each run a
 fresh ``python -m growcl run`` process with BLAS pinned to one thread:
 
 - ``configs/quick.cfg`` and ``configs/comparison.cfg``, each in the modes
   ``lw2g``, ``grow_always`` and ``single_set``;
 - every benchmark workload at seeds 1 and 7, on the config text that
-  ``perfbench/workloads.py`` generates.
+  ``perfbench/workloads.py`` generates;
+- two edge runs that no shipped config reaches: ``quick-b1``, quick.cfg at
+  ``batch_size = 1``, so every training step runs on a lone row; and
+  ``probe-129``, comparison.cfg with ``probe_samples = 129``, so each probe
+  runs passes of 64, 64 and 1 rows and ends on a one-row pass.
 
 Both trees read the working tree's config files and workload text, so only
-the engine differs. The four deterministic files of every run
-(report.json, trace.jsonl, metrics.csv, snapshot.bin; 48 in all) are
+the engine differs, and ``--parent`` compares the one-row paths across
+trees as it does the others. The four deterministic files of every run
+(report.json, trace.jsonl, metrics.csv, snapshot.bin; 56 in all) are
 compared byte for byte. ``--parent HEAD`` on an unmodified checkout checks
 that two processes write the same bytes.
 
-Exit codes: 0 every file identical; 1 a file differs (each one is listed)
-or a run failed; 2 usage error (REV names no commit).
+Exit codes: 0 every file identical; 1 a file differs or is missing (each one
+is listed) or a run failed; 2 usage error (REV names no commit).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,11 +64,17 @@ def runs(cfg_dir: Path) -> dict:
     for name in ("quick", "comparison"):
         for mode in MODES:
             out[f"{name}-{mode}"] = ["--config", str(ROOT / "configs" / f"{name}.cfg"), "--mode", mode]
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            path = cfg_dir / f"{workload}-{seed}.cfg"
-            path.write_text(config_text(workload, seed))
-            out[f"{workload}-{seed}"] = ["--config", str(path)]
+    texts = {f"{workload}-{seed}": config_text(workload, seed)
+             for workload in WORKLOADS for seed in SEEDS}
+    quick = (ROOT / "configs" / "quick.cfg").read_text(encoding="utf-8")
+    texts["quick-b1"] = re.sub(r"(?m)^batch_size = .*$", "batch_size = 1", quick)
+    # appended, so [train] must stay comparison.cfg's last section
+    comparison = (ROOT / "configs" / "comparison.cfg").read_text(encoding="utf-8")
+    texts["probe-129"] = comparison + "probe_samples = 129\n"
+    for name, text in texts.items():
+        path = cfg_dir / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        out[name] = ["--config", str(path)]
     return out
 
 
@@ -87,6 +99,14 @@ def run_tree(src: Path, plan: dict, out: Path) -> list:
     return failed
 
 
+def differing(names, a: Path, b: Path) -> list:
+    """``run/file`` for each output of the runs ``names`` that differs
+    between the output directories ``a`` and ``b`` or is missing from either."""
+    return [f"{name}/{f}" for name in names for f in OUTPUTS
+            if not ((a / name / f).is_file() and (b / name / f).is_file()
+                    and filecmp.cmp(a / name / f, b / name / f, shallow=False))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -109,14 +129,12 @@ def main(argv=None) -> int:
         if failed:
             print("\n".join(["runs failed:", *failed]))
             return 1
-        differ = [f"{name}/{f}" for name in plan for f in OUTPUTS
-                  if not filecmp.cmp(tmp / "out-parent" / name / f, tmp / "out-current" / name / f,
-                                     shallow=False)]
+        differ = differing(plan, tmp / "out-parent", tmp / "out-current")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     total = len(plan) * len(OUTPUTS)
     if differ:
-        print(f"{len(differ)} of {total} files differ from {args.parent}:")
+        print(f"{len(differ)} of {total} files differ from {args.parent} or are missing:")
         print("\n".join(f"  {path}" for path in differ))
         return 1
     print(f"all {total} files identical to {args.parent} ({len(plan)} runs)")
